@@ -1,4 +1,4 @@
-// Microbenchmarks of the columnar segment store (google-benchmark): typed
+// Microbenchmarks of the columnar segment store (google-benchmark): SQL
 // predicate scans and un-indexed time ranges over sealed delta+varint /
 // dictionary segments with zone-map skipping, against the identical table
 // kept entirely in the row-major tail (SegmentConfig{.seal = false} — the
@@ -15,7 +15,7 @@
 #include <utility>
 
 #include "db/database.h"
-#include "db/query.h"
+#include "db/sql.h"
 #include "util/rng.h"
 
 namespace {
@@ -26,8 +26,8 @@ constexpr int kUrlVariants = 8;
 
 // One synthetic Apache-shaped event table per (size, sealed) pair, built
 // once and leaked (benchmark fixture). Same layout and rng seed as
-// bench_query_engine, so numbers are comparable across the two binaries.
-db::Table& event_table(std::int64_t rows, bool sealed) {
+// bench_sql_engine's, so numbers are comparable across the two binaries.
+db::Database& warehouse(std::int64_t rows, bool sealed) {
   static std::map<std::pair<std::int64_t, bool>, db::Database*>& dbs =
       *new std::map<std::pair<std::int64_t, bool>, db::Database*>();
   const auto key = std::make_pair(rows, sealed);
@@ -55,58 +55,53 @@ db::Table& event_table(std::int64_t rows, bool sealed) {
     }
     it = dbs.emplace(key, d).first;
   }
-  return it->second->get("ev");
+  return *it->second;
 }
 
-// Typed equality predicate on a Text column: dictionary probe + code scan
-// per segment vs row-at-a-time Value materialization over the tail.
+std::int64_t count(const db::Database& db, const std::string& where) {
+  return std::get<std::int64_t>(
+      db::Sql::execute(db, "SELECT COUNT(*) FROM ev WHERE " + where).at(0, 0));
+}
+
+// No TimeIndex is warm on these tables: ranges prune on zone maps alone.
+const std::string kUrlEq = "url = '/rubbos/Servlet3'";
+const std::string kTenSeconds = "ua_usec >= 1000000 AND ua_usec < 11000000";
+
+// Equality predicate on a Text column: dictionary probe + code scan per
+// segment vs materializing the tail's cells.
 void BM_PredicateScanColumnar(benchmark::State& state) {
-  db::Table& t = event_table(state.range(0), /*sealed=*/true);
+  const db::Database& db = warehouse(state.range(0), /*sealed=*/true);
   for (auto _ : state) {
-    const auto n =
-        db::Query(t).where_eq_str("url", "/rubbos/Servlet3").count();
-    benchmark::DoNotOptimize(n);
+    benchmark::DoNotOptimize(count(db, kUrlEq));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PredicateScanColumnar)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_PredicateScanRowMajor(benchmark::State& state) {
-  db::Table& t = event_table(state.range(0), /*sealed=*/false);
+  const db::Database& db = warehouse(state.range(0), /*sealed=*/false);
   for (auto _ : state) {
-    const auto n =
-        db::Query(t).where_eq_str("url", "/rubbos/Servlet3").count();
-    benchmark::DoNotOptimize(n);
+    benchmark::DoNotOptimize(count(db, kUrlEq));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PredicateScanRowMajor)->Arg(10000)->Arg(100000)->Arg(1000000);
 
-// Un-indexed time range: zone maps skip every segment outside the 10-second
-// slice, so the columnar scan touches ~1% of the table at 1M rows.
+// 10-second time range: zone maps skip every segment outside the slice, so
+// the columnar scan touches ~1% of the table at 1M rows.
 void BM_TimeRangeScanColumnar(benchmark::State& state) {
-  db::Table& t = event_table(state.range(0), /*sealed=*/true);
-  const util::SimTime lo = util::sec(1), hi = util::sec(11);
+  const db::Database& db = warehouse(state.range(0), /*sealed=*/true);
   for (auto _ : state) {
-    const auto n = db::Query(t)
-                       .use_index(false)
-                       .time_range("ua_usec", lo, hi)
-                       .count();
-    benchmark::DoNotOptimize(n);
+    benchmark::DoNotOptimize(count(db, kTenSeconds));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_TimeRangeScanColumnar)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_TimeRangeScanRowMajor(benchmark::State& state) {
-  db::Table& t = event_table(state.range(0), /*sealed=*/false);
-  const util::SimTime lo = util::sec(1), hi = util::sec(11);
+  const db::Database& db = warehouse(state.range(0), /*sealed=*/false);
   for (auto _ : state) {
-    const auto n = db::Query(t)
-                       .use_index(false)
-                       .time_range("ua_usec", lo, hi)
-                       .count();
-    benchmark::DoNotOptimize(n);
+    benchmark::DoNotOptimize(count(db, kTenSeconds));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -115,7 +110,7 @@ BENCHMARK(BM_TimeRangeScanRowMajor)->Arg(10000)->Arg(100000)->Arg(1000000);
 // Full-table sequential materialization through RowCursor: the cost floor
 // of every analysis pass (trace reconstruction, consistency checks).
 void BM_FullScanCursor(benchmark::State& state) {
-  db::Table& t = event_table(state.range(0), /*sealed=*/true);
+  db::Table& t = warehouse(state.range(0), /*sealed=*/true).get("ev");
   for (auto _ : state) {
     std::size_t n = 0;
     for (db::RowCursor cur = t.scan(); cur.next();) n += cur.row().size();
@@ -146,9 +141,11 @@ std::size_t vm_rss_kb() {
 void report_memory() {
   const std::int64_t rows = 1'000'000;
   const std::size_t rss0 = vm_rss_kb();
-  const std::size_t row_major = event_table(rows, false).storage().byte_size();
+  const std::size_t row_major =
+      warehouse(rows, false).get("ev").storage().byte_size();
   const std::size_t rss1 = vm_rss_kb();
-  const std::size_t columnar = event_table(rows, true).storage().byte_size();
+  const std::size_t columnar =
+      warehouse(rows, true).get("ev").storage().byte_size();
   const std::size_t rss2 = vm_rss_kb();
   std::printf("# storage footprint, %lld rows\n", (long long)rows);
   std::printf("#   row-major tail: %8.1f MB encoded (%.1f B/row), "

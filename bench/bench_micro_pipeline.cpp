@@ -1,11 +1,12 @@
 // Microbenchmarks of the data-pipeline stages (google-benchmark): how fast
 // mScopeDataTransformer parses native logs, infers schemas, loads mScopeDB,
-// and how fast the warehouse answers the analysis queries. These bound how
-// quickly a collected run can be turned into a diagnosis.
+// and how fast the analyses read their series back (db::ColumnReader under
+// PIT and queue length). These bound how quickly a collected run can be
+// turned into a diagnosis.
 
 #include <benchmark/benchmark.h>
 
-#include "db/query.h"
+#include "core/metrics.h"
 #include "logging/formats.h"
 #include "sim/simulation.h"
 #include "transform/declaration.h"
@@ -100,30 +101,26 @@ db::Database& warehouse_100k() {
   return db;
 }  // NOLINT
 
-void BM_QueryTimeRangeScan(benchmark::State& state) {
+void BM_PitSeries(benchmark::State& state) {
   db::Database& db = warehouse_100k();
   for (auto _ : state) {
-    const auto n = db::Query(db.get("ev"))
-                       .time_range("ua_usec", util::sec(10), util::sec(20))
-                       .count();
-    benchmark::DoNotOptimize(n);
+    const auto pit = core::pit_response_time_db(db, "ev", util::msec(50));
+    benchmark::DoNotOptimize(pit.overall_avg_ms);
   }
   state.SetItemsProcessed(state.iterations() * 100000);
 }
-BENCHMARK(BM_QueryTimeRangeScan);
+BENCHMARK(BM_PitSeries);
 
-void BM_QueryGroupByBucket(benchmark::State& state) {
+void BM_QueueLength(benchmark::State& state) {
   db::Database& db = warehouse_100k();
   for (auto _ : state) {
-    const auto t = db::Query(db.get("ev"))
-                       .group_by_bucket("ud_usec", util::msec(50),
-                                        {{db::Query::AggKind::kMax,
-                                          "duration_usec"}});
-    benchmark::DoNotOptimize(t);
+    const auto q =
+        core::queue_length_db(db, "ev", util::msec(50), 0, util::sec(100));
+    benchmark::DoNotOptimize(q.data());
   }
   state.SetItemsProcessed(state.iterations() * 100000);
 }
-BENCHMARK(BM_QueryGroupByBucket);
+BENCHMARK(BM_QueueLength);
 
 void BM_SimulationEventThroughput(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,10 +1,7 @@
-// SQL engine vs native Query (google-benchmark): the same four analyses —
-// full-column scan aggregate, selective filter, time-bucketed group-by, and
-// a cross-tier hash join — issued once through mScopeSQL's vectorized
-// pipeline and once through the hand-written Query fast paths it must keep
-// up with. The SQL numbers carry lexing, parsing and planning on every
-// iteration; staying within ~1.2x of native on scan/filter/aggregate is the
-// engine's acceptance bar.
+// mScopeSQL (google-benchmark): four analyses — full-column scan aggregate,
+// selective filter, time-bucketed group-by, and a cross-tier hash join —
+// through the vectorized pipeline, plus parse+plan overhead in isolation.
+// Every iteration carries lexing, parsing and planning.
 
 #include <benchmark/benchmark.h>
 
@@ -13,7 +10,6 @@
 #include <string>
 
 #include "db/database.h"
-#include "db/query.h"
 #include "db/sql.h"
 #include "util/rng.h"
 #include "util/simtime.h"
@@ -75,17 +71,6 @@ void BM_ScanAggSql(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanAggSql)->Arg(100000)->Arg(1000000);
 
-void BM_ScanAggNative(benchmark::State& state) {
-  db::Database& db = warehouse(state.range(0));
-  for (auto _ : state) {
-    const double s = db::Query(db.get("ev"))
-                         .aggregate(db::Query::AggKind::kSum, "duration_usec");
-    benchmark::DoNotOptimize(s);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ScanAggNative)->Arg(100000)->Arg(1000000);
-
 // --- filter: selective predicate, count survivors ----------------------------
 
 void BM_FilterCountSql(benchmark::State& state) {
@@ -98,17 +83,6 @@ void BM_FilterCountSql(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FilterCountSql)->Arg(100000)->Arg(1000000);
-
-void BM_FilterCountNative(benchmark::State& state) {
-  db::Database& db = warehouse(state.range(0));
-  for (auto _ : state) {
-    const auto n =
-        db::Query(db.get("ev")).where_eq_str("url", "/rubbos/Servlet3").count();
-    benchmark::DoNotOptimize(n);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FilterCountNative)->Arg(100000)->Arg(1000000);
 
 // --- group-by: the per-second roll-up behind every figure --------------------
 
@@ -125,21 +99,6 @@ void BM_GroupBySql(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupBySql)->Arg(100000)->Arg(1000000);
 
-void BM_GroupByNative(benchmark::State& state) {
-  db::Database& db = warehouse(state.range(0));
-  for (auto _ : state) {
-    const db::Table r = db::Query(db.get("ev"))
-                            .group_by_bucket(
-                                "ua_usec", util::sec(1),
-                                {{db::Query::AggKind::kCount, ""},
-                                 {db::Query::AggKind::kMean, "duration_usec"},
-                                 {db::Query::AggKind::kMax, "duration_usec"}});
-    benchmark::DoNotOptimize(r.row_count());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GroupByNative)->Arg(100000)->Arg(1000000);
-
 // --- join: cross-tier hash join on the request id ----------------------------
 
 void BM_HashJoinSql(benchmark::State& state) {
@@ -154,19 +113,6 @@ void BM_HashJoinSql(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_HashJoinSql)->Arg(100000)->Arg(1000000);
-
-void BM_HashJoinNative(benchmark::State& state) {
-  db::Database& db = warehouse(state.range(0));
-  for (auto _ : state) {
-    const db::Table joined =
-        db::Query::inner_join(db.get("ev"), "req_id", db.get("my"), "req_id");
-    const double peak = db::Query(joined).aggregate(db::Query::AggKind::kMax,
-                                                    "my.visit_usec");
-    benchmark::DoNotOptimize(peak);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_HashJoinNative)->Arg(100000)->Arg(1000000);
 
 // --- parse + plan overhead in isolation --------------------------------------
 

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "core/milliscope.h"
-#include "db/query.h"
+#include "db/sql.h"
 #include "logging/facility.h"
 #include "monitors/resource_monitor.h"
 #include "transform/pipeline.h"
@@ -95,11 +95,10 @@ int main() {
                 std::string(to_string(col.type)).c_str());
   }
   std::printf("\n");
-  const double peak_rx =
-      db::Query(t).aggregate(db::Query::AggKind::kMax, "rx_bps");
-  const double mean_rx =
-      db::Query(t).aggregate(db::Query::AggKind::kMean, "rx_bps");
-  std::printf("db1 NIC rx: mean %.0f B/s, peak %.0f B/s\n", mean_rx, peak_rx);
+  const db::Table rx = db::Sql::execute(
+      db, "SELECT AVG(rx_bps), MAX(rx_bps) FROM res_netstat_db1");
+  std::printf("db1 NIC rx: mean %.0f B/s, peak %.0f B/s\n",
+              *db::as_double(rx.at(0, 0)), *db::as_double(rx.at(0, 1)));
 
   // Cross-monitor join: is network traffic aligned with CPU busy?
   const auto net = core::resource_series(db, "res_netstat_db1", "rx_bps");

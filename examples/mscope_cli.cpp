@@ -32,7 +32,6 @@
 #include "core/milliscope.h"
 #include "core/report.h"
 #include "core/trace.h"
-#include "db/query.h"
 #include "db/sql.h"
 #include "db/sqlengine/engine.h"
 #include "db/sqlengine/token.h"
@@ -377,8 +376,9 @@ void print_meta_tables(const db::Database& db) {
     return;
   }
   if (const db::Table* metrics = db.find("mscope_meta_metrics")) {
-    const auto last = static_cast<std::int64_t>(
-        db::Query(*metrics).aggregate(db::Query::AggKind::kMax, "ts_usec"));
+    const auto last = *db::as_int(
+        db::Sql::execute(db, "SELECT MAX(ts_usec) FROM mscope_meta_metrics")
+            .at(0, 0));
     // Split the final tick into per-hop collection gauges — grouped by the
     // node id baked into the series name, so a 64-server fleet reads as 64
     // lines instead of 500 — and everything else (process/db counters).

@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "core/milliscope.h"
-#include "db/query.h"
 
 using namespace mscope;
 

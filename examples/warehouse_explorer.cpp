@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/milliscope.h"
-#include "db/query.h"
 #include "db/sql.h"
 #include "fleet/fleet_collection.h"
 #include "flow/attribution.h"
@@ -38,6 +37,11 @@ void print_table(const db::Table& t, std::size_t limit = 5) {
     }
     std::printf("\n");
   }
+}
+
+/// A one-cell SQL answer, as a double.
+double scalar(const db::Catalog& db, const std::string& sql) {
+  return db::as_double(db::Sql::execute(db, sql).at(0, 0)).value_or(0.0);
 }
 
 int run_explorer() {
@@ -78,24 +82,25 @@ int run_explorer() {
       hot = s.time;
     }
   }
-  const auto window = db::Query(db.get("res_collectl_db1"))
-                          .time_range("ts_usec", hot - util::msec(250),
-                                      hot + util::msec(250))
-                          .project({"ts_usec", "dsk_pctutil", "dsk_quelen"})
-                          .run("db_disk_hot");
+  const auto window = db::Sql::execute(
+      db, "SELECT ts_usec, dsk_pctutil, dsk_quelen FROM res_collectl_db1 "
+          "WHERE ts_usec >= " + std::to_string(hot - util::msec(250)) +
+              " AND ts_usec < " + std::to_string(hot + util::msec(250)));
   print_table(window, 10);
 
   // Ad-hoc query 2: join Apache and MySQL activity of the same requests.
   std::printf("\n=== apache x mysql join on request ID ===\n");
-  const auto apache_slow = db::Query(db.get("ev_apache_web1"))
-                               .order_by("duration_usec", false)
-                               .limit(20)
-                               .run("apache_slow");
-  const auto joined = db::Query::inner_join(apache_slow, "req_id",
-                                            db.get("ev_mysql_db1"), "req_id",
-                                            "slow_join");
-  std::printf("20 slowest apache requests joined to %zu mysql visits\n",
-              joined.row_count());
+  const db::Table slowest = db::Sql::execute(
+      db, "SELECT duration_usec FROM ev_apache_web1 "
+          "ORDER BY duration_usec DESC LIMIT 20");
+  const std::string cutoff =
+      db::value_to_string(slowest.at(slowest.row_count() - 1, 0));
+  const double joined = scalar(
+      db, "SELECT COUNT(*) FROM ev_apache_web1 AS a JOIN ev_mysql_db1 AS m "
+          "ON a.req_id = m.req_id WHERE a.duration_usec >= " + cutoff);
+  std::printf("apache requests of >= %s usec (the 20 slowest) joined to "
+              "%.0f mysql visits\n",
+              cutoff.c_str(), joined);
 
   // SQL panel: the same questions, phrased through mScopeSQL. The engine
   // reaches every table in the warehouse — event monitors, resource
@@ -116,20 +121,19 @@ int run_explorer() {
         "ORDER BY util DESC LIMIT 3");
 
   // Self-observability panel: everything above bumped the process-wide
-  // metrics registry (inserts, query plans, zone-map skips). Dogfood it —
+  // metrics registry (inserts, SQL scans, zone-map skips). Dogfood it —
   // export the registry into this very warehouse and query the monitor's
-  // own health with the same Query engine it measures.
+  // own health with the same SQL engine it measures.
   std::printf("\n=== mScopeMeta: the warehouse observing itself ===\n");
   obs::MetaExporter meta(db, obs::Registry::global());
   meta.export_metrics(cfg.duration);
   print_table(db.get(meta.metrics_table()), 12);
-  const double skips =
-      db::Query(db.get(meta.metrics_table()))
-          .where_eq_str("name", "db.query.segments_skipped")
-          .aggregate(db::Query::AggKind::kMax, "value");
-  const double scans = db::Query(db.get(meta.metrics_table()))
-                           .where_eq_str("name", "db.query.segments_scanned")
-                           .aggregate(db::Query::AggKind::kMax, "value");
+  const double skips = scalar(
+      db, "SELECT MAX(value) FROM mscope_meta_metrics "
+          "WHERE name = 'db.sql.segments_skipped'");
+  const double scans = scalar(
+      db, "SELECT MAX(value) FROM mscope_meta_metrics "
+          "WHERE name = 'db.sql.segments_scanned'");
   std::printf("zone maps skipped %.0f of %.0f sealed segments so far\n",
               skips, skips + scans);
 
@@ -180,7 +184,7 @@ int run_explorer() {
 
   const db::Table& gauges = fleet_db.get("mscope_meta_metrics");
   const auto last_tick = static_cast<std::int64_t>(
-      db::Query(gauges).aggregate(db::Query::AggKind::kMax, "ts_usec"));
+      scalar(fleet_db, "SELECT MAX(ts_usec) FROM mscope_meta_metrics"));
   const std::size_t ts_c = *gauges.column_index("ts_usec");
   const std::size_t name_c = *gauges.column_index("name");
   const std::size_t val_c = *gauges.column_index("value");

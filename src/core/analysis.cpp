@@ -6,7 +6,6 @@
 #include <span>
 #include <utility>
 
-#include "db/query.h"
 
 namespace mscope::core {
 

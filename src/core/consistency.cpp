@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "db/query.h"
 
 namespace mscope::core {
 

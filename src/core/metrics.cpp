@@ -1,13 +1,9 @@
 #include "core/metrics.h"
 
 #include <algorithm>
-#include <iterator>
 #include <map>
-#include <span>
-#include <tuple>
 
-#include "db/index.h"
-#include "db/query.h"
+#include "db/columns.h"
 
 namespace mscope::core {
 
@@ -38,6 +34,24 @@ PitSeries pit_from_events(const Series& completions_rt_ms, SimTime bucket) {
   return out;
 }
 
+/// Appends (time, value) for every row whose two cells are numeric, in row
+/// order. Throws std::out_of_range if the table lacks either column.
+void append_samples(const db::Table& t, const std::string& time_col,
+                    const std::string& value_col, Series& out) {
+  for (db::ColumnReader r(t, {time_col, value_col}); r.next();) {
+    const auto time = r.as_int(0);
+    const auto v = r.as_double(1);
+    if (time && v) out.push_back({*time, *v});
+  }
+}
+
+/// Stable: samples with equal times keep the order they were appended in.
+void sort_by_time(Series& s) {
+  std::stable_sort(s.begin(), s.end(), [](const auto& a, const auto& b) {
+    return a.time < b.time;
+  });
+}
+
 }  // namespace
 
 PitSeries pit_response_time(const std::vector<sim::RequestPtr>& completed,
@@ -61,26 +75,14 @@ PitSeries pit_response_time_db(const db::Catalog& db,
 PitSeries pit_response_time_db_multi(
     const db::Catalog& db, const std::vector<std::string>& apache_tables,
     SimTime bucket) {
-  // Each table's series comes back already time-ordered off its ud_usec
-  // index, so combining replicas is a sorted merge — no O(n log n) re-sort
-  // of the concatenation. std::merge takes from the left range on ties,
-  // which reproduces the old stable-sort-of-concatenation order exactly.
+  // (completion time, response time): duration_usec is Apache's %D field.
+  // Replicas concatenate in table order before one stable sort, so equal
+  // completion times stay in (table, row) order.
   Series rt;
   for (const auto& name : apache_tables) {
-    const db::Table& t = db.get(name);
-    // (completion time, response time): duration_usec is Apache's %D field.
-    Series part = db::Query(t).series("ud_usec", "duration_usec");
-    if (rt.empty()) {
-      rt = std::move(part);
-    } else {
-      Series merged;
-      merged.reserve(rt.size() + part.size());
-      std::merge(rt.begin(), rt.end(), part.begin(), part.end(),
-                 std::back_inserter(merged),
-                 [](const auto& a, const auto& b) { return a.time < b.time; });
-      rt = std::move(merged);
-    }
+    append_samples(db.get(name), "ud_usec", "duration_usec", rt);
   }
+  sort_by_time(rt);
   for (auto& s : rt) s.value /= 1000.0;  // usec -> ms
   return pit_from_events(rt, bucket);
 }
@@ -93,63 +95,24 @@ Series queue_length_db(const db::Catalog& db, const std::string& event_table,
 Series queue_length_db_multi(const db::Catalog& db,
                              const std::vector<std::string>& event_tables,
                              SimTime bucket, SimTime t_begin, SimTime t_end) {
-  // The +1/-1 delta stream is assembled *pre-sorted* by merging each event
-  // table's ua_usec and ud_usec index walks, so the integrator skips its
-  // O(n log n) sort. Equal-time deltas keep the order the scan-and-sort path
-  // produced — (table, row, arrival-before-departure) — because the
-  // transient peak inside a bucket depends on it.
-  struct Stream {
-    std::span<const db::TimeIndex::Entry> entries;
-    std::size_t i = 0;
-    const db::Table* table = nullptr;
-    std::size_t other_col = 0;  ///< counterpart column (must be non-NULL)
-    std::size_t rank = 0;       ///< table position in event_tables
-    bool arrival = false;
-  };
-  std::vector<Stream> streams;
-  std::size_t total = 0;
-  for (std::size_t k = 0; k < event_tables.size(); ++k) {
-    const db::Table& t = db.get(event_tables[k]);
-    const auto ua = t.column_index("ua_usec");
-    const auto ud = t.column_index("ud_usec");
-    if (!ua || !ud) continue;
-    const db::TimeIndex* ia = t.time_index(*ua);
-    const db::TimeIndex* id = t.time_index(*ud);
-    if (ia == nullptr || id == nullptr) continue;
-    streams.push_back({ia->entries(), 0, &t, *ud, k, true});
-    streams.push_back({id->entries(), 0, &t, *ua, k, false});
-    total += ia->size() + id->size();
-  }
-
+  // One +1 at ua_usec and one -1 at ud_usec per row that logged both (a row
+  // missing either never entered, or never left, the tier's queue as far
+  // as the log shows), appended in (table, row, arrival-before-departure)
+  // order. integrate_deltas' stable sort by time keeps that order among
+  // equal times, and the transient peak inside a bucket depends on it.
   Series deltas;
-  deltas.reserve(total);
-  for (;;) {
-    Stream* best = nullptr;
-    for (auto& s : streams) {
-      // Skip entries whose counterpart timestamp is NULL: the row never
-      // entered (or never left) the tier's queue as far as the log shows.
-      while (s.i < s.entries.size() &&
-             !db::as_int(s.table->at(s.entries[s.i].row, s.other_col))) {
-        ++s.i;
-      }
-      if (s.i >= s.entries.size()) continue;
-      if (best == nullptr) {
-        best = &s;
-        continue;
-      }
-      const auto& a = s.entries[s.i];
-      const auto& b = best->entries[best->i];
-      const auto key_a = std::tuple(a.time, s.rank, a.row, !s.arrival);
-      const auto key_b =
-          std::tuple(b.time, best->rank, b.row, !best->arrival);
-      if (key_a < key_b) best = &s;
+  for (const auto& name : event_tables) {
+    const db::Table& t = db.get(name);
+    if (!t.column_index("ua_usec") || !t.column_index("ud_usec")) continue;
+    for (db::ColumnReader r(t, {"ua_usec", "ud_usec"}); r.next();) {
+      const auto arrival = r.as_int(0);
+      const auto departure = r.as_int(1);
+      if (!arrival || !departure) continue;
+      deltas.push_back({*arrival, +1.0});
+      deltas.push_back({*departure, -1.0});
     }
-    if (best == nullptr) break;
-    deltas.push_back(
-        {best->entries[best->i].time, best->arrival ? +1.0 : -1.0});
-    ++best->i;
   }
-  return util::integrate_deltas_sorted(deltas, bucket, t_begin, t_end);
+  return util::integrate_deltas(std::move(deltas), bucket, t_begin, t_end);
 }
 
 Series queue_length_truth(const std::vector<sim::RequestPtr>& completed,
@@ -172,7 +135,10 @@ Series resource_series(const db::Catalog& db, const std::string& table,
   const db::Table* t = db.find(table);
   if (t == nullptr) return {};
   if (!t->column_index(column) || !t->column_index("ts_usec")) return {};
-  return db::Query(*t).series("ts_usec", column);
+  Series out;
+  append_samples(*t, "ts_usec", column, out);
+  sort_by_time(out);
+  return out;
 }
 
 std::vector<InteractionStats> interaction_breakdown(

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "db/query.h"
 #include "util/id_codec.h"
 
 namespace mscope::core {

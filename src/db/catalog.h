@@ -7,8 +7,8 @@ namespace mscope::db {
 
 class Table;
 
-/// Read-side table directory: the minimal surface Query helpers, the SQL
-/// engine and every analysis need from a warehouse — name -> Table lookup
+/// Read-side table directory: the minimal surface the SQL engine and every
+/// analysis need from a warehouse — name -> Table lookup
 /// plus enumeration. `Database` is the canonical implementation (one
 /// physical warehouse); `fleet::ShardedWarehouse` implements it over N
 /// shard Databases with merge-on-read, so diagnosis and SQL run unmodified

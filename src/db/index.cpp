@@ -1,7 +1,6 @@
 #include "db/index.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "db/table.h"
 
@@ -45,15 +44,6 @@ std::span<const TimeIndex::Entry> TimeIndex::range(std::int64_t lo,
       std::lower_bound(entries_.begin(), entries_.end(), Entry{lo, 0});
   const auto e =
       std::lower_bound(b, entries_.end(), Entry{hi, 0});
-  return {b, e};
-}
-
-std::span<const TimeIndex::Entry> TimeIndex::equal(std::int64_t t) const {
-  const auto b =
-      std::lower_bound(entries_.begin(), entries_.end(), Entry{t, 0});
-  const auto e = std::upper_bound(
-      b, entries_.end(),
-      Entry{t, std::numeric_limits<std::uint32_t>::max()});
   return {b, e};
 }
 

@@ -8,15 +8,15 @@ namespace mscope::db {
 
 class Table;
 
-/// A sorted time index over one numeric column of a Table: the backbone of
-/// the query engine. Entries are (time, row) pairs ordered lexicographically,
-/// so every half-open time range `[lo, hi)` is a *contiguous slice* of the
-/// index — `time_range` becomes two binary searches instead of a full scan,
-/// and a sliding-window walk touches each entry exactly once.
+/// A sorted time index over one numeric column of a Table, used by
+/// mScopeSQL's scan pushdown: entries are (time, row) pairs ordered
+/// lexicographically, so every half-open time range `[lo, hi)` is a
+/// *contiguous slice* of the index — two binary searches bound the rows a
+/// range predicate can match before any chunk is decoded.
 ///
 /// `time` is the column value through `as_int` (doubles are rounded exactly
-/// like the `time_range` predicate rounds them); rows whose cell is NULL or
-/// Text are not indexed — the predicates they would fail are never tested.
+/// like range predicates round them); rows whose cell is NULL or Text are
+/// not indexed — the predicates they would fail are never tested.
 ///
 /// Lifecycle: built lazily by Table::time_index() (one O(n log n) sort),
 /// then maintained incrementally by Table::insert() — an append in time
@@ -50,11 +50,7 @@ class TimeIndex {
   [[nodiscard]] std::span<const Entry> range(std::int64_t lo,
                                              std::int64_t hi) const;
 
-  /// Entries with time == t.
-  [[nodiscard]] std::span<const Entry> equal(std::int64_t t) const;
-
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
-  [[nodiscard]] bool empty() const { return entries_.empty(); }
 
   /// Smallest / largest indexed time (undefined when empty).
   [[nodiscard]] std::int64_t min_time() const { return entries_.front().time; }

@@ -32,9 +32,9 @@ struct SegmentConfig {
 /// Seal policy: when the tail reaches `seal_rows`, the store seals the
 /// longest tail prefix whose anchor times fall strictly before the time
 /// partition containing the newest row — segment boundaries then land on
-/// partition_usec multiples of the anchor column (the same column the
-/// TimeIndex anchors on), so a time_range scan skips whole segments via
-/// zone maps. When every tail row shares the newest row's partition (or
+/// partition_usec multiples of the anchor column (Table::anchor_span), so
+/// a time-range scan skips whole segments via zone maps. When every tail
+/// row shares the newest row's partition (or
 /// there is no anchor column), the whole tail seals: memory stays bounded
 /// even for single-partition or unordered data.
 class SegmentStore {

@@ -447,7 +447,7 @@ void HashAggOp::drain() {
     }
   }
   // A global aggregate (no keys) over zero rows still reports one row —
-  // COUNT 0, zeroed stats — matching Query::aggregate.
+  // COUNT 0, zeroed stats.
   if (keys_.empty() && groups_.empty()) {
     groups_.try_emplace(std::vector<Value>{})
         .first->second.resize(aggs_.size());

@@ -115,9 +115,8 @@ class FilterOp final : public Operator {
 
 /// Hash join (equality). Builds on the right child (materialized), probes
 /// with the left child's batches in order; matches of one probe row emit in
-/// build insertion order — the same order Query::inner_join produces. Keys
-/// hash by value_to_string so Int 7 and Double 7.0 join, NULL keys never
-/// match.
+/// build insertion order. Keys hash by value_to_string so Int 7 and Double
+/// 7.0 join, NULL keys never match.
 class HashJoinOp final : public Operator {
  public:
   HashJoinOp(OpPtr left, OpPtr right, int left_key, int right_key,
@@ -143,7 +142,7 @@ class HashJoinOp final : public Operator {
 
 /// Time-alignment interval join: ALIGN(l.ts, r.ts, tol) pairs every left row
 /// with the right rows whose time is within +/- tol (as_int semantics, like
-/// the TimeIndex). The shape Query::inner_join cannot express — correlating
+/// the TimeIndex). The shape an equi-join cannot express — correlating
 /// resource samples with the events they bracket.
 class AlignJoinOp final : public Operator {
  public:
@@ -179,20 +178,18 @@ struct AggSpec {
 
 /// Per-group accumulator of one aggregate. COUNT counts rows with a plain
 /// integer — no Welford update on the hot loop; the other functions share a
-/// RunningStats so MIN/MAX/AVG/SUM keep exact parity with Query's
-/// aggregation (including the empty-input -> 0.0 convention).
+/// RunningStats (including its empty-input -> 0.0 convention).
 struct AggState {
   util::RunningStats stats;
   std::uint64_t count = 0;
 };
 
 /// Hash aggregation with optional group keys. Groups live in an ordered map
-/// under Value comparison, so output rows stream in ascending key order —
-/// the same order Query::group_by_bucket produces — with no extra sort.
-/// Monitoring data arrives roughly time-ordered, so a one-entry cache of the
-/// last key makes the common consecutive-same-bucket case map-lookup-free.
-/// With no group keys the operator always emits exactly one row (COUNT 0 /
-/// zeroed stats on empty input, matching Query::aggregate).
+/// under Value comparison, so output rows stream in ascending key order
+/// with no extra sort. Monitoring data arrives roughly time-ordered, so a
+/// one-entry cache of the last key makes the common consecutive-same-bucket
+/// case map-lookup-free. With no group keys the operator always emits
+/// exactly one row (COUNT 0 / zeroed stats on empty input).
 class HashAggOp final : public Operator {
  public:
   HashAggOp(OpPtr child, std::vector<const Expr*> keys,

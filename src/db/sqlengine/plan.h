@@ -18,7 +18,7 @@ struct Plan {
 
 /// Rule-based planning over the parsed statement:
 ///   - name resolution (aliases, qualified columns; unknown table/column ->
-///     std::out_of_range, like the native Query API);
+///     std::out_of_range);
 ///   - constant folding of literal arithmetic;
 ///   - WHERE split into conjuncts; single-table conjuncts compile to
 ///     kernels pushed into that table's scan (zone-map + TimeIndex pruning),

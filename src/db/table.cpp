@@ -19,9 +19,9 @@ std::vector<DataType> types_of(const Schema& schema) {
 }  // namespace
 
 std::optional<std::size_t> Table::detect_anchor(const Schema& schema) {
-  // Same preference order as the importers' anchor_time_range: the event
-  // tables' ts/ua columns, then any *_usec column. Type is not checked —
-  // non-numeric anchors simply never align a seal (as_int yields nothing).
+  // The event tables' ts/ua columns, then any *_usec column. Type is not
+  // checked — non-numeric anchors simply never align a seal (as_int yields
+  // nothing).
   for (const char* name : {"ts_usec", "ua_usec"}) {
     for (std::size_t i = 0; i < schema.size(); ++i) {
       if (schema[i].name == name) return i;
@@ -121,20 +121,33 @@ Value Table::at(std::size_t row, std::string_view col) const {
   return at(row, *idx);
 }
 
-const TimeIndex* Table::time_index(std::size_t col) const {
-  if (col >= schema_.size()) return nullptr;
-  const DataType t = schema_[col].type;
-  if (t != DataType::kInt && t != DataType::kDouble) return nullptr;
-  auto it = indexes_.find(col);
-  if (it == indexes_.end()) {
-    it = indexes_.emplace(col, TimeIndex::build(*this, col)).first;
+segment::ZoneMap Table::anchor_span() const {
+  segment::ZoneMap span;
+  const auto anchor = store_.anchor();
+  if (!anchor) return span;
+  for (const segment::Segment& seg : store_.segments()) {
+    const segment::ZoneMap& z = seg.column(*anchor).zone();
+    if (z.has_value) {
+      span.add(z.min);
+      span.add(z.max);
+    }
   }
-  return &it->second;
+  for (const Row& row : store_.tail()) {
+    if (const auto t = as_int(row[*anchor])) span.add(*t);
+  }
+  return span;
 }
 
 const TimeIndex* Table::time_index(std::string_view col) const {
-  const auto idx = column_index(col);
-  return idx ? time_index(*idx) : nullptr;
+  const auto c = column_index(col);
+  if (!c) return nullptr;
+  const DataType t = schema_[*c].type;
+  if (t != DataType::kInt && t != DataType::kDouble) return nullptr;
+  auto it = indexes_.find(*c);
+  if (it == indexes_.end()) {
+    it = indexes_.emplace(*c, TimeIndex::build(*this, *c)).first;
+  }
+  return &it->second;
 }
 
 const TimeIndex* Table::find_time_index(std::size_t col) const {

@@ -121,17 +121,24 @@ class Table {
 
   /// The sorted time index of an Int/Double column, building it on first use
   /// (one O(n log n) pass; subsequent inserts maintain it incrementally).
-  /// Returns nullptr for Text/Null columns, which cannot be time-indexed.
-  [[nodiscard]] const TimeIndex* time_index(std::size_t col) const;
+  /// Returns nullptr for a missing column and for Text/Null columns, which
+  /// cannot be time-indexed.
   [[nodiscard]] const TimeIndex* time_index(std::string_view col) const;
 
   /// The index if it has already been built (never builds) — lets callers
   /// choose an index-backed plan only when one is warm.
   [[nodiscard]] const TimeIndex* find_time_index(std::size_t col) const;
 
-  /// Read access to physical storage for the query engine's columnar scans
+  /// Smallest and largest anchor time through as_int, read off the sealed
+  /// segments' zone maps plus the tail. The anchor is the column seals
+  /// partition on: ts_usec, else ua_usec, else the first *_usec column.
+  /// has_value is false (min = max = 0) when there is no anchor column or
+  /// it holds no numeric cell.
+  [[nodiscard]] segment::ZoneMap anchor_span() const;
+
+  /// Read access to physical storage for mScopeSQL's scans, ColumnReader
   /// and the snapshot writer. Layout may change between versions; analysis
-  /// code should stay on at()/scan()/Query.
+  /// code should stay on scan()/ColumnReader.
   [[nodiscard]] const segment::SegmentStore& storage() const {
     return store_;
   }

@@ -13,8 +13,8 @@ namespace mscope::fleet {
 
 /// The fleet root's warehouse: N independent mScopeDB instances, each fed by
 /// its own StreamingTransformer, presenting one logical warehouse through
-/// the db::Catalog seam — Query, mScopeSQL, PIT analysis and the diagnoser
-/// all run over it unmodified.
+/// the db::Catalog seam — mScopeSQL, PIT analysis and the diagnoser all run
+/// over it unmodified.
 ///
 /// Sharding is by *origin node*: every dynamic table is per (monitor, node),
 /// so routing a node's byte streams to one shard keeps each dynamic table

@@ -16,14 +16,14 @@ namespace mscope::obs {
 ///
 /// That closes the loop the hierarchical-monitoring literature argues for —
 /// monitor telemetry flowing through the same aggregation substrate as the
-/// monitored data: Query, PIT analysis, SQL, windows and the diagnoser all
-/// run unmodified over the monitor's own health series, because they are
+/// monitored data: PIT analysis, SQL and the diagnoser all run unmodified
+/// over the monitor's own health series, because they are
 /// just rows with a ts_usec anchor like every other table.
 ///
 /// Tables (created on first export, `prefix` defaults to "mscope_meta_"):
 ///   <prefix>metrics  ts_usec | name | kind | value
 ///       one row per counter/gauge per export tick — a time series per
-///       metric name, queryable with time_range/series like any monitor log;
+///       metric name, queryable with SQL like any monitor log;
 ///   <prefix>hist     ts_usec | name | count | mean_usec | p50/p95/p99/max
 ///       one row per histogram per export tick (merged over shards);
 ///   <prefix>spans    ts_usec | dur_usec | name | track | depth | wall_usec

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/strings.h"
-
 namespace mscope::transform {
 
 void prewarm_time_indexes(const db::Table& table) {
@@ -12,29 +10,6 @@ void prewarm_time_indexes(const db::Table& table) {
       (void)table.time_index(name);  // builds on miss, no-op for Text columns
     }
   }
-}
-
-std::pair<std::int64_t, std::int64_t> anchor_time_range(
-    const db::Table& table) {
-  const db::Schema& schema = table.schema();
-  std::size_t time_col = schema.size();
-  for (std::size_t i = 0; i < schema.size(); ++i) {
-    if (schema[i].name == "ts_usec") { time_col = i; break; }
-  }
-  if (time_col == schema.size()) {
-    for (std::size_t i = 0; i < schema.size(); ++i) {
-      if (schema[i].name == "ua_usec") { time_col = i; break; }
-    }
-  }
-  if (time_col == schema.size()) {
-    for (std::size_t i = 0; i < schema.size(); ++i) {
-      if (util::ends_with(schema[i].name, "_usec")) { time_col = i; break; }
-    }
-  }
-  if (time_col == schema.size()) return {0, 0};
-  const db::TimeIndex* idx = table.time_index(time_col);
-  if (idx == nullptr || idx->empty()) return {0, 0};
-  return {idx->min_time(), idx->max_time()};
 }
 
 DataImporter::Result DataImporter::import(db::Database& db,
@@ -65,12 +40,11 @@ DataImporter::Result DataImporter::import(db::Database& db,
     table.insert(std::move(row));
   }
 
-  // Build the query indexes while the rows are cache-hot, then read the
-  // catalog time range straight off the anchor index.
-  prewarm_time_indexes(table);
-  const auto [t_min, t_max] = anchor_time_range(table);
+  prewarm_time_indexes(table);  // while the rows are cache-hot
+  const db::segment::ZoneMap span = table.anchor_span();
   db.record_load(c.node + "/" + c.file, table_name,
-                 static_cast<std::int64_t>(table.row_count()), t_min, t_max);
+                 static_cast<std::int64_t>(table.row_count()), span.min,
+                 span.max);
   return {table_name, table.row_count()};
 }
 

@@ -1,30 +1,22 @@
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <utility>
 
 #include "db/database.h"
 #include "transform/xml_to_csv.h"
 
 namespace mscope::transform {
 
-/// Builds the time indexes every analysis filters on (ts_usec, ua_usec,
-/// ud_usec) right at import, while the rows are hot in cache. Tables that
-/// keep growing afterwards — the streaming transformer's — then maintain
-/// them incrementally on each insert instead of rebuilding on first query.
+/// Builds the time indexes mScopeSQL's scan pushdown bounds row ranges with
+/// (ts_usec, ua_usec, ud_usec) right at import, while the rows are hot in
+/// cache. Tables that keep growing afterwards — the streaming transformer's
+/// — then maintain them incrementally on each insert.
 void prewarm_time_indexes(const db::Table& table);
-
-/// The [t_min, t_max] recorded in ms_load_catalog, read off the anchor time
-/// column's index (prefer "ts_usec", then "ua_usec", then any *_usec
-/// column). Returns {0, 0} when there is no anchor column or it holds no
-/// numeric values — the catalog convention for "no time range".
-[[nodiscard]] std::pair<std::int64_t, std::int64_t> anchor_time_range(
-    const db::Table& table);
 
 /// mScope Data Importer (paper Section III-B.3): creates the dynamic table
 /// from the converter's inferred schema and loads the tuples, recording the
-/// load in mScopeDB's static ms_load_catalog table.
+/// load in mScopeDB's static ms_load_catalog table, with the table's
+/// anchor_span() as its time range ({0, 0}: none).
 class DataImporter {
  public:
   struct Result {

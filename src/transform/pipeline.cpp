@@ -75,9 +75,15 @@ Prepared prepare_file(const DeclarationRegistry& registry,
   const std::string content = read_file(file);
   out.out_dir = file.parent_path().parent_path() / "transformed" / node;
 
+  static obs::Counter& fast_passes =
+      obs::Registry::global().counter("transform.parse.fast_passes");
+  static obs::Counter& ref_passes =
+      obs::Registry::global().counter("transform.parse.ref_passes");
   if (cfg.write_intermediates) {
+    // The XML intermediates come from the reference parser: one pass.
     const ParserFn parser = ParserRegistry::get(decl->parser_id);
     const auto annotated = parser(content, ctx);
+    ref_passes.inc();
     out.report.entries = annotated->children_named("log").size();
     write_file(out.out_dir / (out.report.file + ".xml"),
                xml_serialize(*annotated));
@@ -86,11 +92,7 @@ Prepared prepare_file(const DeclarationRegistry& registry,
     ParseResult r = parse_to_conversion(content, ctx, cfg.transform, cache);
     out.conv = std::move(r.conv);
     out.report.entries = out.conv.rows.size();
-    static obs::Counter& fast_passes =
-        obs::Registry::global().counter("transform.parse.fast_passes");
-    static obs::Counter& ref_passes =
-        obs::Registry::global().counter("transform.parse.ref_passes");
-    (r.fast ? fast_passes : ref_passes).add(1);
+    (r.fast ? fast_passes : ref_passes).inc();
     if (r.fast && r.stats.rejected > 0) {
       static obs::Counter& rejected_c =
           obs::Registry::global().counter("transform.parse.rejected");

@@ -332,12 +332,10 @@ void StreamingTransformer::finalize() {
       if (st.table.empty() || !db_.exists(st.table)) continue;
 
       const db::Table& table = db_.get(st.table);
-      // Load-catalog time range, computed exactly like DataImporter: read
-      // off the anchor column's (already warm) time index.
-      const auto [t_min, t_max] = anchor_time_range(table);
+      const db::segment::ZoneMap span = table.anchor_span();
       db_.record_load(node + "/" + file, st.table,
-                      static_cast<std::int64_t>(table.row_count()), t_min,
-                      t_max);
+                      static_cast<std::int64_t>(table.row_count()), span.min,
+                      span.max);
       db_.record_deployment(node, st.decl->monitor_name, file, 0);
     }
   }

@@ -176,16 +176,11 @@ LaggedCorrelation max_lagged_correlation(const Series& a, const Series& b,
 
 Series integrate_deltas(Series deltas, SimTime bucket, SimTime t_begin,
                         SimTime t_end) {
+  if (bucket <= 0) throw std::invalid_argument("integrate_deltas: bucket <= 0");
+  if (t_end <= t_begin) return {};
   std::stable_sort(
       deltas.begin(), deltas.end(),
       [](const Sample& a, const Sample& b) { return a.time < b.time; });
-  return integrate_deltas_sorted(deltas, bucket, t_begin, t_end);
-}
-
-Series integrate_deltas_sorted(const Series& deltas, SimTime bucket,
-                               SimTime t_begin, SimTime t_end) {
-  if (bucket <= 0) throw std::invalid_argument("integrate_deltas: bucket <= 0");
-  if (t_end <= t_begin) return {};
   Series out;
   out.reserve(static_cast<std::size_t>((t_end - t_begin) / bucket) + 1);
   double level = 0.0;

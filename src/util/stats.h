@@ -88,14 +88,9 @@ struct LaggedCorrelation {
 /// *maximum* level reached during its bucket (levels persist across empty
 /// buckets). This turns arrival/departure events into the per-tier
 /// "instantaneous queue length" curves of the paper's Figs. 6, 8b and 9.
+/// Deltas are stable-sorted by time first, so equal-time deltas apply in
+/// the order given — which decides the peak a bucket reports.
 [[nodiscard]] Series integrate_deltas(Series deltas, SimTime bucket,
                                       SimTime t_begin, SimTime t_end);
-
-/// integrate_deltas for a delta sequence that is *already sorted by time*
-/// (e.g. produced by merging per-table time-index walks): skips the O(n log n)
-/// sort. Callers must guarantee the order; output contract is identical.
-[[nodiscard]] Series integrate_deltas_sorted(const Series& deltas,
-                                             SimTime bucket, SimTime t_begin,
-                                             SimTime t_end);
 
 }  // namespace mscope::util

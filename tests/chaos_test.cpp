@@ -15,7 +15,6 @@
 //     unattributable case: a generation boundary swallowed by a crash).
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <map>
@@ -32,6 +31,7 @@
 #include "fleet/sharded_warehouse.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "scratch_dir.h"
 
 namespace mscope::chaos {
 namespace {
@@ -151,8 +151,7 @@ ChaosRun run_fleet_under(
   cfg.duration = sec(5);
   cfg.nodes_per_tier = {2, 2, 2, 2};
   cfg.capture_messages = false;
-  cfg.log_dir = fs::temp_directory_path() /
-                ("mscope_chaos_test_" + std::to_string(::getpid()));
+  cfg.log_dir = test::scratch_dir("chaos");
   core::Experiment exp(cfg);
 
   fleet::FleetCollection::Config fc;

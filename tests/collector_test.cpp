@@ -5,7 +5,6 @@
 // collection path and the post-hoc batch transform of the same run.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -19,6 +18,7 @@
 #include "core/online_collection.h"
 #include "core/online_detector.h"
 #include "logging/facility.h"
+#include "scratch_dir.h"
 #include "sim/network.h"
 #include "sim/node.h"
 #include "sim/simulation.h"
@@ -109,10 +109,10 @@ class TailerFixture : public ::testing::Test {
   TailerFixture()
       : node_(sim_, {}),
         fac_(sim_, node_,
-             {fs::temp_directory_path() / "mscope_tailer_test",
+             {test::scratch_dir("tailer"),
               /*model_costs=*/false}) {}
   ~TailerFixture() override {
-    fs::remove_all(fs::temp_directory_path() / "mscope_tailer_test");
+    fs::remove_all(test::scratch_dir("tailer"));
   }
 
   sim::Simulation sim_;
@@ -410,13 +410,7 @@ void expect_identical_databases(const db::Database& a, const db::Database& b) {
 
 class StreamingParityFixture : public ::testing::Test {
  protected:
-  static fs::path log_dir() {
-    // Per-process dir: ctest -j runs each parity test in its own process,
-    // and a shared path lets one process's TearDown delete the logs another
-    // is still reading.
-    return fs::temp_directory_path() /
-           ("mscope_collector_parity_" + std::to_string(::getpid()));
-  }
+  static fs::path log_dir() { return test::scratch_dir("collector_parity"); }
 
   static void SetUpTestSuite() {
     core::TestbedConfig cfg;
@@ -532,7 +526,7 @@ TEST(OnlineCollectionBackpressure, DropNewestLosesRecordsButSurvives) {
   core::TestbedConfig cfg;
   cfg.workload = 600;
   cfg.duration = sec(5);
-  cfg.log_dir = fs::temp_directory_path() / "mscope_collector_drop";
+  cfg.log_dir = test::scratch_dir("collector_drop");
   cfg.capture_messages = false;
 
   core::Testbed testbed(cfg);
@@ -558,7 +552,7 @@ TEST(OnlineCollectionBackpressure, BlockPolicyKeepsParityEvenWhenStarved) {
   core::TestbedConfig cfg;
   cfg.workload = 400;
   cfg.duration = sec(5);
-  cfg.log_dir = fs::temp_directory_path() / "mscope_collector_block";
+  cfg.log_dir = test::scratch_dir("collector_block");
   cfg.capture_messages = false;
 
   core::Testbed testbed(cfg);
@@ -666,7 +660,7 @@ TEST(OnlineCollectionLoss, AbandonedBatchShowsUpInRunTotals) {
   core::TestbedConfig cfg;
   cfg.workload = 600;
   cfg.duration = sec(5);
-  cfg.log_dir = fs::temp_directory_path() / "mscope_collector_abandon";
+  cfg.log_dir = test::scratch_dir("collector_abandon");
   cfg.capture_messages = false;
 
   core::Testbed testbed(cfg);

@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "core/milliscope.h"
+#include "scratch_dir.h"
 #include "util/id_codec.h"
 
 namespace mscope::core {
@@ -119,8 +120,7 @@ TEST(WarehouseValidator, RealRunIsFullyConsistent) {
   TestbedConfig cfg;
   cfg.workload = 800;
   cfg.duration = sec(6);
-  cfg.log_dir =
-      std::filesystem::temp_directory_path() / "mscope_consistency_test";
+  cfg.log_dir = test::scratch_dir("consistency");
   cfg.scenario_a = ScenarioA{.first_flush = sec(3)};
   Experiment exp(cfg);
   exp.run();

@@ -3,14 +3,16 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "db/database.h"
-#include "db/query.h"
+#include "db/sql.h"
 #include "db/segment/snapshot.h"
 #include "db/table.h"
+#include "scratch_dir.h"
 #include "transform/warehouse_io.h"
 
 namespace mscope::db {
@@ -37,6 +39,17 @@ void expect_tables_equal(const Table& a, const Table& b) {
     }
   }
   EXPECT_FALSE(cb.next());
+}
+
+/// The rows of `t` that `keep` accepts, as a table with t's schema: the
+/// row-at-a-time oracle for the columnar scans.
+Table filter_rows(const Table& t,
+                  const std::function<bool(const Table::Row&)>& keep) {
+  Table out(t.name(), t.schema());
+  for (RowCursor cur = t.scan(); cur.next();) {
+    if (keep(cur.row())) out.insert(cur.row());
+  }
+  return out;
 }
 
 TEST(SegmentStore, NullRunsInDeltaColumns) {
@@ -72,16 +85,17 @@ TEST(SegmentStore, NullRunsInDeltaColumns) {
 
 TEST(SegmentStore, SealBoundaryOnWindowEdge) {
   // Rows straddling whole-second partition boundaries of the anchor column.
-  // The seal policy must cut segments exactly at partition multiples, and a
-  // window walk whose edges coincide with those boundaries must see exactly
-  // the same entries as a never-sealed table.
+  // The seal policy must cut segments exactly at partition multiples, and
+  // windows whose edges coincide with those boundaries must see exactly the
+  // same rows as in a never-sealed table.
   const Schema schema{{"ts_usec", DataType::kInt}, {"v", DataType::kInt}};
-  Table sealed("ev", schema);
+  Database db;
+  Table& sealed = db.create_table("sealed", schema);
   // seal_rows above the per-partition row count (40), so seals trim to the
   // partition boundary instead of taking the whole tail.
   sealed.set_storage_config(
       {.seal_rows = 48, .partition_usec = 1'000'000, .seal = true});
-  Table flat("ev", schema);
+  Table& flat = db.create_table("flat", schema);
   flat.set_storage_config({.seal = false});
   for (std::int64_t r = 0; r < 130; ++r) {
     // 40 rows per second; every 40th row lands exactly on the boundary.
@@ -104,38 +118,35 @@ TEST(SegmentStore, SealBoundaryOnWindowEdge) {
     }
   }
 
-  // windows() with edges on the partition boundaries: identical walks.
-  Query::Window ws, wf;
-  auto cs = Query(sealed).windows("ts_usec", util::sec(1));
-  auto cf = Query(flat).windows("ts_usec", util::sec(1));
-  while (cs.next(ws)) {
-    ASSERT_TRUE(cf.next(wf));
-    EXPECT_EQ(ws.begin, wf.begin);
-    ASSERT_EQ(ws.entries.size(), wf.entries.size()) << ws.begin;
-    for (std::size_t i = 0; i < ws.entries.size(); ++i) {
-      EXPECT_EQ(ws.entries[i].row, wf.entries[i].row);
-    }
-  }
-  EXPECT_FALSE(cf.next(wf));
+  // Per-second buckets whose edges are the partition boundaries: identical
+  // on both layouts.
+  const auto per_second = [&db](const std::string& table) {
+    return Sql::execute(db, "SELECT BUCKET(ts_usec, 1000000), COUNT(*), "
+                            "MAX(v) FROM " + table +
+                                " GROUP BY BUCKET(ts_usec, 1000000)");
+  };
+  expect_tables_equal(per_second("sealed"), per_second("flat"));
 
-  // time_range with lo/hi exactly on a boundary: zone-map skipping must not
-  // change the result (boundary row belongs to the upper partition).
+  // time ranges with lo/hi exactly on a boundary: zone-map skipping must
+  // not change the result (boundary row belongs to the upper partition).
   for (std::int64_t s = 0; s <= 3; ++s) {
     const auto lo = util::sec(s), hi = util::sec(s + 1);
-    const auto a = Query(sealed).time_range("ts_usec", lo, hi).count();
-    const auto b = Query(flat).time_range("ts_usec", lo, hi).count();
-    const auto c =
-        Query(sealed).use_columnar(false).use_index(false).time_range(
-            "ts_usec", lo, hi).count();
-    EXPECT_EQ(a, b) << s;
-    EXPECT_EQ(a, c) << s;
+    const std::string where = " WHERE ts_usec >= " + std::to_string(lo) +
+                              " AND ts_usec < " + std::to_string(hi);
+    const Table want = filter_rows(flat, [lo, hi](const Table::Row& row) {
+      const auto t = as_int(row[0]);
+      return t && *t >= lo && *t < hi;
+    });
+    expect_tables_equal(Sql::execute(db, "SELECT * FROM sealed" + where), want);
+    expect_tables_equal(Sql::execute(db, "SELECT * FROM flat" + where), want);
   }
 }
 
 TEST(SegmentStore, ColumnarScanMatchesRowScan) {
-  Table t("ev", {{"ts_usec", DataType::kInt},
-                 {"url", DataType::kText},
-                 {"dur", DataType::kDouble}});
+  Database db;
+  Table& t = db.create_table("ev", {{"ts_usec", DataType::kInt},
+                                    {"url", DataType::kText},
+                                    {"dur", DataType::kDouble}});
   t.set_storage_config({.seal_rows = 32, .partition_usec = 0, .seal = true});
   for (std::int64_t r = 0; r < 500; ++r) {
     t.insert({iv(r * 100), tv(r % 3 == 0 ? "/a" : "/b"),
@@ -144,25 +155,22 @@ TEST(SegmentStore, ColumnarScanMatchesRowScan) {
   ASSERT_GT(t.storage().sealed_row_count(), 0u);
   ASSERT_FALSE(t.storage().tail().empty());
 
-  const Table fast = Query(t).where_eq_str("url", "/a").run();
-  const Table slow =
-      Query(t).use_columnar(false).where_eq_str("url", "/a").run();
-  expect_tables_equal(fast, slow);
-
-  const Table fr = Query(t)
-                       .where_int_range("dur", 10, 100)
-                       .where_eq_int("ts_usec", 4000)
-                       .run();
-  const Table sr = Query(t)
-                       .use_columnar(false)
-                       .use_index(false)
-                       .where_int_range("dur", 10, 100)
-                       .where_eq_int("ts_usec", 4000)
-                       .run();
-  expect_tables_equal(fr, sr);
+  expect_tables_equal(
+      Sql::execute(db, "SELECT * FROM ev WHERE url = '/a'"),
+      filter_rows(t, [](const Table::Row& row) {
+        return as_text(row[1]) == "/a";
+      }));
+  expect_tables_equal(
+      Sql::execute(db, "SELECT * FROM ev WHERE dur >= 10 AND dur < 100 "
+                       "AND ts_usec = 4000"),
+      filter_rows(t, [](const Table::Row& row) {
+        const auto d = as_double(row[2]);
+        return d && *d >= 10 && *d < 100 && as_int(row[0]) == 4000;
+      }));
   // A filter value outside every zone map matches nothing (and must not
   // crash on the skip path).
-  EXPECT_EQ(Query(t).where_eq_int("ts_usec", -5).count(), 0u);
+  EXPECT_EQ(Sql::execute(db, "SELECT * FROM ev WHERE ts_usec = -5").row_count(),
+            0u);
 }
 
 TEST(SegmentStore, WidenWithSealedSegments) {
@@ -224,8 +232,8 @@ TEST(SegmentStore, SnapshotRoundTripMatchesCsv) {
   db.record_node("web1", "apache", 2);
   db.record_load("web1/access.log", "ev_apache_web1", 300, 0, 299'000);
 
-  const fs::path base = fs::temp_directory_path() / "mscope_segment_test";
-  fs::remove_all(base);
+  const test::ScratchDir dir("segment");
+  const fs::path& base = dir.path();
   transform::WarehouseIO::save(db, base / "csv");
   transform::WarehouseIO::save_snapshot(db, base / "bin");
   EXPECT_TRUE(fs::exists(base / "bin" / "ev_apache_web1.mseg"));
@@ -248,7 +256,6 @@ TEST(SegmentStore, SnapshotRoundTripMatchesCsv) {
   bytes[4] = static_cast<char>(segment::kSnapshotVersion + 1);
   std::istringstream in(bytes);
   EXPECT_THROW((void)segment::read_table(in), std::runtime_error);
-  fs::remove_all(base);
 }
 
 TEST(SegmentStore, ClearReleasesMemory) {

@@ -1,7 +1,7 @@
 // Tests for the vectorized SQL engine (db/sqlengine/): the new grammar
 // (JOIN, ALIGN, GROUP BY, BUCKET, BETWEEN, IN, OR, NOT, aliases, EXPLAIN),
-// cell-for-cell parity with the native Query oracle on the analyses the
-// paper's figures run (time-bucketed roll-ups, cross-tier joins), a
+// cell-for-cell parity with row-at-a-time RowCursor oracles on the analyses
+// the paper's figures run (time-bucketed roll-ups, cross-tier joins), a
 // property test of randomized predicates against a row-at-a-time oracle,
 // and fuzz-ish parser robustness (truncations and garbage must throw
 // cleanly, never crash).
@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -17,12 +19,12 @@
 #include <gtest/gtest.h>
 
 #include "db/database.h"
-#include "db/query.h"
 #include "db/sql.h"
 #include "db/sqlengine/engine.h"
 #include "db/sqlengine/token.h"
 #include "util/rng.h"
 #include "util/simtime.h"
+#include "util/stats.h"
 
 namespace mscope::db {
 namespace {
@@ -63,23 +65,13 @@ class SqlEngineFixture : public ::testing::Test {
   db::Database db_;
 };
 
-// Collects a table's cells as strings, one vector per row, optionally
-// restricted to named columns — canonical form for order-insensitive
-// comparison of join outputs.
-std::vector<std::vector<std::string>> rows_of(
-    const Table& t, const std::vector<std::string>& cols = {}) {
-  std::vector<std::size_t> idx;
-  if (cols.empty()) {
-    for (std::size_t c = 0; c < t.column_count(); ++c) idx.push_back(c);
-  } else {
-    for (const auto& name : cols) idx.push_back(*t.column_index(name));
-  }
+// Collects a table's cells as strings, one vector per row — canonical form
+// for order-insensitive comparison of join outputs.
+std::vector<std::vector<std::string>> rows_of(const Table& t) {
   std::vector<std::vector<std::string>> out;
   for (RowCursor cur = t.scan(); cur.next();) {
     std::vector<std::string> row;
-    for (const std::size_t c : idx) {
-      row.push_back(value_to_string(cur.row()[c]));
-    }
+    for (const Value& v : cur.row()) row.push_back(value_to_string(v));
     out.push_back(std::move(row));
   }
   return out;
@@ -107,18 +99,37 @@ void expect_cells_equal(const Table& got, const Table& want) {
 
 // --- oracle parity: the acceptance-criterion queries -------------------------
 
+// Row-at-a-time roll-up oracle: per 1-second bucket of ts_usec, ascending,
+// the RunningStats of rt_ms over the rows `keep` accepts.
+std::map<std::int64_t, util::RunningStats> rt_per_second(
+    const Table& t, const std::function<bool(const Table::Row&)>& keep) {
+  const std::size_t ts = *t.column_index("ts_usec");
+  const std::size_t rt = *t.column_index("rt_ms");
+  std::map<std::int64_t, util::RunningStats> out;
+  for (RowCursor cur = t.scan(); cur.next();) {
+    if (!keep(cur.row())) continue;
+    const std::int64_t b = *as_int(cur.row()[ts]) / util::sec(1);
+    out[b * util::sec(1)].add(*as_double(cur.row()[rt]));
+  }
+  return out;
+}
+
 TEST_F(SqlEngineFixture, TimeBucketedGroupByMatchesNativeOracle) {
   const Table sql = Sql::execute(
       db_,
       "SELECT BUCKET(ts_usec, 1000000), COUNT(*), AVG(rt_ms), MAX(rt_ms) "
       "FROM ev_apache GROUP BY BUCKET(ts_usec, 1000000)");
-  const Table native = Query(apache()).group_by_bucket(
-      "ts_usec", util::sec(1),
-      {{Query::AggKind::kCount, ""},
-       {Query::AggKind::kMean, "rt_ms"},
-       {Query::AggKind::kMax, "rt_ms"}});
-  // Same cells in the same (ascending bucket) order; names differ
-  // (bucket_ts_usec/avg_rt_ms vs bucket_usec/mean_rt_ms) by design.
+  Table native("native", {{"bucket_usec", DataType::kInt},
+                          {"count", DataType::kInt},
+                          {"mean_rt_ms", DataType::kDouble},
+                          {"max_rt_ms", DataType::kDouble}});
+  for (const auto& [bucket, st] :
+       rt_per_second(apache(), [](const Table::Row&) { return true; })) {
+    native.insert({Value{bucket},
+                   Value{static_cast<std::int64_t>(st.count())},
+                   Value{st.mean()}, Value{st.max()}});
+  }
+  // Same cells in the same (ascending bucket) order; names differ by design.
   expect_cells_equal(sql, native);
   EXPECT_EQ(sql.schema()[0].name, "bucket_ts_usec");
   EXPECT_EQ(sql.schema()[2].name, "avg_rt_ms");
@@ -129,12 +140,18 @@ TEST_F(SqlEngineFixture, FilteredGroupByMatchesNativeOracle) {
       db_,
       "SELECT BUCKET(ts_usec, 1000000), COUNT(*), SUM(rt_ms) FROM ev_apache "
       "WHERE url = '/rubbos/ViewStory' GROUP BY BUCKET(ts_usec, 1000000)");
-  const Table native =
-      Query(apache())
-          .where_eq_str("url", "/rubbos/ViewStory")
-          .group_by_bucket("ts_usec", util::sec(1),
-                           {{Query::AggKind::kCount, ""},
-                            {Query::AggKind::kSum, "rt_ms"}});
+  Table native("native", {{"bucket_usec", DataType::kInt},
+                          {"count", DataType::kInt},
+                          {"sum_rt_ms", DataType::kDouble}});
+  const std::size_t url = *apache().column_index("url");
+  for (const auto& [bucket, st] :
+       rt_per_second(apache(), [url](const Table::Row& row) {
+         return as_text(row[url]) == "/rubbos/ViewStory";
+       })) {
+    native.insert({Value{bucket},
+                   Value{static_cast<std::int64_t>(st.count())},
+                   Value{st.sum()}});
+  }
   expect_cells_equal(sql, native);
 }
 
@@ -143,12 +160,22 @@ TEST_F(SqlEngineFixture, CrossTierHashJoinMatchesNativeOracle) {
       db_,
       "SELECT a.req_id, a.rt_ms, t.svc_ms FROM ev_apache AS a "
       "JOIN ev_tomcat AS t ON a.req_id = t.req_id");
-  const Table native = Query::inner_join(apache(), "req_id", tomcat(),
-                                         "req_id");
   ASSERT_EQ(sql.row_count(), tomcat().row_count());
+  // Oracle: every (apache, tomcat) pair with equal rendered req_id.
+  std::multimap<std::string, std::string> svc_by_id;
+  for (RowCursor tc = tomcat().scan(); tc.next();) {
+    svc_by_id.emplace(value_to_string(tc.row()[0]),
+                      value_to_string(tc.row()[2]));
+  }
+  std::vector<std::vector<std::string>> want;
+  for (RowCursor ac = apache().scan(); ac.next();) {
+    const std::string id = value_to_string(ac.row()[0]);
+    const auto [lo, hi] = svc_by_id.equal_range(id);
+    for (auto it = lo; it != hi; ++it) {
+      want.push_back({id, value_to_string(ac.row()[2]), it->second});
+    }
+  }
   auto got = rows_of(sql);
-  auto want = rows_of(native, {"ev_apache.req_id", "ev_apache.rt_ms",
-                               "ev_tomcat.svc_ms"});
   // Join row order is an implementation detail; compare as sets.
   std::sort(got.begin(), got.end());
   std::sort(want.begin(), want.end());
@@ -308,11 +335,12 @@ TEST_F(SqlEngineFixture, TimeIndexPushdownMatchesScan) {
       db_,
       "SELECT COUNT(*) FROM ev_apache WHERE ts_usec >= 1500000 AND "
       "ts_usec < 3250000");
-  const auto native = Query(apache())
-                          .time_range("ts_usec", 1500000, 3250000)
-                          .count();
-  EXPECT_EQ(std::get<std::int64_t>(indexed.at(0, 0)),
-            static_cast<std::int64_t>(native));
+  std::int64_t scanned = 0;
+  for (RowCursor cur = apache().scan(); cur.next();) {
+    const auto t = as_int(cur.row()[1]);
+    if (t && *t >= 1500000 && *t < 3250000) ++scanned;
+  }
+  EXPECT_EQ(std::get<std::int64_t>(indexed.at(0, 0)), scanned);
 }
 
 // --- property test: random predicates vs a row-at-a-time oracle --------------

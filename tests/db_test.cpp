@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "db/database.h"
-#include "db/query.h"
+#include "db/sql.h"
 #include "db/table.h"
 #include "db/value.h"
 
@@ -124,92 +124,106 @@ TEST(Database, MetadataWriters) {
   EXPECT_EQ(db.get(Database::kLoadCatalogTable).row_count(), 1u);
 }
 
+// The fixture table behind the ad-hoc queries researchers run through
+// mScopeSQL (paper Section III-C's "uniform interface").
 class QueryFixture : public ::testing::Test {
  protected:
-  QueryFixture() : table_("m", basic_schema()) {
+  QueryFixture() {
+    Table& t = db_.create_table("m", basic_schema());
     for (int i = 0; i < 100; ++i) {
-      table_.insert({Value{std::int64_t{i * 10}},
-                     Value{static_cast<double>(i % 7)},
-                     Value{std::string(i % 2 ? "odd" : "even")}});
+      t.insert({Value{std::int64_t{i * 10}},
+                Value{static_cast<double>(i % 7)},
+                Value{std::string(i % 2 ? "odd" : "even")}});
     }
   }
-  Table table_;
+
+  [[nodiscard]] Table sql(const std::string& q) const {
+    return Sql::execute(db_, q);
+  }
+  [[nodiscard]] std::int64_t count(const std::string& where) const {
+    return std::get<std::int64_t>(
+        sql("SELECT COUNT(*) FROM m WHERE " + where).at(0, 0));
+  }
+
+  Database db_;
 };
 
 TEST_F(QueryFixture, WhereEqAndCount) {
-  EXPECT_EQ(Query(table_).where_eq("name", Value{std::string("odd")}).count(),
-            50u);
+  EXPECT_EQ(count("name = 'odd'"), 50);
 }
 
 TEST_F(QueryFixture, TimeRangeHalfOpen) {
-  EXPECT_EQ(Query(table_).time_range("t", 100, 200).count(), 10u);
-  EXPECT_EQ(Query(table_).time_range("t", 0, 10).count(), 1u);
+  EXPECT_EQ(count("t >= 100 AND t < 200"), 10);
+  EXPECT_EQ(count("t >= 0 AND t < 10"), 1);
 }
 
 TEST_F(QueryFixture, ProjectAndRun) {
-  const Table r = Query(table_)
-                      .time_range("t", 0, 50)
-                      .project({"name", "t"})
-                      .run("sub");
+  const Table r = sql("SELECT name, t FROM m WHERE t >= 0 AND t < 50");
   EXPECT_EQ(r.column_count(), 2u);
   EXPECT_EQ(r.schema()[0].name, "name");
   EXPECT_EQ(r.row_count(), 5u);
 }
 
 TEST_F(QueryFixture, OrderByAndLimit) {
-  const Table r =
-      Query(table_).order_by("t", /*ascending=*/false).limit(3).run();
+  const Table r = sql("SELECT * FROM m ORDER BY t DESC LIMIT 3");
   ASSERT_EQ(r.row_count(), 3u);
   EXPECT_EQ(std::get<std::int64_t>(r.at(0, "t")), 990);
   EXPECT_EQ(std::get<std::int64_t>(r.at(2, "t")), 970);
 }
 
 TEST_F(QueryFixture, SeriesIsTimeOrdered) {
-  const auto s = Query(table_).series("t", "v");
-  ASSERT_EQ(s.size(), 100u);
-  for (std::size_t i = 1; i < s.size(); ++i) {
-    EXPECT_LE(s[i - 1].time, s[i].time);
+  const Table s = sql("SELECT t, v FROM m ORDER BY t");
+  ASSERT_EQ(s.row_count(), 100u);
+  for (std::size_t i = 1; i < s.row_count(); ++i) {
+    EXPECT_LE(compare(s.at(i - 1, 0), s.at(i, 0)), 0);
   }
 }
 
 TEST_F(QueryFixture, GroupByBucketAggregates) {
-  const Table g = Query(table_).group_by_bucket(
-      "t", 100, {{Query::AggKind::kCount, ""},
-                 {Query::AggKind::kMean, "v"},
-                 {Query::AggKind::kMax, "v"}});
+  const Table g = sql(
+      "SELECT BUCKET(t, 100), COUNT(*), AVG(v), MAX(v) FROM m "
+      "GROUP BY BUCKET(t, 100)");
   ASSERT_EQ(g.row_count(), 10u);  // 1000 usec span / 100
   EXPECT_EQ(std::get<std::int64_t>(g.at(0, "count")), 10);
   EXPECT_GT(std::get<double>(g.at(0, "max_v")), 0.0);
-  EXPECT_THROW((void)Query(table_).group_by_bucket("t", 0, {}),
+  EXPECT_THROW((void)sql("SELECT COUNT(*) FROM m GROUP BY BUCKET(t, 0)"),
                std::invalid_argument);
 }
 
 TEST_F(QueryFixture, AggregateScalars) {
-  EXPECT_DOUBLE_EQ(Query(table_).aggregate(Query::AggKind::kCount, ""), 100.0);
-  EXPECT_DOUBLE_EQ(Query(table_).aggregate(Query::AggKind::kMax, "t"), 990.0);
-  EXPECT_DOUBLE_EQ(Query(table_).aggregate(Query::AggKind::kMin, "t"), 0.0);
+  const Table r = sql("SELECT COUNT(*), MAX(t), MIN(t) FROM m");
+  EXPECT_EQ(std::get<std::int64_t>(r.at(0, 0)), 100);
+  EXPECT_DOUBLE_EQ(*as_double(r.at(0, 1)), 990.0);
+  EXPECT_DOUBLE_EQ(*as_double(r.at(0, 2)), 0.0);
 }
 
 TEST_F(QueryFixture, UnknownColumnThrows) {
-  EXPECT_THROW(Query(table_).where_eq("nope", Value{}), std::out_of_range);
-  EXPECT_THROW((void)Query(table_).series("t", "nope"), std::out_of_range);
+  EXPECT_THROW((void)sql("SELECT * FROM m WHERE nope = 1"), std::out_of_range);
+  EXPECT_THROW((void)sql("SELECT t, nope FROM m"), std::out_of_range);
 }
 
 TEST(QueryJoin, InnerJoinOnKeys) {
-  Table a("a", {{"id", DataType::kText}, {"x", DataType::kInt}});
-  Table b("b", {{"rid", DataType::kText}, {"y", DataType::kInt}});
+  Database db;
+  Table& a = db.create_table("a", {{"id", DataType::kText},
+                                   {"x", DataType::kInt}});
+  Table& b = db.create_table("b", {{"rid", DataType::kText},
+                                   {"y", DataType::kInt}});
   a.insert({Value{std::string("k1")}, Value{std::int64_t{1}}});
   a.insert({Value{std::string("k2")}, Value{std::int64_t{2}}});
   a.insert({Value{}, Value{std::int64_t{3}}});  // NULL key never joins
   b.insert({Value{std::string("k1")}, Value{std::int64_t{10}}});
   b.insert({Value{std::string("k1")}, Value{std::int64_t{11}}});
   b.insert({Value{std::string("k3")}, Value{std::int64_t{12}}});
-  const Table j = Query::inner_join(a, "id", b, "rid");
-  EXPECT_EQ(j.row_count(), 2u);  // k1 matches twice, k2/k3/NULL none
-  EXPECT_TRUE(j.column_index("a.x"));
-  EXPECT_TRUE(j.column_index("b.y"));
-  EXPECT_THROW((void)Query::inner_join(a, "nope", b, "rid"),
-               std::out_of_range);
+  const Table j =
+      Sql::execute(db, "SELECT a.x, b.y FROM a JOIN b ON a.id = b.rid");
+  ASSERT_EQ(j.row_count(), 2u);  // k1 matches twice, k2/k3/NULL none
+  for (std::size_t r = 0; r < j.row_count(); ++r) {
+    EXPECT_EQ(std::get<std::int64_t>(j.at(r, 0)), 1);
+    EXPECT_EQ(std::get<std::int64_t>(j.at(r, 1)), 10 + static_cast<int>(r));
+  }
+  EXPECT_THROW(
+      (void)Sql::execute(db, "SELECT * FROM a JOIN b ON a.nope = b.rid"),
+      std::out_of_range);
 }
 
 }  // namespace

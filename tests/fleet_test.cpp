@@ -8,7 +8,6 @@
 // mscope_meta_* tables.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -22,6 +21,7 @@
 #include "fleet/fleet_collection.h"
 #include "fleet/sharded_warehouse.h"
 #include "fleet/topology.h"
+#include "scratch_dir.h"
 
 namespace mscope::fleet {
 namespace {
@@ -30,12 +30,6 @@ namespace fs = std::filesystem;
 using util::msec;
 using util::sec;
 using util::SimTime;
-
-fs::path unique_dir(const std::string& stem) {
-  // Per-process: gtest_discover_tests runs each TEST as its own ctest entry,
-  // so parallel ctest would race on a shared directory.
-  return fs::temp_directory_path() / (stem + std::to_string(::getpid()));
-}
 
 /// Cell-by-cell equality across the Catalog seam — works for a flat
 /// Database and a ShardedWarehouse alike.
@@ -176,7 +170,7 @@ class FleetParityFixture : public ::testing::Test {
     cfg.workload = 12000;
     cfg.duration = sec(14);
     cfg.nodes_per_tier = {16, 16, 16, 16};  // 64 monitored servers
-    cfg.log_dir = unique_dir("mscope_fleet_parity_");
+    cfg.log_dir = test::scratch_dir("fleet_parity");
     // Flush on db1 ONLY. At fleet scale a stall on one of 16 backends only
     // touches ~1/16 of the queries, so it takes a longer flush (a bigger
     // redo log) for the pile-up to clear the front tier's VLRT bar — the
@@ -291,7 +285,7 @@ struct LossRun {
     cfg.workload = 1000;
     cfg.duration = sec(8);
     cfg.nodes_per_tier = {1, 2, 1, 2};
-    cfg.log_dir = unique_dir(dir_stem);
+    cfg.log_dir = test::scratch_dir(dir_stem);
     exp = std::make_unique<core::Experiment>(cfg);
 
     FleetCollection::Config fc;
@@ -318,7 +312,7 @@ struct LossRun {
 };
 
 TEST(FleetLoss, LeafHoleSurvivesReframingAcrossBothHops) {
-  LossRun r("mscope_fleet_leafloss_");
+  LossRun r("fleet_leafloss");
   // Kill db1's uplink to its rack relay for a window mid-run: the shipper
   // abandons batches, opening a hole in db1's byte streams.
   for (const auto& ch : r.fleet->channels()) {
@@ -355,7 +349,7 @@ TEST(FleetLoss, LeafHoleSurvivesReframingAcrossBothHops) {
 }
 
 TEST(FleetLoss, RelayUplinkFailureIsAttributedToItsLeaves) {
-  LossRun r("mscope_fleet_relayloss_");
+  LossRun r("fleet_relayloss");
   const auto rack =
       static_cast<std::size_t>(r.fleet->topology().rack_of("db1"));
   // Kill the relay's own uplink mid-run: whole pre-merged frames abandon,
@@ -393,7 +387,7 @@ void expect_depth_parity(int levels, int racks, int pods, int shards,
   cfg.workload = 800;
   cfg.duration = sec(6);
   cfg.nodes_per_tier = {1, 2, 1, 2};
-  cfg.log_dir = unique_dir(dir_stem);
+  cfg.log_dir = test::scratch_dir(dir_stem);
   core::Experiment exp(cfg);
 
   FleetCollection::Config fc;
@@ -420,11 +414,11 @@ void expect_depth_parity(int levels, int racks, int pods, int shards,
 }
 
 TEST(FleetDepth, DepthOneDegeneratesToTheFlatPipeline) {
-  expect_depth_parity(1, 0, 0, 1, "mscope_fleet_d1_");
+  expect_depth_parity(1, 0, 0, 1, "fleet_d1");
 }
 
 TEST(FleetDepth, DepthThreeAddsAPodLayerWithoutChangingTheData) {
-  expect_depth_parity(3, 3, 2, 2, "mscope_fleet_d3_");
+  expect_depth_parity(3, 3, 2, 2, "fleet_d3");
 }
 
 }  // namespace

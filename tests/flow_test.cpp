@@ -1,7 +1,6 @@
 #include "flow/materializer.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -15,6 +14,7 @@
 #include "flow/attribution.h"
 #include "flow/waterfall.h"
 #include "obs/metrics.h"
+#include "scratch_dir.h"
 #include "util/id_codec.h"
 
 namespace mscope::flow {
@@ -505,8 +505,8 @@ TEST_F(FlowAnalyticsFixture, FlowDrillDownNamesTierAndNode) {
 TEST_F(FlowAnalyticsFixture, FlowWaterfallExportsRequestTracks) {
   const Result result = Materializer(db_, dep_).run();
   const DrillDown dd = drill_down(result, msec(110), msec(115), 2);
-  const auto path = std::filesystem::temp_directory_path() /
-                    ("flow_waterfall_" + std::to_string(::getpid()) + ".json");
+  const test::ScratchDir dir("flow_waterfall");
+  const auto path = dir.path() / "waterfall.json";
   const std::size_t written =
       export_waterfalls(result, dd.exemplars, path.string());
   EXPECT_GE(written, 4u);  // 2 requests x (front span + db span or calls)
@@ -521,7 +521,6 @@ TEST_F(FlowAnalyticsFixture, FlowWaterfallExportsRequestTracks) {
                                    result.requests[dd.exemplars[0]].req_id)),
             std::string::npos);
   EXPECT_NE(json.find("apache visit 0"), std::string::npos);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <filesystem>
 
 #include "core/milliscope.h"
+#include "scratch_dir.h"
 #include "util/id_codec.h"
 
 namespace mscope::core {
@@ -19,17 +20,13 @@ namespace fs = std::filesystem;
 using util::msec;
 using util::sec;
 
-fs::path temp_dir(const std::string& tag) {
-  return fs::temp_directory_path() / ("mscope_integration_" + tag);
-}
-
 class ScenarioAFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     TestbedConfig cfg;
     cfg.workload = 1500;
     cfg.duration = sec(14);
-    cfg.log_dir = temp_dir("a");
+    cfg.log_dir = test::scratch_dir("integration_a");
     cfg.scenario_a = ScenarioA{};
     exp_ = new Experiment(cfg);
     exp_->run();
@@ -39,7 +36,7 @@ class ScenarioAFixture : public ::testing::Test {
   static void TearDownTestSuite() {
     delete exp_;
     delete db_;
-    fs::remove_all(temp_dir("a"));
+    fs::remove_all(test::scratch_dir("integration_a"));
   }
 
   static Experiment* exp_;
@@ -159,7 +156,7 @@ class ScenarioBFixture : public ::testing::Test {
     TestbedConfig cfg;
     cfg.workload = 1500;
     cfg.duration = sec(6);
-    cfg.log_dir = temp_dir("b");
+    cfg.log_dir = test::scratch_dir("integration_b");
     cfg.scenario_b = ScenarioB::figure8();
     exp_ = new Experiment(cfg);
     exp_->run();
@@ -169,7 +166,7 @@ class ScenarioBFixture : public ::testing::Test {
   static void TearDownTestSuite() {
     delete exp_;
     delete db_;
-    fs::remove_all(temp_dir("b"));
+    fs::remove_all(test::scratch_dir("integration_b"));
   }
 
   static Experiment* exp_;
@@ -254,7 +251,7 @@ TEST(OverheadIntegration, MonitorsCostOneToThreePercentCpu) {
     cfg.event_monitors = instrumented;
     cfg.resource_monitors = false;  // isolate the event monitors' cost
     cfg.capture_messages = false;
-    cfg.log_dir = temp_dir(instrumented ? "on" : "off");
+    cfg.log_dir = test::scratch_dir(instrumented ? "integration_on" : "integration_off");
     Experiment exp(cfg);
     exp.run();
     struct Out {

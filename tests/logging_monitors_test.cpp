@@ -11,6 +11,7 @@
 #include "sim/network.h"
 #include "sim/node.h"
 #include "sim/server.h"
+#include "scratch_dir.h"
 #include "util/id_codec.h"
 
 namespace mscope {
@@ -21,21 +22,6 @@ namespace fmt = logging::formats;
 using util::msec;
 using util::sec;
 
-class TempDir {
- public:
-  TempDir() : path_(fs::temp_directory_path() /
-                    ("mscope_test_" + std::to_string(counter_++))) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() { fs::remove_all(path_); }
-  [[nodiscard]] const fs::path& path() const { return path_; }
-
- private:
-  static inline int counter_ = 0;
-  fs::path path_;
-};
-
 std::string slurp(const fs::path& p) {
   std::ifstream in(p);
   std::ostringstream ss;
@@ -44,7 +30,7 @@ std::string slurp(const fs::path& p) {
 }
 
 TEST(LogFile, WritesLinesAndCounts) {
-  TempDir dir;
+  test::ScratchDir dir{"logging"};
   const fs::path p = dir.path() / "sub" / "x.log";
   {
     logging::LogFile f(p);
@@ -57,7 +43,7 @@ TEST(LogFile, WritesLinesAndCounts) {
 }
 
 TEST(LoggingFacility, ChargesCpuAndDirtiesPageCache) {
-  TempDir dir;
+  test::ScratchDir dir{"logging"};
   sim::Simulation sim;
   sim::Node::Config nc;
   nc.cores = 2;
@@ -73,7 +59,7 @@ TEST(LoggingFacility, ChargesCpuAndDirtiesPageCache) {
 }
 
 TEST(LoggingFacility, ModelCostsOffIsFree) {
-  TempDir dir;
+  test::ScratchDir dir{"logging"};
   sim::Simulation sim;
   sim::Node::Config nc;
   sim::Node node(sim, nc);
@@ -85,7 +71,7 @@ TEST(LoggingFacility, ModelCostsOffIsFree) {
 }
 
 TEST(LoggingFacility, OpenReturnsSameFile) {
-  TempDir dir;
+  test::ScratchDir dir{"logging"};
   sim::Simulation sim;
   sim::Node::Config nc;
   sim::Node node(sim, nc);
@@ -160,7 +146,7 @@ TEST(Formats, SarXmlIsWellFormedSnippet) {
 // --- event monitor end-to-end through a server -------------------------------
 
 struct MonitorRig {
-  TempDir dir;
+  test::ScratchDir dir{"logging"};
   sim::Simulation sim;
   sim::Network net{sim, {}};
   std::unique_ptr<sim::Node> node;
@@ -236,7 +222,7 @@ TEST(EventMonitor, InstrumentedWritesMoreBytesThanBaseline) {
 // --- resource monitors -------------------------------------------------------
 
 TEST(ResourceMonitor, SamplesAtConfiguredInterval) {
-  TempDir dir;
+  test::ScratchDir dir{"logging"};
   sim::Simulation sim;
   sim::Node::Config nc;
   sim::Node node(sim, nc);
@@ -254,7 +240,7 @@ TEST(ResourceMonitor, SamplesAtConfiguredInterval) {
 }
 
 TEST(ResourceMonitor, StopHaltsSampling) {
-  TempDir dir;
+  test::ScratchDir dir{"logging"};
   sim::Simulation sim;
   sim::Node::Config nc;
   sim::Node node(sim, nc);
@@ -271,7 +257,7 @@ TEST(ResourceMonitor, StopHaltsSampling) {
 }
 
 TEST(ResourceMonitor, SarXmlFinalizeMakesWellFormedDocument) {
-  TempDir dir;
+  test::ScratchDir dir{"logging"};
   sim::Simulation sim;
   sim::Node::Config nc;
   sim::Node node(sim, nc);
@@ -290,7 +276,7 @@ TEST(ResourceMonitor, SarXmlFinalizeMakesWellFormedDocument) {
 }
 
 TEST(ResourceMonitor, SarTextRepeatsHeaderPeriodically) {
-  TempDir dir;
+  test::ScratchDir dir{"logging"};
   sim::Simulation sim;
   sim::Node::Config nc;
   sim::Node node(sim, nc);

@@ -5,11 +5,11 @@
 // replica stalls, the diagnosis names that node.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 
 #include "core/milliscope.h"
+#include "scratch_dir.h"
 
 namespace mscope::core {
 namespace {
@@ -25,10 +25,7 @@ class MultiNodeFixture : public ::testing::Test {
     cfg.workload = 1500;
     cfg.duration = sec(12);
     cfg.nodes_per_tier = {1, 2, 1, 2};  // the paper's Fig. 1 deployment
-    // Unique per process: gtest_discover_tests runs each TEST as its own
-    // ctest entry, so parallel ctest would race on a shared directory.
-    cfg.log_dir = fs::temp_directory_path() /
-                  ("mscope_multinode_test_" + std::to_string(::getpid()));
+    cfg.log_dir = test::scratch_dir("multinode");
     cfg.scenario_a = ScenarioA{};  // flush on db1 ONLY (replica 0)
     exp_ = new Experiment(cfg);
     exp_->run();

@@ -14,11 +14,12 @@
 #include <vector>
 
 #include "core/milliscope.h"
-#include "db/query.h"
+#include "db/sql.h"
 #include "obs/log.h"
 #include "obs/meta_exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "scratch_dir.h"
 
 namespace mscope {
 namespace {
@@ -232,6 +233,11 @@ TEST(ObsTrace, ChromeJsonIsWellFormedAndSkipsOpenSpans) {
 
 // --- MetaExporter: registry -> warehouse round trip ------------------------
 
+/// A one-cell SQL answer, as a double.
+double sql_scalar(const db::Catalog& db, const std::string& query) {
+  return db::as_double(db::Sql::execute(db, query).at(0, 0)).value();
+}
+
 TEST(ObsExporter, MetricsRoundTripMatchesSnapshot) {
   obs::Registry reg;
   reg.counter("rt.counter").add(42);
@@ -246,24 +252,25 @@ TEST(ObsExporter, MetricsRoundTripMatchesSnapshot) {
   ASSERT_EQ(t.row_count(), 2u);
 
   // Query the monitor's own health with the same engine it measures.
-  const double counter_v = db::Query(t)
-                               .where_eq_str("name", "rt.counter")
-                               .aggregate(db::Query::AggKind::kMax, "value");
-  EXPECT_DOUBLE_EQ(counter_v, 42.0);
-  const double gauge_v = db::Query(t)
-                             .where_eq_str("name", "rt.gauge")
-                             .aggregate(db::Query::AggKind::kMin, "value");
-  EXPECT_DOUBLE_EQ(gauge_v, -7.0);
-  EXPECT_EQ(db::Query(t).where_eq_int("ts_usec", sec(5)).count(), 2u);
+  const std::string from = " FROM " + meta.metrics_table();
+  EXPECT_DOUBLE_EQ(
+      sql_scalar(db, "SELECT MAX(value)" + from + " WHERE name = 'rt.counter'"),
+      42.0);
+  EXPECT_DOUBLE_EQ(
+      sql_scalar(db, "SELECT MIN(value)" + from + " WHERE name = 'rt.gauge'"),
+      -7.0);
+  EXPECT_DOUBLE_EQ(sql_scalar(db, "SELECT COUNT(*)" + from +
+                                      " WHERE ts_usec = " +
+                                      std::to_string(sec(5))),
+                   2.0);
 
   // A second export appends a new tick — a time series per metric name.
   reg.counter("rt.counter").add(8);
   meta.export_metrics(sec(6));
   EXPECT_EQ(t.row_count(), 4u);
-  const double latest = db::Query(t)
-                            .where_eq_str("name", "rt.counter")
-                            .aggregate(db::Query::AggKind::kMax, "value");
-  EXPECT_DOUBLE_EQ(latest, 50.0);
+  EXPECT_DOUBLE_EQ(
+      sql_scalar(db, "SELECT MAX(value)" + from + " WHERE name = 'rt.counter'"),
+      50.0);
   EXPECT_EQ(meta.stats().exports, 2u);
   EXPECT_EQ(meta.stats().metric_rows, 4u);
 }
@@ -280,12 +287,12 @@ TEST(ObsExporter, HistogramTableRoundTrip) {
   const db::Table& t = db.get(meta.hist_table());
   ASSERT_EQ(t.row_count(), 1u);
   const util::LatencyHistogram merged = h.merged();
-  EXPECT_EQ(db::Query(t).aggregate(db::Query::AggKind::kMax, "count"),
+  const std::string from = " FROM " + meta.hist_table();
+  EXPECT_EQ(sql_scalar(db, "SELECT MAX(count)" + from),
             static_cast<double>(merged.count()));
-  EXPECT_DOUBLE_EQ(
-      db::Query(t).aggregate(db::Query::AggKind::kMax, "mean_usec"),
-      merged.mean());
-  EXPECT_EQ(db::Query(t).aggregate(db::Query::AggKind::kMax, "p99_usec"),
+  EXPECT_DOUBLE_EQ(sql_scalar(db, "SELECT MAX(mean_usec)" + from),
+                   merged.mean());
+  EXPECT_EQ(sql_scalar(db, "SELECT MAX(p99_usec)" + from),
             static_cast<double>(merged.percentile(99)));
   EXPECT_EQ(meta.stats().hist_rows, 1u);
 }
@@ -414,10 +421,10 @@ class MetaParityFixture : public ::testing::Test {
   }
 
   static fs::path dir_plain() {
-    return fs::temp_directory_path() / "mscope_obs_parity_plain";
+    return test::scratch_dir("obs_parity_plain");
   }
   static fs::path dir_observed() {
-    return fs::temp_directory_path() / "mscope_obs_parity_observed";
+    return test::scratch_dir("obs_parity_observed");
   }
 
   static db::Database* db_plain_;
@@ -451,14 +458,13 @@ TEST_F(MetaParityFixture, MetaTablesFillWhenObserved) {
   EXPECT_GT(db_observed_->get("mscope_meta_metrics").row_count(), 50u);
   EXPECT_EQ(db_observed_->get("mscope_meta_spans").row_count(), spans_);
   // The per-channel health series use the testbed's node names.
-  const db::Table& metrics = db_observed_->get("mscope_meta_metrics");
-  EXPECT_GT(db::Query(metrics)
-                .where_eq_str("name", "collector.db1.shipper.batches")
-                .count(),
-            0u);
-  EXPECT_GT(db::Query(metrics)
-                .where_eq_str("name", "transform.rows_live")
-                .aggregate(db::Query::AggKind::kMax, "value"),
+  EXPECT_GT(sql_scalar(*db_observed_,
+                       "SELECT COUNT(*) FROM mscope_meta_metrics WHERE name = "
+                       "'collector.db1.shipper.batches'"),
+            0.0);
+  EXPECT_GT(sql_scalar(*db_observed_,
+                       "SELECT MAX(value) FROM mscope_meta_metrics WHERE name "
+                       "= 'transform.rows_live'"),
             100.0);
 }
 

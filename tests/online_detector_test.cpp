@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/milliscope.h"
+#include "scratch_dir.h"
 
 namespace mscope::core {
 namespace {
@@ -97,8 +98,7 @@ TEST(OnlineVsbDetector, CatchesScenarioALive) {
   TestbedConfig cfg;
   cfg.workload = 1200;
   cfg.duration = sec(12);
-  cfg.log_dir =
-      std::filesystem::temp_directory_path() / "mscope_online_test";
+  cfg.log_dir = test::scratch_dir("online");
   cfg.resource_monitors = false;
   cfg.capture_messages = false;
   cfg.scenario_a = ScenarioA{};
@@ -123,7 +123,7 @@ TEST(ScenarioC, GcPauseDiagnosedAsCpu) {
   TestbedConfig cfg;
   cfg.workload = 1200;
   cfg.duration = sec(8);
-  cfg.log_dir = std::filesystem::temp_directory_path() / "mscope_scenc_test";
+  cfg.log_dir = test::scratch_dir("scenc");
   cfg.scenario_c = ScenarioC{};  // stop-the-world pause at Tomcat, t=5s
 
   Experiment exp(cfg);

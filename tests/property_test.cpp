@@ -10,6 +10,7 @@
 #include <map>
 
 #include "core/milliscope.h"
+#include "scratch_dir.h"
 #include "transform/warehouse_io.h"
 #include "transform/xml.h"
 #include "transform/xml_to_csv.h"
@@ -195,7 +196,7 @@ TEST(TestbedProperty, EventLogAccountingIsConserved) {
   core::TestbedConfig cfg;
   cfg.workload = 600;
   cfg.duration = sec(6);
-  cfg.log_dir = std::filesystem::temp_directory_path() / "mscope_prop_a";
+  cfg.log_dir = test::scratch_dir("prop_a");
   core::Experiment exp(cfg);
   exp.run();
   db::Database db;
@@ -223,7 +224,7 @@ TEST(TestbedProperty, WarehouseQueueMatchesGroundTruth) {
   core::TestbedConfig cfg;
   cfg.workload = 600;
   cfg.duration = sec(6);
-  cfg.log_dir = std::filesystem::temp_directory_path() / "mscope_prop_b";
+  cfg.log_dir = test::scratch_dir("prop_b");
   cfg.scenario_a = core::ScenarioA{.first_flush = sec(3)};
   core::Experiment exp(cfg);
   exp.run();
@@ -277,9 +278,8 @@ TEST_P(ClearReimportProperty, ReimportAfterClearIsByteIdentical) {
   }
   for (const auto& row : rows) t.insert(row);
 
-  const auto base = std::filesystem::temp_directory_path() /
-                    ("mscope_prop_clear_" + std::to_string(GetParam()));
-  std::filesystem::remove_all(base);
+  const test::ScratchDir dir("prop_clear");
+  const auto& base = dir.path();
   transform::WarehouseIO::save(db, base / "a");
   transform::WarehouseIO::save_snapshot(db, base / "a");
 
@@ -297,7 +297,6 @@ TEST_P(ClearReimportProperty, ReimportAfterClearIsByteIdentical) {
        {"ev_rand_web1.csv", "ev_rand_web1.schema", "ev_rand_web1.mseg"}) {
     EXPECT_EQ(slurp(base / "a" / f), slurp(base / "b" / f)) << f;
   }
-  std::filesystem::remove_all(base);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClearReimportProperty, ::testing::Range(1, 4));
@@ -308,7 +307,7 @@ TEST(TestbedProperty, RunsAreDeterministic) {
     cfg.workload = 400;
     cfg.duration = sec(5);
     cfg.seed = 7;
-    cfg.log_dir = std::filesystem::temp_directory_path() / "mscope_prop_c";
+    cfg.log_dir = test::scratch_dir("prop_c");
     core::Experiment exp(cfg);
     exp.run();
     std::uint64_t digest = 1469598103934665603ULL;

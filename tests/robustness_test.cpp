@@ -9,6 +9,7 @@
 
 #include "core/milliscope.h"
 #include "logging/formats.h"
+#include "scratch_dir.h"
 #include "transform/pipeline.h"
 
 namespace mscope {
@@ -21,9 +22,7 @@ using util::sec;
 
 class RobustnessFixture : public ::testing::Test {
  protected:
-  RobustnessFixture()
-      : run_dir_(fs::temp_directory_path() / "mscope_robustness_test") {
-    fs::remove_all(run_dir_);
+  RobustnessFixture() : run_dir_(test::fresh_scratch_dir("robustness")) {
     fs::create_directories(run_dir_ / "web1");
   }
   ~RobustnessFixture() override { fs::remove_all(run_dir_); }
@@ -133,7 +132,7 @@ class CrossMonitorFixture : public ::testing::Test {
     core::TestbedConfig cfg;
     cfg.workload = 1200;
     cfg.duration = sec(8);
-    cfg.log_dir = fs::temp_directory_path() / "mscope_crossmon_test";
+    cfg.log_dir = test::scratch_dir("crossmon");
     cfg.scenario_a = core::ScenarioA{.first_flush = sec(4)};
     exp_ = new core::Experiment(cfg);
     exp_->run();

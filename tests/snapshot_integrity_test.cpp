@@ -9,11 +9,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "db/database.h"
 #include "db/segment/snapshot.h"
+#include "scratch_dir.h"
 #include "transform/warehouse_io.h"
 #include "util/io_file.h"
 #include "util/rng.h"
@@ -23,14 +23,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using transform::WarehouseIO;
-
-fs::path fresh_dir(const std::string& tag) {
-  const fs::path p = fs::temp_directory_path() /
-                     ("mscope_snap_" + tag + "_" + std::to_string(::getpid()));
-  fs::remove_all(p);
-  fs::create_directories(p);
-  return p;
-}
 
 /// A table with all value kinds, enough rows to seal columnar segments and
 /// leave a row-major tail — so fuzzing hits every chunk codec.
@@ -149,7 +141,7 @@ TEST(SnapshotIntegrity, FuzzedWarehouseRecoverNeverThrows) {
   // Property: whatever single corruption hits a snapshot directory,
   // recover() returns a valid partial warehouse plus warnings — it must
   // never throw and never produce a half-loaded table.
-  const fs::path dir = fresh_dir("fuzz");
+  const fs::path dir = test::fresh_scratch_dir("snap_fuzz");
   db::Database db;
   db.adopt_table(make_table("ev_one", 3000));
   db.adopt_table(make_table("ev_two", 500));
@@ -205,7 +197,7 @@ TEST(SnapshotIntegrity, FuzzedWarehouseRecoverNeverThrows) {
 }
 
 TEST(SnapshotIntegrity, CorruptTableIsSkippedOthersLoad) {
-  const fs::path dir = fresh_dir("skip");
+  const fs::path dir = test::fresh_scratch_dir("snap_skip");
   db::Database db;
   db.adopt_table(make_table("ev_good", 800));
   db.adopt_table(make_table("ev_bad", 800));
@@ -236,7 +228,7 @@ TEST(SnapshotIntegrity, CorruptTableIsSkippedOthersLoad) {
 }
 
 TEST(SnapshotIntegrity, CrashedSaveNeverDestroysPreviousSnapshot) {
-  const fs::path dir = fresh_dir("atomic");
+  const fs::path dir = test::fresh_scratch_dir("snap_atomic");
   db::Database db;
   db.adopt_table(make_table("ev_keep", 1000));
   WarehouseIO::save_snapshot(db, dir);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_dir.h"
 #include "transform/xml.h"
 
 namespace mscope::util {
@@ -50,15 +51,13 @@ TEST(SvgPlot, RejectsTinyCanvas) {
 }
 
 TEST(SvgPlot, SavesToDisk) {
-  const auto path = std::filesystem::temp_directory_path() /
-                    "mscope_svg_test" / "plot.svg";
-  std::filesystem::remove_all(path.parent_path());
+  const mscope::test::ScratchDir dir("svg");
+  const auto path = dir.path() / "plot.svg";
   SvgPlot plot({.title = "file"});
   plot.add_line(ramp(5), "x");
   plot.save(path);
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_GT(std::filesystem::file_size(path), 500u);
-  std::filesystem::remove_all(path.parent_path());
 }
 
 TEST(SvgPlot, StepSeriesHasMorePoints) {

@@ -20,6 +20,7 @@
 
 #include "db/database.h"
 #include "logging/formats.h"
+#include "scratch_dir.h"
 #include "obs/metrics.h"
 #include "transform/fastparse/fast_parser.h"
 #include "transform/fastparse/pattern.h"
@@ -686,9 +687,8 @@ TEST_F(StreamingParityFastpath, WorkerPoolWarehouseIsByteIdentical) {
 
 TEST_F(StreamingParityFastpath, BatchTransformerFastPathMatchesReference) {
   namespace fs = std::filesystem;
-  const fs::path run_dir =
-      fs::temp_directory_path() / "mscope_fastparse_batch";
-  fs::remove_all(run_dir);
+  const test::ScratchDir dir("fastparse_batch");
+  const fs::path& run_dir = dir.path();
   for (const auto& f : all_fixtures()) {
     fs::create_directories(run_dir / "web1");
     std::ofstream(run_dir / "web1" / f.file, std::ios::binary) << f.content;
@@ -715,7 +715,6 @@ TEST_F(StreamingParityFastpath, BatchTransformerFastPathMatchesReference) {
   }
   expect_identical_databases(db_ref, db_fast, "batch fast vs reference");
   expect_identical_databases(db_xml, db_fast, "batch fast vs XML artifacts");
-  fs::remove_all(run_dir);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 #include <filesystem>
 #include <fstream>
 
-#include "db/query.h"
+#include "obs/metrics.h"
+#include "scratch_dir.h"
 #include "transform/importer.h"
 #include "transform/pipeline.h"
 #include "transform/xml.h"
@@ -109,9 +110,7 @@ TEST(DataImporter, CreatesTableAndRecordsCatalog) {
 
 class PipelineFixture : public ::testing::Test {
  protected:
-  PipelineFixture()
-      : run_dir_(fs::temp_directory_path() / "mscope_pipeline_test") {
-    fs::remove_all(run_dir_);
+  PipelineFixture() : run_dir_(test::fresh_scratch_dir("pipeline")) {
     fs::create_directories(run_dir_ / "web1");
     fs::create_directories(run_dir_ / "db1");
   }
@@ -123,21 +122,27 @@ class PipelineFixture : public ::testing::Test {
     out << content;
   }
 
+  // An instrumented Apache log on web1, an iostat log on db1, and a file no
+  // declaration matches.
+  void write_two_nodes() {
+    write("web1", "apache_access.log",
+          "10.0.0.2 - - [01/Jan/2017:00:00:01.000 +0000] "
+          "\"GET /rubbos/ViewStory?ID=000000000001 HTTP/1.1\" 200 7000 5000 "
+          "ua=1483228801000000 ud=1483228801005000 ds=1483228801001000 "
+          "dr=1483228801004000\n");
+    write("db1", "iostat.log",
+          "Linux 3.10.0-mscope (db1)\t01/01/2017\t_x86_64_\t(4 CPU)\n\n"
+          "00:00:01.000\n"
+          "Device:            tps    kB_read/s    kB_wrtn/s   avgqu-sz    %util\n"
+          "sda              12.00       320.00       128.00          3    43.00\n\n");
+    write("web1", "unknown.dat", "binary stuff\n");
+  }
+
   fs::path run_dir_;
 };
 
 TEST_F(PipelineFixture, EndToEndTwoNodes) {
-  write("web1", "apache_access.log",
-        "10.0.0.2 - - [01/Jan/2017:00:00:01.000 +0000] "
-        "\"GET /rubbos/ViewStory?ID=000000000001 HTTP/1.1\" 200 7000 5000 "
-        "ua=1483228801000000 ud=1483228801005000 ds=1483228801001000 "
-        "dr=1483228801004000\n");
-  write("db1", "iostat.log",
-        "Linux 3.10.0-mscope (db1)\t01/01/2017\t_x86_64_\t(4 CPU)\n\n"
-        "00:00:01.000\n"
-        "Device:            tps    kB_read/s    kB_wrtn/s   avgqu-sz    %util\n"
-        "sda              12.00       320.00       128.00          3    43.00\n\n");
-  write("web1", "unknown.dat", "binary stuff\n");
+  write_two_nodes();
 
   db::Database db;
   DataTransformer transformer;
@@ -228,6 +233,31 @@ TEST_F(PipelineFixture, ParallelRunMatchesSerial) {
         EXPECT_EQ(db::compare(a.at(r, c), b->at(r, c)), 0);
       }
     }
+  }
+}
+
+TEST_F(PipelineFixture, ParsePassesMatchMatchedFiles) {
+  // One parse pass per matched file, whichever path parses it: the XML
+  // intermediates come from the reference parser, the direct path from the
+  // fast scanner (or its reference fallback).
+  write_two_nodes();
+  const obs::Counter& fast =
+      obs::Registry::global().counter("transform.parse.fast_passes");
+  const obs::Counter& ref =
+      obs::Registry::global().counter("transform.parse.ref_passes");
+  for (const bool xml : {true, false}) {
+    SCOPED_TRACE(xml ? "XML intermediates" : "direct");
+    const std::uint64_t before = fast.get() + ref.get();
+    db::Database db;
+    const auto report = DataTransformer({.write_intermediates = xml,
+                                         .import_from_files = false,
+                                         .parallelism = 1,
+                                         .transform = {}})
+                            .run(run_dir_, db);
+    std::uint64_t matched = 0;
+    for (const auto& f : report.files) matched += f.matched ? 1 : 0;
+    EXPECT_EQ(matched, 2u);
+    EXPECT_EQ(fast.get() + ref.get() - before, matched);
   }
 }
 

@@ -12,13 +12,13 @@
 #include <fstream>
 #include <map>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "core/milliscope.h"
 #include "core/online_collection.h"
 #include "db/database.h"
 #include "db/wal/wal.h"
+#include "scratch_dir.h"
 #include "transform/warehouse_io.h"
 #include "util/io_file.h"
 
@@ -31,14 +31,6 @@ using transform::WarehouseIO;
 using util::io::CrashError;
 using util::io::FaultInjector;
 using util::io::File;
-
-fs::path fresh_dir(const std::string& tag) {
-  const fs::path p = fs::temp_directory_path() /
-                     ("mscope_wal_" + tag + "_" + std::to_string(::getpid()));
-  fs::remove_all(p);
-  fs::create_directories(p);
-  return p;
-}
 
 // A warehouse rendered to strings: schema line + every cell per table.
 // Comparing these proves cell-identity without caring about storage layout.
@@ -78,7 +70,7 @@ db::Schema wide_schema() {
 // --- WAL unit tests ---------------------------------------------------------
 
 TEST(Wal, RoundTripReplaysEveryMutationKind) {
-  const fs::path dir = fresh_dir("roundtrip");
+  const fs::path dir = test::fresh_scratch_dir("wal_roundtrip");
   db::Database db;
   {
     db::wal::WalWriter wal(WarehouseIO::wal_path(dir));
@@ -111,7 +103,7 @@ TEST(Wal, RoundTripReplaysEveryMutationKind) {
 }
 
 TEST(Wal, UncommittedFramesAreNeverReplayed) {
-  const fs::path dir = fresh_dir("uncommitted");
+  const fs::path dir = test::fresh_scratch_dir("wal_uncommitted");
   db::Database db;
   {
     db::wal::WalWriter wal(WarehouseIO::wal_path(dir));
@@ -130,7 +122,7 @@ TEST(Wal, UncommittedFramesAreNeverReplayed) {
 }
 
 TEST(Wal, TornTailIsTruncatedNotFatal) {
-  const fs::path dir = fresh_dir("torn");
+  const fs::path dir = test::fresh_scratch_dir("wal_torn");
   db::Database db;
   {
     db::wal::WalWriter wal(WarehouseIO::wal_path(dir));
@@ -158,7 +150,7 @@ TEST(Wal, TornTailIsTruncatedNotFatal) {
 }
 
 TEST(Wal, BitFlipBoundsReplayAtLastValidCommit) {
-  const fs::path dir = fresh_dir("bitflip");
+  const fs::path dir = test::fresh_scratch_dir("wal_bitflip");
   db::Database db;
   std::uint64_t first_commit_frames = 0;
   {
@@ -191,7 +183,7 @@ TEST(Wal, BitFlipBoundsReplayAtLastValidCommit) {
 }
 
 TEST(Wal, BaseCommitIdSurvivesEmptyLog) {
-  const fs::path dir = fresh_dir("baseid");
+  const fs::path dir = test::fresh_scratch_dir("wal_baseid");
   { db::wal::WalWriter wal(WarehouseIO::wal_path(dir), 7); }
   db::Database recovered;
   const auto rs = db::wal::replay(WarehouseIO::wal_path(dir), recovered);
@@ -204,7 +196,7 @@ TEST(Wal, ReplayOverNewerSnapshotIsIdempotent) {
   // The checkpoint crash window: snapshot renames landed, WAL reset did not.
   // The old epoch's log replays over the new snapshot without duplicating
   // a row.
-  const fs::path dir = fresh_dir("idempotent");
+  const fs::path dir = test::fresh_scratch_dir("wal_idempotent");
   db::Database db;
   {
     db::wal::WalWriter wal(WarehouseIO::wal_path(dir));
@@ -227,7 +219,7 @@ TEST(Wal, ReplayOverNewerSnapshotIsIdempotent) {
 }
 
 TEST(Wal, RecoverTruncatesLogSoAppendsCanResume) {
-  const fs::path dir = fresh_dir("resume");
+  const fs::path dir = test::fresh_scratch_dir("wal_resume");
   db::Database db;
   {
     db::wal::WalWriter wal(WarehouseIO::wal_path(dir));
@@ -339,7 +331,7 @@ std::map<std::uint64_t, DbState> run_driver(const fs::path& dir) {
 
 TEST(CrashMatrix, EveryKillPointRecoversExactly) {
   // Reference pass: no faults; learn the op count and the per-commit states.
-  const fs::path ref_dir = fresh_dir("matrix_ref");
+  const fs::path ref_dir = test::fresh_scratch_dir("wal_matrix_ref");
   CountingInjector counter;
   File::set_fault_injector(&counter);
   const std::map<std::uint64_t, DbState> states = run_driver(ref_dir);
@@ -354,7 +346,7 @@ TEST(CrashMatrix, EveryKillPointRecoversExactly) {
     for (std::size_t op = 0; op < counter.count; ++op) {
       SCOPED_TRACE((torn ? "torn write, op " : "clean kill, op ") +
                    std::to_string(op));
-      const fs::path dir = fresh_dir("matrix_run");
+      const fs::path dir = test::fresh_scratch_dir("wal_matrix_run");
       CrashAtInjector inj(op, torn);
       File::set_fault_injector(&inj);
       bool crashed = false;
@@ -380,7 +372,7 @@ TEST(CrashMatrix, EveryKillPointRecoversExactly) {
 }
 
 TEST(CrashMatrix, UncrashedDirectoryRecoversToFinalCommit) {
-  const fs::path dir = fresh_dir("matrix_clean");
+  const fs::path dir = test::fresh_scratch_dir("wal_matrix_clean");
   const auto states = run_driver(dir);
   db::Database recovered;
   const RecoveryStats rs = WarehouseIO::recover(recovered, dir);
@@ -397,11 +389,10 @@ TEST(DurableCollection, FinishedRunRecoversIdentically) {
   core::TestbedConfig cfg;
   cfg.workload = 400;
   cfg.duration = util::sec(4);
-  cfg.log_dir = fs::temp_directory_path() /
-                ("mscope_durable_logs_" + std::to_string(::getpid()));
+  cfg.log_dir = test::scratch_dir("durable_logs");
   cfg.capture_messages = false;
 
-  const fs::path dur_dir = fresh_dir("collection");
+  const fs::path dur_dir = test::fresh_scratch_dir("wal_collection");
   core::Testbed testbed(cfg);
   db::Database live;
   core::OnlineCollection::Config oc;
@@ -426,11 +417,10 @@ TEST(DurableCollection, MidRunCrashRecoversToACommit) {
   core::TestbedConfig cfg;
   cfg.workload = 400;
   cfg.duration = util::sec(4);
-  cfg.log_dir = fs::temp_directory_path() /
-                ("mscope_durable_crash_logs_" + std::to_string(::getpid()));
+  cfg.log_dir = test::scratch_dir("durable_crash_logs");
   cfg.capture_messages = false;
 
-  const fs::path dur_dir = fresh_dir("collection_crash");
+  const fs::path dur_dir = test::fresh_scratch_dir("wal_collection_crash");
   core::Testbed testbed(cfg);
   db::Database live;
   core::OnlineCollection::Config oc;

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "scratch_dir.h"
+
 namespace mscope::transform {
 namespace {
 
@@ -13,7 +15,7 @@ namespace fs = std::filesystem;
 class WarehouseIoFixture : public ::testing::Test {
  protected:
   WarehouseIoFixture()
-      : dir_(fs::temp_directory_path() / "mscope_warehouse_io_test") {
+      : dir_(test::scratch_dir("warehouse_io")) {
     fs::remove_all(dir_);
   }
   ~WarehouseIoFixture() override { fs::remove_all(dir_); }
