@@ -6,9 +6,12 @@
 // where the figure needs warehouse data, prints the series the paper plots,
 // and finishes with SHAPE checks — the qualitative claims the figure makes.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/milliscope.h"
@@ -59,9 +62,26 @@ inline double series_max_in(const util::Series& s, util::SimTime t0,
   return m;
 }
 
-/// Scratch directory for a bench's log artifacts.
+/// Scratch directory for a bench's log artifacts:
+/// <system temp dir>/mscope_bench_<name>_<pid>, so two runs of one bench
+/// never share a log directory. Every directory handed out is removed when
+/// the process exits normally. Nothing is created here.
 inline std::filesystem::path bench_dir(const std::string& name) {
-  return std::filesystem::temp_directory_path() / ("mscope_bench_" + name);
+  struct RemoveAtExit {
+    std::vector<std::filesystem::path> dirs;
+    ~RemoveAtExit() {
+      for (const auto& d : dirs) {
+        std::error_code ec;  // best effort: a leftover dir is not an error
+        std::filesystem::remove_all(d, ec);
+      }
+    }
+  };
+  static RemoveAtExit cleanup;
+  std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mscope_bench_" + name + "_" + std::to_string(::getpid()));
+  cleanup.dirs.push_back(dir);
+  return dir;
 }
 
 /// Standard exit: non-zero if any shape check failed.

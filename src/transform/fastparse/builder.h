@@ -48,7 +48,10 @@ class ConversionBuilder {
 
   [[nodiscard]] std::size_t entries() const { return rows_.size(); }
 
-  /// Finalizes into a Conversion (schema + full-width rows + row_lines).
+  /// Hands out a Conversion: the schema of every column seen so far at its
+  /// running type, plus the rows begun since the previous take(), padded to
+  /// that schema's width. Columns and types stay, so the builder can keep
+  /// accumulating the same file and take() again.
   [[nodiscard]] Conversion take(std::string source, std::string node,
                                 std::string file);
 

@@ -1,8 +1,8 @@
 #include "transform/fastparse/fast_parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
-#include <map>
 #include <utility>
 
 #include "transform/fastparse/scan.h"
@@ -13,7 +13,8 @@ namespace mscope::transform::fastparse {
 
 namespace {
 
-constexpr ConversionBuilder::ColId kNoCol = 0xFFFFFFFFu;
+using SlotIds = FastParser::SlotIds;
+constexpr ConversionBuilder::ColId kNoCol = SlotIds::kNone;
 
 /// Strict fixed-layout decode first; anything it can't express defers to
 /// the reference convert_time so the two paths agree byte-for-byte.
@@ -42,14 +43,17 @@ bool convert_time_fast(std::string_view raw, TimeEncoding enc,
 
 bool trim_empty(std::string_view s) { return util::trim(s).empty(); }
 
-/// Iterates '\n'-separated lines without materializing them. A trailing
-/// newline yields no final empty line — the same candidate set as the
-/// reference's split + pop-trailing-blanks.
+/// Iterates '\n'-separated lines without materializing them, numbering
+/// them from `first_index`; returns how many it walked. A trailing newline
+/// yields no final empty line — the same candidate set as the reference's
+/// split + pop-trailing-blanks — so line-aligned pieces number their lines
+/// exactly as one walk over the whole content does.
 template <typename Fn>
-void for_each_line(std::string_view content, Fn&& fn) {
+std::size_t for_each_line(std::string_view content, std::size_t first_index,
+                          Fn&& fn) {
   const char* p = content.data();
   const char* end = p + content.size();
-  std::size_t index = 0;
+  std::size_t index = first_index;
   while (p < end) {
     const char* nl =
         static_cast<const char*>(std::memchr(p, '\n', end - p));
@@ -59,16 +63,8 @@ void for_each_line(std::string_view content, Fn&& fn) {
     if (nl == nullptr) break;
     p = nl + 1;
   }
+  return index - first_index;
 }
-
-/// Lazily-resolved column ids for one instruction field slot: one id for
-/// the time-normalized name, one for the raw name. Resolving at first
-/// emission (not at compile) preserves the reference's first-appearance
-/// column order.
-struct SlotIds {
-  ConversionBuilder::ColId time_id = kNoCol;
-  ConversionBuilder::ColId raw_id = kNoCol;
-};
 
 void split_ws_into(std::string_view s, std::vector<std::string_view>& out) {
   out.clear();
@@ -98,7 +94,7 @@ void split_char_into(std::string_view s, char sep,
 
 std::shared_ptr<const FastParser> FastParser::compile(const Declaration& decl) {
   std::shared_ptr<FastParser> fp(new FastParser());
-  fp->skip_lines_ = decl.skip_lines;
+  fp->skip_lines_ = static_cast<std::size_t>(std::max(decl.skip_lines, 0));
   fp->comment_prefix_ = decl.comment_prefix;
   fp->source_ = decl.source;
 
@@ -149,35 +145,43 @@ std::shared_ptr<const FastParser> FastParser::compile(const Declaration& decl) {
 
 Conversion FastParser::parse(std::string_view content, const ParseContext& ctx,
                              ParseStats& stats) const {
-  ConversionBuilder b;
+  State st;
+  return parse_more(st, content, ctx, stats);
+}
+
+Conversion FastParser::parse_more(State& st, std::string_view piece,
+                                  const ParseContext& ctx,
+                                  ParseStats& stats) const {
+  std::size_t lines = 0;
   switch (kind_) {
     case Kind::kTokenLines:
-      parse_token_lines(content, b, stats);
+      lines = parse_token_lines(piece, st, stats);
       break;
     case Kind::kTomcat:
-      parse_tomcat(content, b, stats);
+      lines = parse_tomcat(piece, st, stats);
       break;
     case Kind::kSarText:
-      parse_sar_text(content, b, stats);
+      lines = parse_sar_text(piece, st, stats);
       break;
     case Kind::kIostat:
-      parse_iostat(content, b, stats);
+      lines = parse_iostat(piece, st, stats);
       break;
     case Kind::kCollectlCsv:
-      parse_collectl(content, b, stats, /*csv=*/true);
+      lines = parse_collectl(piece, st, stats, /*csv=*/true);
       break;
     case Kind::kCollectlPlain:
-      parse_collectl(content, b, stats, /*csv=*/false);
+      lines = parse_collectl(piece, st, stats, /*csv=*/false);
       break;
   }
-  return b.take(source_, ctx.node, ctx.file);
+  st.next_line += lines;
+  return st.builder.take(source_, ctx.node, ctx.file);
 }
 
 // --------------------------- token_lines ------------------------------------
 
-void FastParser::parse_token_lines(std::string_view content,
-                                   ConversionBuilder& b,
-                                   ParseStats& stats) const {
+std::size_t FastParser::parse_token_lines(std::string_view piece, State& st,
+                                          ParseStats& stats) const {
+  ConversionBuilder& b = st.builder;
   std::vector<std::vector<SlotIds>> slots(instrs_.size());
   for (std::size_t i = 0; i < instrs_.size(); ++i) {
     slots[i].resize(instrs_[i].emit_count);
@@ -185,8 +189,9 @@ void FastParser::parse_token_lines(std::string_view content,
   CompiledPattern::Groups groups;
   std::cmatch m;
 
-  for_each_line(content, [&](std::size_t index, std::string_view line) {
-    if (static_cast<int>(index) < skip_lines_) return;
+  return for_each_line(piece, st.next_line, [&](std::size_t index,
+                                                 std::string_view line) {
+    if (index < skip_lines_) return;
     if (trim_empty(line)) return;
     if (!comment_prefix_.empty() && util::starts_with(line, comment_prefix_)) {
       return;
@@ -290,8 +295,9 @@ bool find_tomcat_call(const char* p, const char* end, TomcatCall& out) {
 
 }  // namespace
 
-void FastParser::parse_tomcat(std::string_view content, ConversionBuilder& b,
-                              ParseStats& stats) const {
+std::size_t FastParser::parse_tomcat(std::string_view piece, State& st,
+                                     ParseStats& stats) const {
+  ConversionBuilder& b = st.builder;
   const InstrSpec& head = instrs_[0];
   const InstrSpec* baseline = instrs_.size() > 1 ? &instrs_[1] : nullptr;
   std::vector<std::vector<SlotIds>> slots(instrs_.size());
@@ -299,10 +305,7 @@ void FastParser::parse_tomcat(std::string_view content, ConversionBuilder& b,
     slots[i].resize(instrs_[i].emit_count);
   }
   // dsN/drN column ids are keyed by the call index digits (dynamic names).
-  std::map<std::string, std::pair<ConversionBuilder::ColId,
-                                  ConversionBuilder::ColId>,
-           std::less<>>
-      call_ids;
+  auto& call_ids = st.tomcat_calls;
   CompiledPattern::Groups groups;
   std::cmatch m;
 
@@ -335,8 +338,9 @@ void FastParser::parse_tomcat(std::string_view content, ConversionBuilder& b,
     }
   };
 
-  for_each_line(content, [&](std::size_t index, std::string_view line) {
-    if (static_cast<int>(index) < skip_lines_) return;
+  return for_each_line(piece, st.next_line, [&](std::size_t index,
+                                                 std::string_view line) {
+    if (index < skip_lines_) return;
     if (trim_empty(line)) return;
     if (!comment_prefix_.empty() && util::starts_with(line, comment_prefix_)) {
       return;
@@ -397,89 +401,75 @@ void FastParser::parse_tomcat(std::string_view content, ConversionBuilder& b,
 
 // ------------------------------ sar_text ------------------------------------
 
-void FastParser::parse_sar_text(std::string_view content, ConversionBuilder& b,
-                                ParseStats& stats) const {
-  // Pass 1: classify every line (mirrors the reference two-pass structure).
-  enum class LineClass : std::uint8_t { kSkip, kHeader, kData };
-  struct Classified {
-    LineClass cls = LineClass::kSkip;
-    std::uint32_t line_no = 0;
-    std::vector<std::string_view> tokens;
-  };
-  std::vector<Classified> classified;
-  for_each_line(content, [&](std::size_t index, std::string_view line) {
+std::size_t FastParser::parse_sar_text(std::string_view piece, State& st,
+                                       ParseStats& stats) const {
+  // Data rows are emitted under the most recent header, which may sit in an
+  // earlier piece. Column ids resolve lazily at first emission to preserve
+  // first-appearance order.
+  ConversionBuilder& b = st.builder;
+  std::vector<HeaderCol>& header = st.header;
+  std::vector<std::string_view> tokens;
+  return for_each_line(piece, st.next_line, [&](std::size_t index,
+                                                std::string_view line) {
     const auto trimmed = util::trim(line);
     if (trimmed.empty() || util::starts_with(trimmed, "Linux")) return;
-    Classified c;
-    c.line_no = static_cast<std::uint32_t>(index + 1);
-    split_ws_into(trimmed, c.tokens);
+    split_ws_into(trimmed, tokens);
     bool has_pct = false;
-    for (const auto t : c.tokens) {
+    for (const auto t : tokens) {
       if (!t.empty() && t.front() == '%') has_pct = true;
     }
-    c.cls = has_pct ? LineClass::kHeader : LineClass::kData;
-    classified.push_back(std::move(c));
-  });
-
-  // Pass 2: emit data rows under the most recent header. Column ids resolve
-  // lazily at first emission to preserve first-appearance order.
-  struct HeaderCol {
-    std::string name;
-    bool is_ts = false;
-    SlotIds ids;
-  };
-  std::vector<HeaderCol> header;
-  for (auto& c : classified) {
-    if (c.cls == LineClass::kHeader) {
+    if (has_pct) {
       header.clear();
-      for (const auto t : c.tokens) {
+      for (const auto t : tokens) {
         HeaderCol col;
         col.name = sanitize_column(t);
         header.push_back(std::move(col));
       }
-      if (!header.empty()) header[0].name = "ts";  // first column is the time
-      for (auto& col : header) col.is_ts = col.name == "ts";
-      continue;
+      if (!header.empty()) header[0].name = "ts";  // first column: time
+      for (auto& col : header) col.is_time = col.name == "ts";
+      return;
     }
     ++stats.lines;
     if (header.empty()) {
       ++stats.rejected;  // data row before any header
-      continue;
+      return;
     }
-    if (c.tokens.size() != header.size()) {
+    if (tokens.size() != header.size()) {
       ++stats.rejected;  // malformed row
-      continue;
+      return;
     }
-    b.begin_entry(c.line_no);
+    b.begin_entry(static_cast<std::uint32_t>(index + 1));
     for (std::size_t f = 0; f < header.size(); ++f) {
       HeaderCol& col = header[f];
-      if (col.is_ts) {
+      if (col.is_time) {
         std::int64_t usec = 0;
-        if (convert_time_fast(c.tokens[f], TimeEncoding::kHmsMilli, usec)) {
+        if (convert_time_fast(tokens[f], TimeEncoding::kHmsMilli, usec)) {
           if (col.ids.time_id == kNoCol) col.ids.time_id = b.column("ts_usec");
           b.set_known_int(col.ids.time_id, std::to_string(usec));
           continue;
         }
       }
       if (col.ids.raw_id == kNoCol) col.ids.raw_id = b.column(col.name);
-      b.set(col.ids.raw_id, std::string(c.tokens[f]));
+      b.set(col.ids.raw_id, std::string(tokens[f]));
     }
-  }
+  });
 }
 
 // ------------------------------- iostat -------------------------------------
 
-void FastParser::parse_iostat(std::string_view content, ConversionBuilder& b,
-                              ParseStats& stats) const {
+std::size_t FastParser::parse_iostat(std::string_view piece, State& st,
+                                     ParseStats& stats) const {
   static constexpr const char* kFields[] = {"device",    "tps",   "read_kbs",
                                             "write_kbs", "queue", "util_pct"};
+  ConversionBuilder& b = st.builder;
   SlotIds ts_ids;
   SlotIds field_ids[6];
-  std::int64_t current_ts = -1;
+  std::int64_t& current_ts = st.iostat_ts;
   std::vector<std::string_view> toks;
 
-  for_each_line(content, [&](std::size_t index, std::string_view line) {
-    if (static_cast<int>(index) < skip_lines_) return;
+  return for_each_line(piece, st.next_line, [&](std::size_t index,
+                                                std::string_view line) {
+    if (index < skip_lines_) return;
     if (trim_empty(line)) return;
     if (!comment_prefix_.empty() && util::starts_with(line, comment_prefix_)) {
       return;
@@ -512,19 +502,17 @@ void FastParser::parse_iostat(std::string_view content, ConversionBuilder& b,
 
 // ------------------------------ collectl ------------------------------------
 
-void FastParser::parse_collectl(std::string_view content, ConversionBuilder& b,
-                                ParseStats& stats, bool csv) const {
+std::size_t FastParser::parse_collectl(std::string_view piece, State& st,
+                                       ParseStats& stats, bool csv) const {
   static constexpr const char* kPlainCols[] = {"ts",        "user_pct",
                                                "sys_pct",   "wait_pct",
                                                "read_kbs",  "write_kbs",
                                                "util_pct"};
-  struct HeaderCol {
-    std::string name;
-    bool is_time = false;
-    SlotIds ids;
-  };
-  std::vector<HeaderCol> header;
-  if (!csv) {
+  ConversionBuilder& b = st.builder;
+  // csv: the last '#' header line, possibly from an earlier piece. plain: a
+  // fixed header, set up by the file's first piece and never replaced.
+  std::vector<HeaderCol>& header = st.header;
+  if (!csv && header.empty()) {
     for (std::size_t f = 0; f < std::size(kPlainCols); ++f) {
       HeaderCol col;
       col.name = kPlainCols[f];
@@ -534,7 +522,8 @@ void FastParser::parse_collectl(std::string_view content, ConversionBuilder& b,
   }
   std::vector<std::string_view> toks;
 
-  for_each_line(content, [&](std::size_t index, std::string_view line) {
+  return for_each_line(piece, st.next_line, [&](std::size_t index,
+                                                std::string_view line) {
     const auto trimmed = util::trim(line);
     if (trimmed.empty()) return;
     if (trimmed.front() == '#') {

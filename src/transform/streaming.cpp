@@ -27,9 +27,13 @@ StreamingTransformer::FileState& StreamingTransformer::file_state(
     // First sight of this (node, file): stage-1 declaration lookup.
     it = files.emplace(file, FileState{}).first;
     ++stats_.files;
-    it->second.decl = registry_.match(file);
-    it->second.next_parse_at = std::max<std::size_t>(cfg_.min_parse_bytes, 1);
-    if (it->second.decl == nullptr) ++stats_.unmatched_files;
+    FileState& st = it->second;
+    st.decl = registry_.match(file);
+    if (st.decl == nullptr) {
+      ++stats_.unmatched_files;
+    } else if (!cfg_.transform.use_reference_parser) {
+      st.parser = parser_cache_.get(*st.decl);
+    }
   }
   return it->second;
 }
@@ -41,11 +45,7 @@ void StreamingTransformer::ingest(const std::string& node,
   ++stats_.chunks;
   stats_.bytes += data.size();
   if (st.decl == nullptr) return;  // unknown format: nothing to transform
-
   st.content.append(data);
-  if (st.content.size() >= st.next_parse_at) {
-    parse_into_table(node, file, st, /*final_pass=*/false);
-  }
 }
 
 void StreamingTransformer::ingest(const std::string& node,
@@ -62,9 +62,6 @@ void StreamingTransformer::ingest(const std::string& node,
     st.content = std::move(data);
   } else {
     st.content.append(data);
-  }
-  if (st.content.size() >= st.next_parse_at) {
-    parse_into_table(node, file, st, /*final_pass=*/false);
   }
 }
 
@@ -120,41 +117,46 @@ StreamingTransformer::ParseTask StreamingTransformer::prepare_parse(
   t.node = &node;
   t.file = &file;
   t.st = &st;
-  t.final_pass = final_pass;
-  // Parse only a complete-line prefix mid-run; a trailing fragment would
-  // produce a bogus row that a later parse could not retract. The final
-  // pass takes everything, exactly like the batch pipeline reading the file.
-  std::size_t prefix = st.content.size();
+  // Files without a resumable parser are parsed once, whole, at finalize().
+  if (st.parser == nullptr && !final_pass) return t;
+  // Mid-run, parse up to the last complete line only; a trailing fragment
+  // would produce a bogus row that a later pass could not retract. The
+  // final pass takes everything, exactly like the batch pipeline reading
+  // the file.
+  std::size_t end = st.content.size();
   if (!final_pass) {
     const auto nl = st.content.rfind('\n');
-    prefix = (nl == std::string::npos) ? 0 : nl + 1;
+    end = (nl == std::string::npos) ? 0 : nl + 1;
   }
-  // Next trigger follows the geometric schedule whether or not this pass
-  // produces rows, so parse work stays amortized-linear.
-  st.next_parse_at = std::max(
-      static_cast<std::size_t>(static_cast<double>(st.content.size()) *
-                               cfg_.growth_factor),
-      st.content.size() + cfg_.min_parse_bytes);
-  if (prefix == 0 || (prefix <= st.parsed_bytes && !final_pass)) return t;
-  t.prefix = prefix;
+  if (end <= st.parsed_bytes) return t;
+  // A file without a resumable parser is always parsed whole.
+  t.begin = st.parser != nullptr ? st.parsed_bytes : 0;
+  t.end = end;
   t.scheduled = true;
   return t;
 }
 
 void StreamingTransformer::run_parse(ParseTask& t) const {
-  // Pure stage: reads the file's in-place buffer, writes only into the
-  // task. Safe on a pool worker because no ingest/note_gap can run while
-  // run_tasks() holds the caller (the zero-copy lifetime rule).
-  ParseContext ctx{*t.node, *t.file, t.st->decl};
+  // Reads the file's in-place buffer and advances only this file's parse
+  // state. Safe on a pool worker because each task owns a distinct file
+  // and no ingest/note_gap can run while run_tasks() holds the caller (the
+  // zero-copy lifetime rule).
+  FileState& st = *t.st;
+  const ParseContext ctx{*t.node, *t.file, st.decl};
+  const std::string_view piece =
+      std::string_view(st.content).substr(t.begin, t.end - t.begin);
   try {
-    t.result = parse_to_conversion(
-        std::string_view(t.st->content).substr(0, t.prefix), ctx,
-        cfg_.transform, parser_cache_);
+    if (st.parser != nullptr) {
+      t.result.conv =
+          st.parser->parse_more(st.parse_state, piece, ctx, t.result.stats);
+      t.result.fast = true;
+    } else {
+      t.result =
+          parse_to_conversion(piece, ctx, cfg_.transform, parser_cache_);
+    }
   } catch (const std::exception&) {
-    // A prefix of a structured document (sar XML) need not parse; the final
-    // pass usually sees the whole document. If even that fails (lossy
-    // backpressure policies can punch holes in a document), keep the rows
-    // from the last good parse rather than losing the file.
+    // Lossy backpressure policies can punch holes that make a file
+    // unparseable; keep the rows loaded so far rather than losing the file.
     t.deferred = true;
   }
 }
@@ -177,37 +179,50 @@ void StreamingTransformer::run_tasks(std::vector<ParseTask>& tasks) {
   pool_->run(fns);
 }
 
-bool StreamingTransformer::reconcile_parse(ParseTask& task) {
+void StreamingTransformer::reconcile_parse(ParseTask& task) {
   FileState& st = *task.st;
   if (task.deferred) {
     ++stats_.parse_deferrals;
     static obs::Counter& deferrals =
         obs::Registry::global().counter("transform.parse_deferrals");
     deferrals.inc();
-    return false;
+    // A throw leaves the resume state half-advanced: the next pass
+    // re-parses the file from byte 0 with a fresh state, skipping the rows
+    // already in the table.
+    st.parse_state = {};
+    st.parsed_bytes = 0;
+    return;
   }
   obs::Tracer::Span span =
       tracer_ != nullptr
           ? tracer_->span("parse " + *task.node + "/" + *task.file,
                           "transform")
           : obs::Tracer::Span();
-  Conversion& conv = task.result.conv;
-  ++stats_.parse_passes;
   static obs::Counter& passes =
       obs::Registry::global().counter("transform.parse_passes");
+  static obs::Counter& parsed_bytes_c =
+      obs::Registry::global().counter("transform.parsed_bytes");
   static obs::Counter& fast_passes =
       obs::Registry::global().counter("transform.parse.fast_passes");
   static obs::Counter& ref_passes =
       obs::Registry::global().counter("transform.parse.ref_passes");
-  passes.inc();
-  (task.result.fast ? fast_passes : ref_passes).inc();
+  const auto count_pass = [&](std::size_t bytes, bool fast) {
+    ++stats_.parse_passes;
+    stats_.parsed_bytes += bytes;
+    passes.inc();
+    parsed_bytes_c.add(bytes);
+    (fast ? fast_passes : ref_passes).inc();
+  };
+  count_pass(task.end - task.begin, task.result.fast);
 
   // Malformed-line accounting: the fast path counts rejections precisely
-  // over the parsed prefix; rejection is monotone in the prefix, so the
-  // delta against the last pass is this pass's new rejects.
-  if (task.result.stats.rejected > st.rejected) {
-    const std::uint64_t delta = task.result.stats.rejected - st.rejected;
-    st.rejected = task.result.stats.rejected;
+  // per piece. A pass from byte 0 recounts lines already counted, so count
+  // only what it found beyond them.
+  const std::uint64_t seen =
+      (task.begin == 0 ? 0 : st.rejected) + task.result.stats.rejected;
+  if (seen > st.rejected) {
+    const std::uint64_t delta = seen - st.rejected;
+    st.rejected = seen;
     stats_.rejected_lines += delta;
     static obs::Counter& rejected_c =
         obs::Registry::global().counter("transform.parse.rejected");
@@ -217,13 +232,16 @@ bool StreamingTransformer::reconcile_parse(ParseTask& task) {
         .add(delta);
   }
 
-  st.parsed_bytes = task.prefix;
-  if (conv.schema.empty()) return true;  // no rows yet
+  st.parsed_bytes = task.end;
+  Conversion& conv = task.result.conv;
+  if (conv.schema.empty()) return;  // no rows yet
 
   if (st.table.empty()) {
     st.table = st.decl->table_prefix + "_" + *task.node;
   }
 
+  // conv.rows are the file's rows [first_row, first_row + conv.rows.size()).
+  std::size_t first_row = task.begin == 0 ? 0 : st.rows_in_table;
   db::Table* table = db_.find(st.table);
   const bool schema_changed = table != nullptr && st.schema != conv.schema;
   if (table != nullptr && schema_changed) {
@@ -232,8 +250,8 @@ bool StreamingTransformer::reconcile_parse(ParseTask& task) {
     // in place — sealed columnar segments re-encode only the affected
     // columns and warm indexes survive, so streaming never re-inserts a
     // sealed row. Inexact changes (e.g. "042" re-typed to Text) fall back
-    // to drop + rebuild. Rows already announced to the observer stay
-    // announced (rows_notified survives either path).
+    // to drop + rebuild from the raw bytes. Rows already announced to the
+    // observer stay announced (rows_notified survives either path).
     static obs::Counter& widens_c =
         obs::Registry::global().counter("transform.schema_widenings");
     widens_c.inc();
@@ -244,6 +262,17 @@ bool StreamingTransformer::reconcile_parse(ParseTask& task) {
       // indexes are warm before rows stream in.
       prewarm_time_indexes(*table);
     } else {
+      if (first_row > 0) {
+        // Earlier passes' rows are gone as text: re-parse the file from
+        // byte 0 with a fresh state. Same bytes, so the same schema.
+        fastparse::FastParser::State fresh;
+        fastparse::ParseStats ignored;
+        conv = st.parser->parse_more(
+            fresh, std::string_view(st.content).substr(0, task.end),
+            ParseContext{*task.node, *task.file, st.decl}, ignored);
+        count_pass(task.end, /*fast=*/true);
+        first_row = 0;
+      }
       db_.drop(st.table);
       table = nullptr;
       stats_.rows_live -= st.rows_in_table;
@@ -261,18 +290,21 @@ bool StreamingTransformer::reconcile_parse(ParseTask& task) {
   }
   st.schema = conv.schema;
 
-  for (std::size_t i = st.rows_in_table; i < conv.rows.size(); ++i) {
+  const std::size_t end_row = first_row + conv.rows.size();
+  for (std::size_t r = std::max(st.rows_in_table, first_row); r < end_row;
+       ++r) {
+    const auto& cells = conv.rows[r - first_row];
     db::Table::Row row;
-    row.reserve(conv.rows[i].size());
-    for (std::size_t c = 0; c < conv.rows[i].size(); ++c) {
-      auto v = db::parse_as(conv.rows[i][c], conv.schema[c].type);
+    row.reserve(cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      auto v = db::parse_as(cells[c], conv.schema[c].type);
       if (!v) {
         std::string where = *task.node + "/" + *task.file;
-        if (i < conv.row_lines.size()) {
-          where += ":" + std::to_string(conv.row_lines[i]);
+        if (r - first_row < conv.row_lines.size()) {
+          where += ":" + std::to_string(conv.row_lines[r - first_row]);
         }
         throw std::invalid_argument("StreamingTransformer: " + where +
-                                    ": cell '" + conv.rows[i][c] +
+                                    ": cell '" + cells[c] +
                                     "' does not fit column " +
                                     conv.schema[c].name + " of " + st.table);
       }
@@ -284,30 +316,21 @@ bool StreamingTransformer::reconcile_parse(ParseTask& task) {
   }
   static obs::Counter& rows_c =
       obs::Registry::global().counter("transform.rows_inserted");
-  if (conv.rows.size() > st.rows_in_table) {
-    rows_c.add(conv.rows.size() - st.rows_in_table);
+  if (end_row > st.rows_in_table) {
+    rows_c.add(end_row - st.rows_in_table);
+    st.rows_in_table = end_row;
   }
-  st.rows_in_table = conv.rows.size();
   if (observer_) {
-    for (std::size_t i = st.rows_notified; i < conv.rows.size(); ++i) {
-      observer_(st.table, conv.schema, conv.rows[i]);
+    for (std::size_t r = std::max(st.rows_notified, first_row); r < end_row;
+         ++r) {
+      observer_(st.table, conv.schema, conv.rows[r - first_row]);
     }
   }
-  st.rows_notified = std::max(st.rows_notified, conv.rows.size());
-  return true;
-}
-
-bool StreamingTransformer::parse_into_table(const std::string& node,
-                                            const std::string& file,
-                                            FileState& st, bool final_pass) {
-  ParseTask t = prepare_parse(node, file, st, final_pass);
-  if (!t.scheduled) return true;
-  run_parse(t);
-  return reconcile_parse(t);
+  st.rows_notified = std::max(st.rows_notified, end_row);
 }
 
 void StreamingTransformer::finalize() {
-  // Phase 1: fan the final full-content parses out across the pool.
+  // Phase 1: fan the final parses out across the pool.
   std::vector<ParseTask> scheduled;
   for (auto& [node, files] : nodes_) {
     for (auto& [file, st] : files) {

@@ -27,31 +27,39 @@ class ParsePool;
 /// they arrive from the collector and keeps mScopeDB continuously loaded,
 /// instead of transforming complete files after the run.
 ///
-/// The trick that makes this exact rather than approximate: every built-in
-/// mScopeParser is *prefix-stable* — parsing the first k lines of a file
-/// yields the first rows of parsing the whole file (headers only affect
-/// subsequent lines). So the streamer re-parses the accumulated
-/// complete-line prefix of each file and appends only the rows beyond what
-/// the table already holds. Re-parse points follow a geometric growth
-/// schedule, bounding total parse work at ~growth/(growth-1) times the
-/// one-shot cost.
+/// Each shipped byte is parsed once. Every line-oriented format has a
+/// resumable fast parser (FastParser::parse_more): each file keeps a parse
+/// State — next line number, columns with their running best-match types,
+/// and the format's carried context (tomcat call columns, the sar text /
+/// collectl csv header, iostat's current timestamp) — and each parse_all()
+/// pass parses, in place in the file's accumulated buffer, only the bytes
+/// between the last pass and the last complete line, appending just their
+/// rows. Parsing a file piece by piece yields
+/// exactly the schema and rows of one parse of the whole file, so the final
+/// table is identical to a batch import. ingest() only appends; the
+/// collectors call parse_all() on their parse tick.
 ///
-/// Parsing runs on the zero-copy fast path (transform/fastparse/) by
-/// default, reading each channel's accumulated buffer in place with no XML
-/// materialization; TransformConfig::use_reference_parser restores the
-/// regex oracle. With Config::transform.parse_workers > 1, parse_all() and
-/// finalize() fan the per-file parse passes out across a worker pool
-/// (batch-granular work stealing); table reconciliation always happens on
-/// the calling thread in sorted (node, file) order, so the warehouse is
-/// byte-identical at any worker count.
+/// Files with no line-resumable parser — sar's XML documents, and every
+/// file when TransformConfig::use_reference_parser selects the regex
+/// oracle — are parsed once, whole, at finalize(): a sar XML document is
+/// not well-formed until the monitor closes it at the end of the run.
+///
+/// With Config::transform.parse_workers > 1, parse_all() and finalize() fan
+/// the per-file parse passes out across a worker pool (batch-granular work
+/// stealing); table reconciliation always happens on the calling thread in
+/// sorted (node, file) order, so the warehouse is byte-identical at any
+/// worker count.
 ///
 /// Schema widening on the fly: the XMLtoCSV "best match" type of a column
 /// can widen as data arrives (Int -> Double -> Text), and new columns can
-/// appear. When the inferred schema of the prefix differs from the live
-/// table's, the table is dropped and rebuilt at the new schema — earlier
-/// rows are re-typed, so the final table is identical to a batch import.
+/// appear. Exact widenings apply in place (Table::try_widen). An inexact
+/// one (e.g. "042" read as Int 42, later re-typed to Text) drops the table
+/// and rebuilds it from the retained raw bytes: the file is re-parsed from
+/// byte 0 with a fresh State and every row re-inserted at the new schema.
+/// A parse that throws also restarts that file from byte 0 on the next
+/// pass, skipping the rows already in the table.
 ///
-/// finalize() parses each file's full content (including a trailing line
+/// finalize() parses what is left of each file (including a trailing line
 /// with no newline), appends the tail rows, and records ms_load_catalog /
 /// ms_monitor_deployment entries in the same order and with the same
 /// time-range computation as the batch pipeline — byte-for-byte parity is
@@ -59,17 +67,17 @@ class ParsePool;
 class StreamingTransformer {
  public:
   struct Config {
-    std::size_t min_parse_bytes = 2048;  ///< first re-parse threshold
-    double growth_factor = 1.5;          ///< geometric re-parse schedule
-    TransformConfig transform;           ///< parse path + worker pool
+    TransformConfig transform;  ///< parse path + worker pool
   };
 
   struct Stats {
     std::uint64_t bytes = 0;            ///< raw bytes ingested
     std::uint64_t chunks = 0;           ///< ingest() calls
-    std::uint64_t parse_passes = 0;     ///< incremental prefix parses
-    std::uint64_t parse_deferrals = 0;  ///< parses retried later (e.g. a
-                                        ///< mid-document XML prefix)
+    std::uint64_t parse_passes = 0;     ///< parse calls (resumed pieces,
+                                        ///< rebuilds, whole-file parses)
+    std::uint64_t parsed_bytes = 0;     ///< bytes those calls parsed
+    std::uint64_t parse_deferrals = 0;  ///< parses that threw (the file
+                                        ///< restarts from byte 0)
     std::uint64_t rows_live = 0;        ///< rows currently in dynamic tables
     std::uint64_t rows_inserted = 0;    ///< inserts incl. rebuild re-inserts
     std::uint64_t schema_rebuilds = 0;  ///< schema-change events (in-place
@@ -107,7 +115,7 @@ class StreamingTransformer {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Appends raw bytes of `file` on `node` (in offset order — the collector
-  /// guarantees this) and re-parses if the growth schedule says so.
+  /// guarantees this). Parsing happens in parse_all() and finalize().
   void ingest(const std::string& node, const std::string& file,
               std::string_view data);
 
@@ -138,13 +146,14 @@ class StreamingTransformer {
     return warnings_;
   }
 
-  /// Forces an incremental parse of every file regardless of the growth
-  /// schedule (bounds signal staleness for online consumers). Fans out
-  /// across the parse pool when Config::transform.parse_workers != 1.
+  /// Parses every resumable file's complete lines since its last pass and
+  /// loads their rows (bounds signal staleness for online consumers). Fans
+  /// out across the parse pool when Config::transform.parse_workers != 1.
   void parse_all();
 
-  /// End of stream: parses full contents, loads the tails, and records
-  /// load-catalog + deployment metadata exactly like the batch pipeline.
+  /// End of stream: parses each file's remaining bytes (whole files for the
+  /// ones parsed only here), loads the tails, and records load-catalog +
+  /// deployment metadata exactly like the batch pipeline.
   void finalize();
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -152,41 +161,43 @@ class StreamingTransformer {
  private:
   struct FileState {
     const Declaration* decl = nullptr;  ///< nullptr: no declaration matched
-    std::string content;                ///< full byte stream so far
-    std::size_t parsed_bytes = 0;       ///< prefix covered by the last parse
-    std::size_t next_parse_at = 0;      ///< growth-schedule trigger
+    /// Line-resumable parser; nullptr: the file is parsed once, whole, at
+    /// finalize().
+    std::shared_ptr<const fastparse::FastParser> parser;
+    fastparse::FastParser::State parse_state;  ///< resume point
+    std::string content;            ///< full byte stream so far
+    std::size_t parsed_bytes = 0;   ///< prefix already parsed
     std::size_t rows_in_table = 0;
     std::size_t rows_notified = 0;
-    std::uint64_t rejected = 0;  ///< rejected lines in the parsed prefix
+    std::uint64_t rejected = 0;  ///< rejected lines counted so far
     db::Schema schema;
     std::string table;
   };
 
-  /// One scheduled parse pass: the pure parse stage (run_parse) may execute
-  /// on a pool worker; reconcile_parse always runs on the calling thread.
+  /// One scheduled parse pass over bytes [begin, end) of a file: the pure
+  /// parse stage (run_parse) may execute on a pool worker; reconcile_parse
+  /// always runs on the calling thread. begin == 0 means the file's rows
+  /// restart at index 0.
   struct ParseTask {
     const std::string* node = nullptr;
     const std::string* file = nullptr;
     FileState* st = nullptr;
-    std::size_t prefix = 0;
-    bool final_pass = false;
+    std::size_t begin = 0;
+    std::size_t end = 0;
     bool scheduled = false;  ///< false: nothing to parse this pass
     ParseResult result;
-    bool deferred = false;  ///< parse threw; retry on a later pass
+    bool deferred = false;  ///< parse threw; restart from byte 0 next pass
   };
 
-  /// Growth-schedule bookkeeping + prefix computation. Returns a task with
+  /// The byte range the next pass parses. Returns a task with
   /// scheduled=false when there is nothing new to parse.
   ParseTask prepare_parse(const std::string& node, const std::string& file,
                           FileState& st, bool final_pass);
-  /// The pure parse stage — thread-safe, touches only the task and the
-  /// (internally locked) parser cache.
+  /// The pure parse stage — safe on a pool worker: touches only the task,
+  /// its file's parse state, and the (internally locked) parser cache.
   void run_parse(ParseTask& t) const;
   /// Serial stage: counters, schema reconciliation, row inserts, observer.
-  bool reconcile_parse(ParseTask& t);
-  /// prepare + run + reconcile inline (the ingest-triggered path).
-  bool parse_into_table(const std::string& node, const std::string& file,
-                        FileState& st, bool final_pass);
+  void reconcile_parse(ParseTask& t);
   /// Runs every scheduled task, on the pool when configured.
   void run_tasks(std::vector<ParseTask>& tasks);
 

@@ -18,6 +18,7 @@
 #include "core/online_collection.h"
 #include "core/online_detector.h"
 #include "logging/facility.h"
+#include "log_bytes.h"
 #include "scratch_dir.h"
 #include "sim/network.h"
 #include "sim/node.h"
@@ -437,6 +438,7 @@ class StreamingParityFixture : public ::testing::Test {
 
     exp_->run();
     online_->finish();
+    matched_bytes_ = test::matched_log_bytes(log_dir());
 
     db_batch_ = new db::Database();
     exp_->load_warehouse(*db_batch_);
@@ -458,6 +460,7 @@ class StreamingParityFixture : public ::testing::Test {
   static db::Database* db_batch_;
   static std::uint64_t rows_before_drain_;
   static std::size_t samples_before_end_;
+  static std::uint64_t matched_bytes_;
 };
 
 core::Experiment* StreamingParityFixture::exp_ = nullptr;
@@ -467,6 +470,7 @@ db::Database* StreamingParityFixture::db_stream_ = nullptr;
 db::Database* StreamingParityFixture::db_batch_ = nullptr;
 std::uint64_t StreamingParityFixture::rows_before_drain_ = 0;
 std::size_t StreamingParityFixture::samples_before_end_ = 0;
+std::uint64_t StreamingParityFixture::matched_bytes_ = 0;
 
 TEST_F(StreamingParityFixture, StreamedWarehouseIsByteIdenticalToBatch) {
   expect_identical_databases(*db_stream_, *db_batch_);
@@ -486,6 +490,9 @@ TEST_F(StreamingParityFixture, WarehouseFillsWhileRunning) {
   const auto& st = online_->transformer().stats();
   EXPECT_GT(rows_before_drain_, st.rows_live / 2);
   EXPECT_GT(st.parse_passes, 50u);
+  // Linear parse work: every byte shipped into a matched file is parsed
+  // exactly once, however many parse ticks the run had.
+  EXPECT_EQ(st.parsed_bytes, matched_bytes_);
   EXPECT_GT(online_->aggregator().stats().first_batch_at, 0);
   EXPECT_LT(online_->aggregator().stats().first_batch_at, sec(2));
 }
@@ -615,6 +622,54 @@ TEST(StreamingTransformer, WidensSchemaAcrossChunks) {
   EXPECT_GE(st.stats().schema_rebuilds, 1u);
   // Load catalog recorded once, with the final row count.
   EXPECT_EQ(db.get(db::Database::kLoadCatalogTable).row_count(), 1u);
+}
+
+void declare_widen_log(transform::StreamingTransformer& st) {
+  transform::Declaration d;
+  d.parser_id = "token_lines";
+  d.file_name = "widen.log";
+  d.source = "test";
+  d.table_prefix = "ev_widen";
+  d.monitor_name = "widen";
+  d.tokens.push_back({R"re(^(\S+) (\S+)$)re", {"a", "b"}});
+  st.declarations().add(d);
+}
+
+TEST(StreamingTransformer, InexactWideningRebuildsFromRawText) {
+  db::Database db;
+  transform::StreamingTransformer st(db);
+  declare_widen_log(st);
+  std::vector<std::string> announced;
+  st.set_row_observer([&announced](const std::string&, const db::Schema&,
+                                   const std::vector<std::string>& row) {
+    announced.push_back(row[0]);
+  });
+
+  // "042" reads as Int 42: re-rendering it after a widening to Text would
+  // give "42", so the widening cannot apply in place.
+  st.ingest("n1", "widen.log", "x 042\ny 7\n");
+  st.parse_all();
+  ASSERT_TRUE(db.exists("ev_widen_n1"));
+  EXPECT_EQ(db.get("ev_widen_n1").schema()[1].type, db::DataType::kInt);
+
+  st.ingest("n1", "widen.log", "z abc\nw 8");
+  st.finalize();
+  const db::Table& t = db.get("ev_widen_n1");
+  EXPECT_EQ(t.schema()[1].type, db::DataType::kText);
+  ASSERT_EQ(t.row_count(), 4u);
+  EXPECT_EQ(db::as_text(t.at(0, 1)), "042");  // rebuilt from the raw bytes
+  EXPECT_EQ(db::as_text(t.at(2, 1)), "abc");
+  EXPECT_EQ(announced, (std::vector<std::string>{"x", "y", "z", "w"}));
+  EXPECT_EQ(st.stats().rows_live, 4u);
+  EXPECT_EQ(st.stats().schema_rebuilds - st.stats().inplace_widens, 1u);
+
+  // Identical to streaming the same bytes in one piece.
+  db::Database one_piece;
+  transform::StreamingTransformer st1(one_piece);
+  declare_widen_log(st1);
+  st1.ingest("n1", "widen.log", "x 042\ny 7\nz abc\nw 8");
+  st1.finalize();
+  expect_identical_databases(db, one_piece);
 }
 
 // --- abandoned batches: the gap must be surfaced, never silently misparsed --

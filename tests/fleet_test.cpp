@@ -21,6 +21,7 @@
 #include "fleet/fleet_collection.h"
 #include "fleet/sharded_warehouse.h"
 #include "fleet/topology.h"
+#include "log_bytes.h"
 #include "scratch_dir.h"
 
 namespace mscope::fleet {
@@ -193,6 +194,7 @@ class FleetParityFixture : public ::testing::Test {
 
     exp_->run();
     fleet_->finish();
+    matched_bytes_ = test::matched_log_bytes(cfg.log_dir);
 
     db_batch_ = new db::Database();
     exp_->load_warehouse(*db_batch_);
@@ -212,6 +214,7 @@ class FleetParityFixture : public ::testing::Test {
   static ShardedWarehouse* fleet_db_;
   static FleetCollection* fleet_;
   static db::Database* db_batch_;
+  static std::uint64_t matched_bytes_;
 };
 
 core::Experiment* FleetParityFixture::exp_ = nullptr;
@@ -219,6 +222,7 @@ core::OnlineVsbDetector* FleetParityFixture::detector_ = nullptr;
 ShardedWarehouse* FleetParityFixture::fleet_db_ = nullptr;
 FleetCollection* FleetParityFixture::fleet_ = nullptr;
 db::Database* FleetParityFixture::db_batch_ = nullptr;
+std::uint64_t FleetParityFixture::matched_bytes_ = 0;
 
 TEST_F(FleetParityFixture, MergedWarehouseIsCellIdenticalToFlatBatch) {
   // The acceptance bar: the tree (leaf -> rack relay -> root, 4 shards,
@@ -263,6 +267,19 @@ TEST_F(FleetParityFixture, EveryHopDidRealWorkAndChargedForIt) {
   for (const auto& relay : fleet_->rack_relays()) {
     EXPECT_GT(relay->stats().bytes_in, 0u) << relay->name();
   }
+}
+
+TEST_F(FleetParityFixture, EveryShippedByteIsParsedOnce) {
+  // Linear parse work, summed over the per-shard transformers: each byte a
+  // shard ingested into a matched file went through exactly one parse.
+  std::uint64_t parsed = 0;
+  std::uint64_t passes = 0;
+  for (int i = 0; i < fleet_->topology().shards(); ++i) {
+    parsed += fleet_->shard_transformer(i).stats().parsed_bytes;
+    passes += fleet_->shard_transformer(i).stats().parse_passes;
+  }
+  EXPECT_EQ(parsed, matched_bytes_);
+  EXPECT_GT(passes, 64u);  // mid-run ticks, not one parse per file at the end
 }
 
 TEST_F(FleetParityFixture, DynamicTablesReadZeroCopyFromTheirShard) {

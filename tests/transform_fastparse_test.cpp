@@ -464,6 +464,57 @@ TEST(FastParseParity, SarXmlHasNoFastPathByDesign) {
   EXPECT_FALSE(res.conv.rows.empty());
 }
 
+TEST(StreamingTransformer, SarXmlIsParsedOnceAtFinalize) {
+  // A sar XML document is well-formed only once the monitor closes it, so
+  // the streamer leaves it alone on parse ticks and parses it whole at
+  // finalize() — the rows the reference parser gives the closed document.
+  std::string xml = fmt::sar_xml_open("db1", 8);
+  for (int i = 0; i < 20; ++i) {
+    fmt::CpuRow r;
+    r.t = i * 100 * kMsec;
+    r.user = 10.0 + i;
+    r.system = 3;
+    r.iowait = 1;
+    r.idle = 86.0 - i;
+    xml += fmt::sar_xml_cpu_timestamp(r);
+  }
+  xml += fmt::sar_xml_close();
+  DeclarationRegistry registry;
+  const Declaration* decl = registry.match("sar_cpu.xml");
+  ASSERT_NE(decl, nullptr);
+  const std::string table = decl->table_prefix + "_db1";
+
+  db::Database db;
+  StreamingTransformer st(db);
+  for (std::size_t off = 0; off < xml.size(); off += 97) {
+    st.ingest("db1", "sar_cpu.xml", std::string_view(xml).substr(off, 97));
+    st.parse_all();
+  }
+  EXPECT_EQ(st.stats().parsed_bytes, 0u);
+  EXPECT_EQ(st.stats().parse_passes, 0u);
+  EXPECT_EQ(st.stats().parse_deferrals, 0u);
+  EXPECT_FALSE(db.exists(table));
+
+  st.finalize();
+  EXPECT_EQ(st.stats().parsed_bytes, xml.size());
+  EXPECT_EQ(st.stats().parse_passes, 1u);
+
+  const Conversion ref = reference_parse(xml, {"db1", "sar_cpu.xml", decl});
+  ASSERT_EQ(ref.rows.size(), 20u);
+  db::Database db_ref;
+  (void)DataImporter::import(db_ref, table, ref);
+  ASSERT_TRUE(db.exists(table));
+  const db::Table& got = db.get(table);
+  const db::Table& want = db_ref.get(table);
+  ASSERT_EQ(got.schema(), want.schema());
+  ASSERT_EQ(got.row_count(), want.row_count());
+  for (std::size_t r = 0; r < want.row_count(); ++r) {
+    for (std::size_t c = 0; c < want.column_count(); ++c) {
+      ASSERT_TRUE(got.at(r, c) == want.at(r, c)) << "row " << r << " col " << c;
+    }
+  }
+}
+
 TEST(FastParseParity, UseReferenceParserFlagForcesOracle) {
   DeclarationRegistry registry;
   const Declaration* decl = registry.match("apache_access.log");
@@ -628,6 +679,79 @@ TEST(FastParseProperty, MutatedContentNeverCrashesAndMatchesOracle) {
   }
 }
 
+/// Cuts `content` at random line boundaries, on average every `every`-th
+/// one. Every piece but the last ends with '\n'; the last holds whatever
+/// follows the final cut (possibly empty, possibly a line with no '\n').
+std::vector<std::string_view> cut_at_lines(std::string_view content,
+                                           unsigned every, std::mt19937& rng) {
+  std::vector<std::string_view> pieces;
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < content.size(); ++i) {
+    if (content[i] == '\n' && rng() % every == 0) {
+      pieces.push_back(content.substr(begin, i + 1 - begin));
+      begin = i + 1;
+    }
+  }
+  pieces.push_back(content.substr(begin));
+  return pieces;
+}
+
+// Resumable parsing: feeding a file through parse_more() in line-aligned
+// pieces on one State must equal one parse() of the whole file — schema,
+// rows (earlier pieces padded to the final width), source lines and stats.
+// The clean inputs are cut at every line, so each header, tomcat call
+// column and skipped banner line meets a cut.
+TEST(FastParseProperty, ChunkedParseMatchesOneShot) {
+  std::mt19937 rng(20170605);  // deterministic: failures must reproduce
+  DeclarationRegistry registry;
+  for (const auto& f : all_fixtures()) {
+    const Declaration* decl = registry.match(f.file);
+    ASSERT_NE(decl, nullptr);
+    auto fp = FastParser::compile(*decl);
+    ASSERT_NE(fp, nullptr);
+    ParseContext ctx{"web1", f.file, decl};
+    std::vector<std::string> inputs = {f.content};
+    for (int iter = 0; iter < 40; ++iter) {
+      inputs.push_back(mutate(f.content, rng));
+    }
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      SCOPED_TRACE(std::string(f.file) + " input " + std::to_string(k));
+      ParseStats whole_stats;
+      const Conversion whole = fp->parse(inputs[k], ctx, whole_stats);
+
+      const unsigned every = k == 0 ? 1 : 1 + rng() % 6;
+      FastParser::State state;
+      ParseStats chunk_stats;
+      Conversion chunked;
+      for (const std::string_view piece : cut_at_lines(inputs[k], every, rng)) {
+        Conversion part = fp->parse_more(state, piece, ctx, chunk_stats);
+        // The schema only ever grows at the end: earlier columns keep their
+        // names and positions (their types may widen).
+        ASSERT_GE(part.schema.size(), chunked.schema.size());
+        for (std::size_t c = 0; c < chunked.schema.size(); ++c) {
+          ASSERT_EQ(part.schema[c].name, chunked.schema[c].name);
+        }
+        chunked.schema = part.schema;
+        chunked.source = part.source;
+        chunked.node = part.node;
+        chunked.file = part.file;
+        for (auto& row : part.rows) {
+          ASSERT_EQ(row.size(), part.schema.size());
+          chunked.rows.push_back(std::move(row));
+        }
+        chunked.row_lines.insert(chunked.row_lines.end(),
+                                 part.row_lines.begin(), part.row_lines.end());
+      }
+      for (auto& row : chunked.rows) row.resize(chunked.schema.size());
+
+      expect_same_conversion(whole, chunked, f.file);
+      EXPECT_EQ(whole.row_lines, chunked.row_lines);
+      EXPECT_EQ(whole_stats.lines, chunk_stats.lines);
+      EXPECT_EQ(whole_stats.rejected, chunk_stats.rejected);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Tentpole: batch pipeline parity and worker-pool determinism. The suite
 // name carries "StreamingParity" so CI's TSan job picks up the threaded
@@ -641,8 +765,6 @@ class StreamingParityFastpath : public ::testing::Test {
   /// ticks. Deterministic by construction.
   static void stream_all(db::Database& db, const TransformConfig& tc) {
     StreamingTransformer::Config cfg;
-    cfg.min_parse_bytes = 64;  // force many incremental passes
-    cfg.growth_factor = 1.3;
     cfg.transform = tc;
     StreamingTransformer st(db, cfg);
     const auto fixtures = all_fixtures();

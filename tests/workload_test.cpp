@@ -98,15 +98,21 @@ TEST(Rubbos, BufferMissMultiplierIncreasesReads) {
   {
     util::Rng rng(4);
     for (int i = 0; i < kN; ++i) {
-      for (const auto& d : Rubbos::make_demands(ix, rng, 1.0)[Rubbos::kMysql])
+      // Bound to a local: a range-for over a member of the returned
+      // temporary would read it after it is destroyed.
+      const auto demands = Rubbos::make_demands(ix, rng, 1.0);
+      for (const auto& d : demands[Rubbos::kMysql]) {
         base += d.disk_read_bytes > 0;
+      }
     }
   }
   {
     util::Rng rng(4);
     for (int i = 0; i < kN; ++i) {
-      for (const auto& d : Rubbos::make_demands(ix, rng, 3.0)[Rubbos::kMysql])
+      const auto demands = Rubbos::make_demands(ix, rng, 3.0);
+      for (const auto& d : demands[Rubbos::kMysql]) {
         boosted += d.disk_read_bytes > 0;
+      }
     }
   }
   EXPECT_NEAR(static_cast<double>(boosted) / base, 3.0, 0.35);
