@@ -11,8 +11,8 @@
 #include "sim/simulation.h"
 #include "transform/declaration.h"
 #include "transform/parsers.h"
+#include "transform/streaming.h"
 #include "transform/xml_to_csv.h"
-#include "transform/importer.h"
 #include "util/rng.h"
 
 namespace {
@@ -67,14 +67,16 @@ void BM_XmlToCsvConversion(benchmark::State& state) {
 }
 BENCHMARK(BM_XmlToCsvConversion)->Arg(1000)->Arg(10000);
 
+// One complete file through the batch load path: ingest + finalize() (fast
+// parse, typing, inserts, load catalog).
 void BM_DataImport(benchmark::State& state) {
   const auto lines = static_cast<int>(state.range(0));
-  const auto doc = parse_apache(make_apache_log(lines));
-  const auto conv = transform::XmlToCsvConverter::convert(*doc);
-  int round = 0;
+  const std::string content = make_apache_log(lines);
   for (auto _ : state) {
     db::Database db;
-    transform::DataImporter::import(db, "t" + std::to_string(round++), conv);
+    transform::StreamingTransformer st(db);
+    st.ingest("web1", "apache_access.log", std::string_view(content));
+    st.finalize();
     benchmark::DoNotOptimize(db);
   }
   state.SetItemsProcessed(state.iterations() * lines);

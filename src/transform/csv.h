@@ -7,8 +7,9 @@
 namespace mscope::transform {
 
 /// RFC-4180-ish CSV: fields containing comma, quote or newline are quoted;
-/// quotes are doubled. The XMLtoCSV converter writes through this and the
-/// Data Importer reads it back, so the pair must round-trip arbitrary text.
+/// quotes are doubled. The XMLtoCSV converter and the warehouse archive
+/// (WarehouseIO) write through this and read it back, so the pair must
+/// round-trip arbitrary text.
 class Csv {
  public:
   /// Renders one row.

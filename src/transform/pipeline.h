@@ -6,7 +6,6 @@
 
 #include "db/database.h"
 #include "transform/declaration.h"
-#include "transform/parse_path.h"
 #include "transform/transform_config.h"
 
 namespace mscope::transform {
@@ -15,39 +14,26 @@ namespace mscope::transform {
 ///
 /// For every log file under a run directory (layout: run_dir/<node>/<file>):
 ///   1. *Parsing declaration*: look the file up in the DeclarationRegistry;
-///   2. *Adding semantics*: run its mScopeParser, producing annotated XML;
-///   3. *XMLtoCSV*: infer the schema and materialize CSV + sidecar;
+///   2. *Adding semantics* + 3. *XMLtoCSV*: parse the file into typed rows
+///      under a best-match schema;
 ///   4. *Import*: create the dynamic table "<prefix>_<node>" in mScopeDB and
 ///      load the tuples.
-/// Intermediate artifacts are written under run_dir/transformed/<node>/ so
-/// every stage is inspectable (and so stages can be re-run independently).
+/// A run is one StreamingTransformer pass: each complete file is ingested
+/// once (its read buffer becomes the parse subject), then finalize() parses
+/// and loads every file. Stages 2-3 run on the compiled byte scanners; the
+/// regex mScopeParsers -> XML -> XMLtoCSV path is the reference oracle
+/// behind TransformConfig::use_reference_parser, with an identical
+/// warehouse either way.
 class DataTransformer {
  public:
   struct Config {
-    /// Materialize the stage-2 XML and stage-3 CSV on disk. Disable in
-    /// benchmarks that only care about the warehouse.
-    bool write_intermediates = true;
-    /// Re-read the CSV+sidecar from disk before importing (full fidelity to
-    /// the paper's file-based hand-off); otherwise import in memory.
-    bool import_from_files = false;
-    /// Worker threads for the parse/convert stages (they are pure per
-    /// file); imports always run on the calling thread in deterministic
-    /// file order, so results are identical at any parallelism.
-    /// 1 = serial, 0 = hardware concurrency.
-    unsigned parallelism = 1;
-    /// Parse-path selection. When write_intermediates is off, files go
-    /// through the zero-copy fast parser (transform/fastparse/) straight to
-    /// a Conversion with no intermediate XML; set
-    /// transform.use_reference_parser to force the regex oracle. With
-    /// write_intermediates on, the reference path always runs — the stage-2
-    /// XML artifact is its output.
-    TransformConfig transform;
+    TransformConfig transform;  ///< parse path + parse worker pool
   };
 
   struct FileReport {
     std::string node;
     std::string file;
-    std::string table;   ///< empty if the file was skipped
+    std::string table;   ///< empty if the file loaded no rows
     std::size_t entries = 0;
     bool matched = false;
   };
@@ -70,19 +56,15 @@ class DataTransformer {
   /// Access the declaration registry (to add custom log formats).
   [[nodiscard]] DeclarationRegistry& declarations() { return registry_; }
 
-  /// Transforms every recognized log under `run_dir` into `db`.
+  /// Transforms every recognized log under `run_dir` into `db`. Throws
+  /// std::invalid_argument if `run_dir` does not exist or a file maps onto a
+  /// table that exists or that another file loads, and std::runtime_error
+  /// naming the file if a file fails to parse.
   Report run(const std::filesystem::path& run_dir, db::Database& db) const;
-
-  /// Transforms a single log file belonging to `node`.
-  FileReport transform_file(const std::filesystem::path& file,
-                            const std::string& node, db::Database& db) const;
 
  private:
   DeclarationRegistry registry_;
   Config cfg_;
-  /// Compiled fast parsers, shared across files of one run (run() is const;
-  /// the cache is internally locked for the parallel prepare stage).
-  mutable ParserCache parser_cache_;
 };
 
 }  // namespace mscope::transform

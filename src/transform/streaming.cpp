@@ -7,12 +7,26 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "transform/fastparse/parse_pool.h"
-#include "transform/importer.h"
 #include "transform/parsers.h"
 #include "transform/xml_to_csv.h"
 #include "util/strings.h"
 
 namespace mscope::transform {
+
+namespace {
+
+/// Builds the time indexes mScopeSQL's scan pushdown bounds row ranges with
+/// (ts_usec, ua_usec, ud_usec); each insert then maintains them
+/// incrementally.
+void prewarm_time_indexes(const db::Table& table) {
+  for (const char* name : {"ts_usec", "ua_usec", "ud_usec"}) {
+    if (table.column_index(name)) {
+      (void)table.time_index(name);  // builds on miss, no-op for Text columns
+    }
+  }
+}
+
+}  // namespace
 
 StreamingTransformer::StreamingTransformer(db::Database& db, Config cfg)
     : db_(db), cfg_(cfg) {}
@@ -154,10 +168,10 @@ void StreamingTransformer::run_parse(ParseTask& t) const {
       t.result =
           parse_to_conversion(piece, ctx, cfg_.transform, parser_cache_);
     }
-  } catch (const std::exception&) {
+  } catch (const std::exception& e) {
     // Lossy backpressure policies can punch holes that make a file
     // unparseable; keep the rows loaded so far rather than losing the file.
-    t.deferred = true;
+    t.error = e.what();
   }
 }
 
@@ -181,7 +195,8 @@ void StreamingTransformer::run_tasks(std::vector<ParseTask>& tasks) {
 
 void StreamingTransformer::reconcile_parse(ParseTask& task) {
   FileState& st = *task.st;
-  if (task.deferred) {
+  st.parse_error = std::move(task.error);
+  if (st.parse_error) {
     ++stats_.parse_deferrals;
     static obs::Counter& deferrals =
         obs::Registry::global().counter("transform.parse_deferrals");
@@ -237,7 +252,18 @@ void StreamingTransformer::reconcile_parse(ParseTask& task) {
   if (conv.schema.empty()) return;  // no rows yet
 
   if (st.table.empty()) {
-    st.table = st.decl->table_prefix + "_" + *task.node;
+    std::string table = st.decl->table_prefix + "_" + *task.node;
+    const std::string owner = *task.node + "/" + *task.file;
+    const auto [it, fresh] = table_owner_.emplace(table, owner);
+    if (!fresh) {
+      throw std::invalid_argument("StreamingTransformer: " + owner + " and " +
+                                  it->second + " both load table " + table);
+    }
+    if (db_.exists(table)) {
+      throw std::invalid_argument("StreamingTransformer: " + owner +
+                                  ": table exists: " + table);
+    }
+    st.table = std::move(table);
   }
 
   // conv.rows are the file's rows [first_row, first_row + conv.rows.size()).
@@ -342,8 +368,8 @@ void StreamingTransformer::finalize() {
   run_tasks(scheduled);
 
   // Phase 2: reconcile + record metadata, walking (node, file) in sorted
-  // order — the same order DataTransformer::run imports in — so
-  // static-table rows land identically.
+  // order, so static-table rows land in the same order at any worker count
+  // and any ingest interleaving.
   std::size_t si = 0;
   for (auto& [node, files] : nodes_) {
     for (auto& [file, st] : files) {
@@ -362,6 +388,20 @@ void StreamingTransformer::finalize() {
       db_.record_deployment(node, st.decl->monitor_name, file, 0);
     }
   }
+}
+
+StreamingTransformer::FileOutcome StreamingTransformer::outcome(
+    const std::string& node, const std::string& file) const {
+  FileOutcome out;
+  const auto node_it = nodes_.find(node);
+  if (node_it == nodes_.end()) return out;
+  const auto it = node_it->second.find(file);
+  if (it == node_it->second.end()) return out;
+  const FileState& st = it->second;
+  out.table = st.table;
+  out.rows = st.rows_in_table;
+  out.parse_error = st.parse_error;
+  return out;
 }
 
 }  // namespace mscope::transform

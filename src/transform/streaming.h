@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,9 +24,10 @@ namespace fastparse {
 class ParsePool;
 }
 
-/// Incremental counterpart of DataTransformer: ingests raw log *bytes* as
-/// they arrive from the collector and keeps mScopeDB continuously loaded,
-/// instead of transforming complete files after the run.
+/// The transform engine: ingests raw log *bytes* as they arrive from the
+/// collector and keeps mScopeDB continuously loaded. The batch
+/// DataTransformer is a wrapper over it: one ingest per complete file, then
+/// finalize().
 ///
 /// Each shipped byte is parsed once. Every line-oriented format has a
 /// resumable fast parser (FastParser::parse_more): each file keeps a parse
@@ -36,7 +38,7 @@ class ParsePool;
 /// between the last pass and the last complete line, appending just their
 /// rows. Parsing a file piece by piece yields
 /// exactly the schema and rows of one parse of the whole file, so the final
-/// table is identical to a batch import. ingest() only appends; the
+/// table is identical to a batch run's. ingest() only appends; the
 /// collectors call parse_all() on their parse tick.
 ///
 /// Files with no line-resumable parser — sar's XML documents, and every
@@ -57,13 +59,20 @@ class ParsePool;
 /// and rebuilds it from the retained raw bytes: the file is re-parsed from
 /// byte 0 with a fresh State and every row re-inserted at the new schema.
 /// A parse that throws also restarts that file from byte 0 on the next
-/// pass, skipping the rows already in the table.
+/// pass, skipping the rows already in the table; its message is kept as the
+/// file's outcome().parse_error (a live stream with holes tolerates it, a
+/// batch run rethrows it).
+///
+/// Each dynamic table belongs to one (node, file): a file whose declaration
+/// maps onto a table another file of this transformer created, or onto one
+/// already in the database, is a configuration error (std::invalid_argument),
+/// not a merge.
 ///
 /// finalize() parses what is left of each file (including a trailing line
 /// with no newline), appends the tail rows, and records ms_load_catalog /
-/// ms_monitor_deployment entries in the same order and with the same
-/// time-range computation as the batch pipeline — byte-for-byte parity is
-/// asserted by tests/collector_test.cpp.
+/// ms_monitor_deployment entries in sorted (node, file) order, each with its
+/// table's anchor span — byte-for-byte parity with the regex-oracle batch
+/// load is asserted by tests/collector_test.cpp.
 class StreamingTransformer {
  public:
   struct Config {
@@ -153,10 +162,24 @@ class StreamingTransformer {
 
   /// End of stream: parses each file's remaining bytes (whole files for the
   /// ones parsed only here), loads the tails, and records load-catalog +
-  /// deployment metadata exactly like the batch pipeline.
+  /// deployment metadata. A parse that throws here is a deferral like any
+  /// other (see outcome()), so finalize() does not rethrow it.
   void finalize();
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
+
+  /// What one file has loaded so far.
+  struct FileOutcome {
+    std::string table;     ///< "" until the file yields a row
+    std::size_t rows = 0;  ///< rows of the file in `table`
+    /// what() of the file's last parse, if that parse threw.
+    std::optional<std::string> parse_error;
+  };
+
+  /// Outcome of (node, file); a default FileOutcome if it was never
+  /// ingested.
+  [[nodiscard]] FileOutcome outcome(const std::string& node,
+                                    const std::string& file) const;
 
  private:
   struct FileState {
@@ -172,6 +195,7 @@ class StreamingTransformer {
     std::uint64_t rejected = 0;  ///< rejected lines counted so far
     db::Schema schema;
     std::string table;
+    std::optional<std::string> parse_error;  ///< see FileOutcome
   };
 
   /// One scheduled parse pass over bytes [begin, end) of a file: the pure
@@ -186,7 +210,8 @@ class StreamingTransformer {
     std::size_t end = 0;
     bool scheduled = false;  ///< false: nothing to parse this pass
     ParseResult result;
-    bool deferred = false;  ///< parse threw; restart from byte 0 next pass
+    /// what() if the parse threw: the file restarts from byte 0 next pass.
+    std::optional<std::string> error;
   };
 
   /// The byte range the next pass parses. Returns a task with
@@ -210,9 +235,10 @@ class StreamingTransformer {
   obs::Tracer* tracer_ = nullptr;
   mutable ParserCache parser_cache_;
   std::unique_ptr<fastparse::ParsePool> pool_;
-  // node -> file -> state; both levels sorted so finalize() walks files in
-  // the same order as DataTransformer::run.
+  // node -> file -> state; both levels sorted so finalize() records the
+  // load catalog in (node, file) order.
   std::map<std::string, std::map<std::string, FileState>> nodes_;
+  std::map<std::string, std::string> table_owner_;  ///< table -> "node/file"
   Stats stats_;
   std::vector<std::string> warnings_;
 };

@@ -2,8 +2,8 @@
 
 namespace mscope::transform {
 
-/// Knobs shared by the batch (DataTransformer) and streaming
-/// (StreamingTransformer) transform paths.
+/// Knobs of the transform engine (StreamingTransformer), shared by the batch
+/// DataTransformer that wraps it.
 struct TransformConfig {
   /// Parse with the original std::regex mScopeParsers instead of the
   /// compiled byte-scanning fast path. The regex parsers are kept as the
@@ -12,7 +12,7 @@ struct TransformConfig {
   /// change results — only throughput.
   bool use_reference_parser = false;
 
-  /// Worker threads for the streaming transform's parse passes (the pure
+  /// Worker threads for the parse passes, streamed or batch (the pure
   /// tokenize/convert stage; table reconciliation always runs on the calling
   /// thread in deterministic file order, so the warehouse is identical at
   /// any worker count). 1 = parse inline, 0 = hardware concurrency.

@@ -37,8 +37,8 @@ struct XmlNode {
 };
 
 /// Serializes a tree (UTF-8, 1-space indent per depth, stable attribute
-/// order). Used to materialize the intermediate annotated logs on disk so
-/// every pipeline stage is inspectable.
+/// order), so an annotated log can be inspected or round-tripped through
+/// xml_parse.
 [[nodiscard]] std::string xml_serialize(const XmlNode& root,
                                         bool declaration = true);
 

@@ -41,11 +41,11 @@ class XmlToCsvConverter {
   [[nodiscard]] static std::string to_csv(const Conversion& c);
 
   /// Renders the schema sidecar ("column:type" per line) that accompanies
-  /// the CSV so the Data Importer can create the table without re-inferring.
+  /// the CSV so a loader can create the table without re-inferring.
   [[nodiscard]] static std::string schema_sidecar(const Conversion& c);
 
   /// Reconstructs a Conversion from a CSV document + schema sidecar
-  /// (the file-based hand-off between converter and importer).
+  /// (how WarehouseIO::load reads an archived table back).
   [[nodiscard]] static Conversion from_csv(std::string_view csv,
                                            std::string_view sidecar);
 };

@@ -440,8 +440,11 @@ class StreamingParityFixture : public ::testing::Test {
     online_->finish();
     matched_bytes_ = test::matched_log_bytes(log_dir());
 
+    // The batch load runs the regex/XML oracle, so the parity check below
+    // compares live streaming against an independent parse path.
     db_batch_ = new db::Database();
-    exp_->load_warehouse(*db_batch_);
+    exp_->load_warehouse(*db_batch_,
+                         {.transform = {.use_reference_parser = true}});
   }
 
   static void TearDownTestSuite() {
@@ -670,6 +673,41 @@ TEST(StreamingTransformer, InexactWideningRebuildsFromRawText) {
   st1.ingest("n1", "widen.log", "x 042\ny 7\nz abc\nw 8");
   st1.finalize();
   expect_identical_databases(db, one_piece);
+}
+
+TEST(StreamingTransformer, TwoFilesOneTableIsRejected) {
+  // Two declarations share a table prefix: the second file to yield rows
+  // must not take over (or merge into) the first file's table.
+  db::Database db;
+  transform::StreamingTransformer st(db);
+  transform::Declaration d;
+  d.parser_id = "token_lines";
+  d.source = "test";
+  d.table_prefix = "res_shared";
+  d.monitor_name = "shared";
+  d.file_name = "a.log";
+  d.tokens = {{R"re(^(\d+) (\w+)$)re", {"n", "word"}}};
+  st.declarations().add(d);
+  d.file_name = "b.log";
+  d.tokens = {{R"re(^(\w+)=(\w+)$)re", {"k", "v"}}};
+  st.declarations().add(d);
+
+  st.ingest("web1", "a.log", "7 hello\n8 world\n");
+  st.parse_all();
+  ASSERT_EQ(db.get("res_shared_web1").row_count(), 2u);
+  st.ingest("web1", "b.log", "k=v\n");
+  try {
+    st.parse_all();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    for (const char* part : {"web1/a.log", "web1/b.log", "res_shared_web1"}) {
+      EXPECT_NE(what.find(part), std::string::npos) << what;
+    }
+  }
+  // a.log's rows are untouched.
+  EXPECT_EQ(db.get("res_shared_web1").row_count(), 2u);
+  EXPECT_EQ(st.stats().rows_live, 2u);
 }
 
 // --- abandoned batches: the gap must be surfaced, never silently misparsed --

@@ -11,6 +11,7 @@
 #include "logging/formats.h"
 #include "scratch_dir.h"
 #include "transform/pipeline.h"
+#include "transform/streaming.h"
 
 namespace mscope {
 namespace {
@@ -88,12 +89,35 @@ TEST_F(RobustnessFixture, EmptyLogFileProducesNoTable) {
   EXPECT_EQ(report.files[0].entries, 0u);
 }
 
+constexpr const char* kTruncatedSarXml =
+    "<sysstat><host nodename=\"web1\"><statistics><timestamp";
+
 TEST_F(RobustnessFixture, MalformedSarXmlThrowsWithContext) {
-  write("sar_cpu.xml", "<sysstat><host nodename=\"web1\"><statistics>"
-                       "<timestamp");  // truncated
+  write("sar_cpu.xml", kTruncatedSarXml);
   db::Database db;
   transform::DataTransformer transformer;
-  EXPECT_THROW((void)transformer.run(run_dir_, db), std::runtime_error);
+  try {
+    (void)transformer.run(run_dir_, db);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("web1/sar_cpu.xml"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(RobustnessFixture, MalformedSarXmlIsADeferralWhenStreamed) {
+  // The lossy-stream contract: a live stream with holes may leave a file
+  // unparseable; finalize() keeps going and counts the deferral instead.
+  db::Database db;
+  transform::StreamingTransformer st(db);
+  st.ingest("web1", "sar_cpu.xml", kTruncatedSarXml);
+  EXPECT_NO_THROW(st.finalize());
+  EXPECT_EQ(st.stats().parse_deferrals, 1u);
+  EXPECT_TRUE(st.outcome("web1", "sar_cpu.xml").parse_error.has_value());
+  for (const auto& name : db.table_names()) {
+    EXPECT_EQ(name.rfind("ms_", 0), 0u) << "dynamic table " << name;
+  }
 }
 
 TEST_F(RobustnessFixture, SarXmlWithoutSamplesIsHarmless) {

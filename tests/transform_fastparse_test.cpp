@@ -24,7 +24,6 @@
 #include "obs/metrics.h"
 #include "transform/fastparse/fast_parser.h"
 #include "transform/fastparse/pattern.h"
-#include "transform/importer.h"
 #include "transform/parse_path.h"
 #include "transform/parsers.h"
 #include "transform/pipeline.h"
@@ -501,16 +500,15 @@ TEST(StreamingTransformer, SarXmlIsParsedOnceAtFinalize) {
 
   const Conversion ref = reference_parse(xml, {"db1", "sar_cpu.xml", decl});
   ASSERT_EQ(ref.rows.size(), 20u);
-  db::Database db_ref;
-  (void)DataImporter::import(db_ref, table, ref);
   ASSERT_TRUE(db.exists(table));
   const db::Table& got = db.get(table);
-  const db::Table& want = db_ref.get(table);
-  ASSERT_EQ(got.schema(), want.schema());
-  ASSERT_EQ(got.row_count(), want.row_count());
-  for (std::size_t r = 0; r < want.row_count(); ++r) {
-    for (std::size_t c = 0; c < want.column_count(); ++c) {
-      ASSERT_TRUE(got.at(r, c) == want.at(r, c)) << "row " << r << " col " << c;
+  ASSERT_EQ(got.schema(), ref.schema);
+  ASSERT_EQ(got.row_count(), ref.rows.size());
+  for (std::size_t r = 0; r < ref.rows.size(); ++r) {
+    for (std::size_t c = 0; c < ref.schema.size(); ++c) {
+      const auto want = db::parse_as(ref.rows[r][c], ref.schema[c].type);
+      ASSERT_TRUE(want.has_value()) << "row " << r << " col " << c;
+      ASSERT_TRUE(got.at(r, c) == *want) << "row " << r << " col " << c;
     }
   }
 }
@@ -575,47 +573,6 @@ TEST(FastParseRejected, StreamingCountsRejectedIntoStatsAndRegistry) {
   EXPECT_EQ(st.stats().rejected_lines, 2u);
   EXPECT_EQ(total.get() - total0, 2u);
   EXPECT_EQ(apache.get() - apache0, 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: DataImporter errors carry file:line context.
-// ---------------------------------------------------------------------------
-
-TEST(FastParseErrors, ImportErrorPointsAtSourceLine) {
-  Conversion c;
-  c.source = "apache";
-  c.node = "web1";
-  c.file = "apache_access.log";
-  c.schema = {{"ts_usec", db::DataType::kInt}};
-  c.rows = {{"12"}, {"not-a-number"}};
-  c.row_lines = {4, 17};  // fast path: 1-based raw-log line per row
-  db::Database db;
-  try {
-    (void)DataImporter::import(db, "ev_apache_web1", c);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("web1/apache_access.log:17"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(FastParseErrors, ImportErrorWithoutLinesFallsBackToRowIndex) {
-  Conversion c;
-  c.source = "apache";
-  c.node = "web1";
-  c.file = "apache_access.log";
-  c.schema = {{"ts_usec", db::DataType::kInt}};
-  c.rows = {{"boom"}};
-  db::Database db;
-  try {
-    (void)DataImporter::import(db, "t", c);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("web1/apache_access.log row 1"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -817,16 +774,12 @@ TEST_F(StreamingParityFastpath, BatchTransformerFastPathMatchesReference) {
   }
 
   DataTransformer::Config fast_cfg;
-  fast_cfg.write_intermediates = false;
   DataTransformer::Config ref_cfg;
-  ref_cfg.write_intermediates = false;
   ref_cfg.transform.use_reference_parser = true;
-  DataTransformer::Config xml_cfg;  // default: full XML/CSV artifact path
 
-  db::Database db_fast, db_ref, db_xml;
+  db::Database db_fast, db_ref;
   const auto rep_fast = DataTransformer(fast_cfg).run(run_dir, db_fast);
   const auto rep_ref = DataTransformer(ref_cfg).run(run_dir, db_ref);
-  const auto rep_xml = DataTransformer(xml_cfg).run(run_dir, db_xml);
 
   EXPECT_EQ(rep_fast.rows_loaded, rep_ref.rows_loaded);
   EXPECT_EQ(rep_fast.tables_created, rep_ref.tables_created);
@@ -836,7 +789,6 @@ TEST_F(StreamingParityFastpath, BatchTransformerFastPathMatchesReference) {
         << rep_fast.files[i].file;
   }
   expect_identical_databases(db_ref, db_fast, "batch fast vs reference");
-  expect_identical_databases(db_xml, db_fast, "batch fast vs XML artifacts");
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "scratch_dir.h"
-#include "transform/importer.h"
 #include "transform/pipeline.h"
 #include "transform/xml.h"
 #include "transform/xml_to_csv.h"
@@ -88,26 +87,6 @@ TEST(XmlToCsv, FromCsvValidates) {
                std::runtime_error);
 }
 
-TEST(DataImporter, CreatesTableAndRecordsCatalog) {
-  const XmlNode root = make_logfile({
-      {{"ts_usec", "100"}, {"v", "1.5"}},
-      {{"ts_usec", "300"}, {"v", "2.5"}},
-  });
-  const Conversion c = XmlToCsvConverter::convert(root);
-  db::Database db;
-  const auto result = DataImporter::import(db, "res_test_web1", c);
-  EXPECT_EQ(result.rows, 2u);
-  const db::Table& t = db.get("res_test_web1");
-  EXPECT_EQ(t.row_count(), 2u);
-  const db::Table& catalog = db.get(db::Database::kLoadCatalogTable);
-  ASSERT_EQ(catalog.row_count(), 1u);
-  EXPECT_EQ(std::get<std::int64_t>(catalog.at(0, "t_min_usec")), 100);
-  EXPECT_EQ(std::get<std::int64_t>(catalog.at(0, "t_max_usec")), 300);
-  // Re-import under the same name is an error (table exists).
-  EXPECT_THROW((void)DataImporter::import(db, "res_test_web1", c),
-               std::invalid_argument);
-}
-
 class PipelineFixture : public ::testing::Test {
  protected:
   PipelineFixture() : run_dir_(test::fresh_scratch_dir("pipeline")) {
@@ -158,37 +137,16 @@ TEST_F(PipelineFixture, EndToEndTwoNodes) {
             util::sec(1));
   EXPECT_DOUBLE_EQ(
       std::get<double>(db.get("res_iostat_db1").at(0, "util_pct")), 43.0);
-  // Intermediate artifacts were materialized.
-  EXPECT_TRUE(fs::exists(run_dir_ / "transformed" / "web1" /
-                         "apache_access.log.xml"));
-  EXPECT_TRUE(fs::exists(run_dir_ / "transformed" / "web1" /
-                         "apache_access.log.csv"));
+  // The load goes straight to the warehouse: no intermediate artifacts.
+  EXPECT_FALSE(fs::exists(run_dir_ / "transformed"));
   // Deployment metadata recorded.
   EXPECT_EQ(db.get(db::Database::kDeploymentTable).row_count(), 2u);
 }
 
-TEST_F(PipelineFixture, ImportFromFilesPathMatchesInMemory) {
-  write("web1", "apache_access.log",
-        "10.0.0.2 - - [01/Jan/2017:00:00:01.000 +0000] "
-        "\"GET /rubbos/Search HTTP/1.1\" 200 5000 2500\n");
-  db::Database mem_db, file_db;
-  DataTransformer mem_t({/*write_intermediates=*/false, false});
-  DataTransformer file_t({/*write_intermediates=*/true, true});
-  mem_t.run(run_dir_, mem_db);
-  file_t.run(run_dir_, file_db);
-  const auto& a = mem_db.get("ev_apache_web1");
-  const auto& b = file_db.get("ev_apache_web1");
-  ASSERT_EQ(a.row_count(), b.row_count());
-  for (std::size_t r = 0; r < a.row_count(); ++r) {
-    for (std::size_t c = 0; c < a.column_count(); ++c) {
-      EXPECT_EQ(db::compare(a.at(r, c), b.at(r, c)), 0);
-    }
-  }
-}
-
 TEST_F(PipelineFixture, ParallelRunMatchesSerial) {
-  // Several files across two nodes; a 4-worker run must produce a warehouse
-  // identical to the serial one (imports are serialized in file order).
+  // Several files across two nodes; a 4-parse-worker run must produce a
+  // warehouse identical to the serial one (tables are loaded serially in
+  // file order).
   for (int i = 0; i < 3; ++i) {
     const std::string ts = "00:00:0" + std::to_string(i) + ".000";
     write("web1", "cjdbc_controller.log",
@@ -206,14 +164,8 @@ TEST_F(PipelineFixture, ParallelRunMatchesSerial) {
         "20170101,00:00:00.050,1.0,2.0,0.5,96.5,100,2048,10,20,3.0,0\n");
 
   db::Database serial_db, parallel_db;
-  DataTransformer serial({.write_intermediates = false,
-                          .import_from_files = false,
-                          .parallelism = 1,
-                          .transform = {}});
-  DataTransformer parallel({.write_intermediates = false,
-                            .import_from_files = false,
-                            .parallelism = 4,
-                            .transform = {}});
+  DataTransformer serial({.transform = {.parse_workers = 1}});
+  DataTransformer parallel({.transform = {.parse_workers = 4}});
   const auto sr = serial.run(run_dir_, serial_db);
   const auto pr = parallel.run(run_dir_, parallel_db);
   EXPECT_EQ(sr.tables_created, pr.tables_created);
@@ -237,28 +189,58 @@ TEST_F(PipelineFixture, ParallelRunMatchesSerial) {
 }
 
 TEST_F(PipelineFixture, ParsePassesMatchMatchedFiles) {
-  // One parse pass per matched file, whichever path parses it: the XML
-  // intermediates come from the reference parser, the direct path from the
-  // fast scanner (or its reference fallback).
+  // One parse pass per matched file, whichever path parses it: the
+  // reference parser under use_reference_parser, else the fast scanner.
   write_two_nodes();
   const obs::Counter& fast =
       obs::Registry::global().counter("transform.parse.fast_passes");
   const obs::Counter& ref =
       obs::Registry::global().counter("transform.parse.ref_passes");
-  for (const bool xml : {true, false}) {
-    SCOPED_TRACE(xml ? "XML intermediates" : "direct");
+  for (const bool reference : {true, false}) {
+    SCOPED_TRACE(reference ? "reference parser" : "fast parser");
     const std::uint64_t before = fast.get() + ref.get();
     db::Database db;
-    const auto report = DataTransformer({.write_intermediates = xml,
-                                         .import_from_files = false,
-                                         .parallelism = 1,
-                                         .transform = {}})
-                            .run(run_dir_, db);
+    const auto report =
+        DataTransformer({.transform = {.use_reference_parser = reference}})
+            .run(run_dir_, db);
     std::uint64_t matched = 0;
     for (const auto& f : report.files) matched += f.matched ? 1 : 0;
     EXPECT_EQ(matched, 2u);
     EXPECT_EQ(fast.get() + ref.get() - before, matched);
   }
+}
+
+TEST_F(PipelineFixture, TwoFilesOneTableThrows) {
+  // Two declarations share a table prefix, so both web1 files would load
+  // res_custom_web1: the run refuses instead of merging them.
+  write("web1", "a.log", "7 hello\n8 world\n");
+  write("web1", "b.log", "k=v\n");
+  DataTransformer transformer;
+  const auto declare = [&](const std::string& file, const std::string& regex,
+                           std::vector<std::string> fields) {
+    Declaration d;
+    d.parser_id = "token_lines";
+    d.file_name = file;
+    d.source = "custom";
+    d.table_prefix = "res_custom";
+    d.monitor_name = "Custom";
+    d.tokens.push_back({regex, std::move(fields)});
+    transformer.declarations().add(std::move(d));
+  };
+  declare("a.log", R"((\d+) (\w+))", {"n", "word"});
+  declare("b.log", R"((\w+)=(\w+))", {"k", "v"});
+  db::Database db;
+  EXPECT_THROW((void)transformer.run(run_dir_, db), std::invalid_argument);
+}
+
+TEST_F(PipelineFixture, SecondRunIntoOneDatabaseThrows) {
+  // Loading the same logs twice must not append duplicate rows.
+  write_two_nodes();
+  db::Database db;
+  DataTransformer transformer;
+  (void)transformer.run(run_dir_, db);
+  EXPECT_THROW((void)transformer.run(run_dir_, db), std::invalid_argument);
+  EXPECT_EQ(db.get("ev_apache_web1").row_count(), 1u);
 }
 
 TEST_F(PipelineFixture, MissingDirectoryThrows) {
