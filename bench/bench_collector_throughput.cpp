@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
   const auto batch_nodes = batch.testbed().node_stats();
 
   // Streaming: identical testbed, with mScopeCollector attached. Records
-  // flow monitored node -> ring buffer -> shipper -> network -> aggregator
-  // -> streaming transformer -> mScopeDB, all in virtual time.
+  // flow monitored node -> ring buffer -> shipper -> network -> root
+  // collector -> streaming transformer -> mScopeDB, all in virtual time.
   core::Experiment online(base_config("online", workload, nodes));
   db::Database db_stream;
   auto collection = online.start_online(db_stream);
@@ -68,21 +68,21 @@ int main(int argc, char** argv) {
   collection->finish();
   const auto online_nodes = online.testbed().node_stats();
   const auto totals = collection->totals();
-  const auto& agg = collection->aggregator().stats();
+  const auto& root = collection->pipeline().root_stats();
 
   const double dur_sec = util::to_sec(online.config().duration);
-  const double records_per_sec = static_cast<double>(agg.records) / dur_sec;
-  const double kb_per_sec = static_cast<double>(agg.bytes) / 1024.0 / dur_sec;
+  const double records_per_sec = static_cast<double>(root.records) / dur_sec;
+  const double kb_per_sec = static_cast<double>(root.bytes) / 1024.0 / dur_sec;
 
   std::printf("mScopeCollector streaming throughput (virtual time)\n");
   std::printf("%-28s%12llu\n", "records shipped",
-              static_cast<unsigned long long>(agg.records));
+              static_cast<unsigned long long>(root.records));
   std::printf("%-28s%12llu\n", "batches delivered",
-              static_cast<unsigned long long>(agg.batches));
+              static_cast<unsigned long long>(root.batches));
   std::printf("%-28s%12.0f\n", "records/sec", records_per_sec);
   std::printf("%-28s%12.1f\n", "KB/sec shipped", kb_per_sec);
   std::printf("%-28s%12.3f\n", "first batch at (s)",
-              util::to_sec(agg.first_batch_at));
+              util::to_sec(root.first_batch_at));
   std::printf("%-28s%12llu\n", "records dropped",
               static_cast<unsigned long long>(totals.dropped));
   std::printf("%-28s%12llu\n", "shipper retries",
@@ -108,8 +108,8 @@ int main(int argc, char** argv) {
        static_cast<double>(online_nodes.size())) *
       100.0;
   const double coll_busy =
-      busy_pct(collection->collector_node().counters(),
-               collection->collector_node().cores());
+      busy_pct(collection->pipeline().root_node().counters(),
+               collection->pipeline().root_node().cores());
   std::printf("\nmodeled shipping CPU: %.3f%% of fleet capacity; "
               "collector node busy %.2f%%\n",
               ship_cpu_pct, coll_busy);
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
         "block policy ships every record (no drops, no abandoned batches)");
   check(records_per_sec > 1000,
         "collector sustains >1000 records/sec of virtual log traffic");
-  check(agg.first_batch_at >= 0 && agg.first_batch_at < util::sec(1),
+  check(root.first_batch_at >= 0 && root.first_batch_at < util::sec(1),
         "warehouse starts filling within the first second");
   check(min_overhead > -0.5 && max_overhead < 3.0,
         "collection CPU overhead stays inside the paper's monitor band");

@@ -49,7 +49,7 @@ RunResult run_streamed(const std::string& tag, bool observed) {
   core::Experiment exp(workload_config(tag));
   db::Database db;
   core::OnlineCollection::Config ccfg;
-  if (observed) ccfg.observability.emplace();
+  if (observed) ccfg.observability.emplace().trace = true;
   auto collection = exp.start_online(db, nullptr, ccfg);
   const auto t0 = Clock::now();
   exp.run();

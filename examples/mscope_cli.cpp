@@ -534,7 +534,7 @@ int cmd_stats(const Args& a) {
   core::Experiment exp(cfg);
   db::Database db;
   core::OnlineCollection::Config ccfg;
-  ccfg.observability.emplace();
+  ccfg.observability.emplace().trace = true;
   auto collection = exp.start_online(db, nullptr, ccfg);
   exp.run();
   collection->finish();

@@ -41,7 +41,7 @@ int main() {
   // stage lands on a Chrome-trace timeline.
   db::Database db;
   core::OnlineCollection::Config ccfg;
-  ccfg.observability.emplace();
+  ccfg.observability.emplace().trace = true;
   auto collection = exp.start_online(db, &detector, ccfg);
 
   detector.set_callback([&](const core::OnlineVsbDetector::Alarm& a) {
@@ -156,10 +156,11 @@ int main() {
   // mScopeMeta artifacts: the run's pipeline spans as a Chrome trace (load
   // in about://tracing or ui.perfetto.dev), and the monitor's own health
   // series queryable inside the very warehouse it monitored.
-  collection->tracer()->save_chrome_json("online_diagnosis_trace.json");
+  collection->pipeline().tracer()->save_chrome_json(
+      "online_diagnosis_trace.json");
   std::printf("\nmScopeMeta: %zu pipeline spans -> online_diagnosis_trace.json\n",
-              collection->tracer()->spans().size());
-  const auto& meta = *collection->exporter();
+              collection->pipeline().tracer()->spans().size());
+  const auto& meta = *collection->pipeline().exporter();
   std::printf("  %s: %zu rows over %llu export ticks; %s: %zu rows\n",
               meta.metrics_table().c_str(),
               db.exists(meta.metrics_table())

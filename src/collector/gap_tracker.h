@@ -9,14 +9,14 @@
 namespace mscope::collector {
 
 /// Offset-gap accounting for one fan-in point, shared by every hop of a
-/// collection tree (the single-node Aggregator, a rack RelayAggregator, the
-/// fleet root). Tailers emit contiguous byte ranges per (node, file,
-/// generation), so at any hop the only way an arriving chunk's offset can
-/// jump past the bytes seen so far is a batch some upstream link abandoned
-/// after exhausting its retries. The tracker detects the hole, sizes it, and
-/// attributes it to the origin node — the attribution survives re-framing
-/// because chunks carry their origin (node, file, offset, generation)
-/// unchanged through every hop.
+/// collection tree (a rack or pod RelayAggregator, the root collector).
+/// Tailers emit contiguous byte ranges per (node, file, generation), so at
+/// any hop the only way an arriving chunk's offset can jump past the bytes
+/// seen so far is a batch some upstream link abandoned after exhausting its
+/// retries. The tracker detects the hole, sizes it, and attributes it to the
+/// origin node — the attribution survives re-framing because chunks carry
+/// their origin (node, file, offset, generation) unchanged through every
+/// hop.
 ///
 /// Under chaos the tracker also powers the *dedup* side of at-least-once
 /// delivery: an ack-lost transfer is retransmitted, so a chunk can arrive
@@ -42,20 +42,14 @@ class GapTracker {
     std::uint64_t dup_bytes = 0;  ///< leading bytes already seen (trim these)
   };
 
-  /// Observes a chunk of `size` bytes of (node, file) at `offset` within
-  /// `generation`. Returns the number of bytes skipped since the last
-  /// observed position (0 = contiguous). A rotation (new generation) resets
-  /// the expected position without counting a gap.
-  std::uint64_t observe(const std::string& node, const std::string& file,
-                        std::uint64_t generation, std::uint64_t offset,
-                        std::uint64_t size) {
-    return admit(node, file, generation, offset, size).skipped;
-  }
-
-  /// Like observe(), but also reports how many leading bytes of the chunk
-  /// were already admitted at this hop (an ack-loss redelivery overlap).
-  /// The caller must drop exactly `dup_bytes` from the chunk's front before
-  /// forwarding/ingesting it — after the trim the remainder is brand new.
+  /// Admits a chunk of `size` bytes of (node, file) at `offset` within
+  /// `generation`: reports the bytes skipped since the last admitted
+  /// position (0 = contiguous) and how many leading bytes of the chunk were
+  /// already admitted at this hop (an ack-loss redelivery overlap). A
+  /// rotation (new generation) resets the expected position without
+  /// counting a gap. The caller must drop exactly `dup_bytes` from the
+  /// chunk's front before forwarding/ingesting it — after the trim the
+  /// remainder is brand new.
   Admit admit(const std::string& node, const std::string& file,
               std::uint64_t generation, std::uint64_t offset,
               std::uint64_t size) {
@@ -121,19 +115,12 @@ class GapTracker {
     return per_node_;
   }
 
+ private:
   struct StreamPos {
     std::uint64_t generation = 0;
     std::uint64_t offset = 0;  ///< next expected byte position
   };
 
-  /// Per-channel positions, keyed (node, file) — lets tests assert exact
-  /// byte conservation channel by channel.
-  [[nodiscard]] const std::map<std::pair<std::string, std::string>, StreamPos>&
-  per_channel() const {
-    return positions_;
-  }
-
- private:
   std::map<std::pair<std::string, std::string>, StreamPos> positions_;
   std::map<std::string, Stats> per_node_;
   Stats stats_;

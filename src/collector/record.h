@@ -9,7 +9,7 @@
 namespace mscope::collector {
 
 /// One chunk of raw log bytes captured by a LogTailer. Chunks preserve the
-/// file's byte stream exactly (the aggregator re-assembles them by
+/// file's byte stream exactly (the collector re-assembles them by
 /// concatenation in offset order), and — except for the final flush of a
 /// file that does not end in a newline — always end on a line boundary.
 struct Record {

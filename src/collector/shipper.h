@@ -22,7 +22,7 @@ using util::SimTime;
 ///
 /// Transfer is stop-and-wait (one ReliableLink transfer at a time), and no
 /// new batch is assembled while one is retrying. That guarantees the
-/// aggregator sees each file's bytes in offset order (the property the
+/// next hop sees each file's bytes in offset order (the property the
 /// streaming transformer depends on) — the same in-order delivery a single
 /// TCP connection would give a real collector. While a batch retries, the
 /// ring buffer keeps absorbing new records, so transport faults turn into

@@ -1,197 +1,67 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
-#include <functional>
-#include <map>
-#include <memory>
-#include <optional>
-#include <string>
-#include <vector>
+#include <utility>
 
-#include "collector/aggregator.h"
-#include "collector/log_tailer.h"
-#include "collector/ring_buffer.h"
-#include "collector/shipper.h"
 #include "core/online_detector.h"
-#include "core/queue_signal.h"
 #include "core/testbed.h"
 #include "db/database.h"
-#include "db/wal/wal.h"
-#include "obs/meta_exporter.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "sim/node.h"
-#include "transform/streaming.h"
+#include "fleet/fleet_collection.h"
 
 namespace mscope::core {
 
-/// mScopeCollector wired onto a Testbed: the full streaming path
-///
-///   LoggingFacility --write observer--> LogTailer --> RingBuffer
-///     --> Shipper --sim::Network--> Aggregator --> StreamingTransformer
-///     --> mScopeDB (live) --> OnlineVsbDetector queue signal
-///
-/// Construct it *before* Testbed::run() with the same Database the analyses
-/// will read; during the run every node's native logs stream into a
-/// dedicated collector machine and mScopeDB fills up continuously. After the
-/// run, finish() drains what is still in flight and finalizes the warehouse
-/// — with the default block backpressure policy the result is byte-identical
-/// to the post-hoc batch transform of the same logs.
+/// The flat mScopeCollector deployment: every monitored node ships straight
+/// to one collector machine that streams into the caller's Database — a
+/// one-level, one-shard fleet::FleetCollection (the Config defaults).
+/// Construct it *before* Testbed::run(); call finish() after it. Everything
+/// beyond this façade is on pipeline().
 class OnlineCollection {
  public:
-  struct Config {
-    std::size_t buffer_capacity = 4096;  ///< records per node buffer
-    collector::OverflowPolicy policy = collector::OverflowPolicy::kBlock;
-    collector::LogTailer::Config tailer;
-    collector::Shipper::Config shipper;
-    collector::Aggregator::Config aggregator;
-    transform::StreamingTransformer::Config streaming;
+  using Config = fleet::FleetCollection::Config;
 
-    /// Worker threads for the streaming parse passes (shorthand for
-    /// streaming.transform.parse_workers; any value != 1 wins over the
-    /// nested field). 1 = serial, 0 = hardware concurrency. Reconciliation
-    /// stays on the calling thread in deterministic order, so the warehouse
-    /// is byte-identical at any worker count.
-    unsigned transform_workers = 1;
-
-    /// Cadence of the forced incremental parse + queue estimation tick
-    /// (bounds how stale the live signal can get).
-    SimTime parse_interval = 250 * util::kMsec;
-    /// Queue depth is evaluated this far behind the newest departure seen,
-    /// so rows still in flight through the pipeline rarely invalidate it.
-    SimTime queue_watermark = 500 * util::kMsec;
-
-    int collector_cores = 8;
-    /// Record ms_experiment / ms_node rows (same values as
-    /// Experiment::load_warehouse) so a streamed warehouse is complete.
-    bool record_metadata = true;
-
-    /// Crash durability for the live warehouse. When set, a write-ahead log
-    /// is opened under `dir` and attached to the Database *before* any
-    /// metadata or streamed row lands, so every mutation on the streaming
-    /// path is journaled; `WarehouseIO::recover(dir)` restores the warehouse
-    /// after a crash. Unset (the default) keeps the pipeline byte-identical
-    /// to the pre-durability behavior — no journal, no I/O.
-    struct Durability {
-      std::filesystem::path dir;
-      /// Group-commit cadence: how often (virtual time) journaled frames
-      /// are made durable with a commit marker + flush.
-      SimTime commit_interval = 1 * util::kSec;
-      /// Checkpoint (snapshot + WAL truncation) every N group commits;
-      /// 0 = checkpoint only in finish().
-      std::uint64_t checkpoint_every = 0;
-    };
-    std::optional<Durability> durability;
-
-    /// mScopeMeta: the pipeline monitoring itself. When set, a periodic
-    /// export tick scrapes per-channel health (ring depth/drops, tailer lag,
-    /// shipper retries) into the process-wide metrics registry and snapshots
-    /// the registry into `<table_prefix>*` tables of the *same* warehouse,
-    /// and (when `trace` is on) a span tracer on the simulation clock covers
-    /// collect -> ship -> transform -> import, exportable as Chrome
-    /// trace-event JSON. Unset (the default) adds nothing to the warehouse —
-    /// fig2/fig6 outputs stay byte-identical.
-    struct Observability {
-      /// Cadence of the scrape + registry -> warehouse export tick.
-      SimTime export_interval = 1 * util::kSec;
-      /// Record pipeline spans (ship/aggregate/parse) for trace export.
-      bool trace = true;
-      std::size_t max_spans = 1 << 20;
-      std::string table_prefix = "mscope_meta_";
-    };
-    std::optional<Observability> observability;
-  };
-
-  /// The collection pipeline of one monitored replica.
-  struct Channel {
-    std::string node;
-    std::unique_ptr<collector::RingBuffer> buffer;
-    std::unique_ptr<collector::LogTailer> tailer;
-    std::unique_ptr<collector::Shipper> shipper;
-  };
-
-  /// `detector` may be null (collection without live diagnosis).
-  OnlineCollection(Testbed& testbed, db::Database& db,
-                   OnlineVsbDetector* detector, Config cfg);
-  OnlineCollection(Testbed& testbed, db::Database& db,
-                   OnlineVsbDetector* detector)
-      : OnlineCollection(testbed, db, detector, Config{}) {}
-  ~OnlineCollection();
-
-  OnlineCollection(const OnlineCollection&) = delete;
-  OnlineCollection& operator=(const OnlineCollection&) = delete;
-
-  /// Call once after Testbed::run(): flushes tailers and buffers (out of
-  /// band — virtual time has stopped) and finalizes the streaming
-  /// transformer, recording load-catalog/deployment metadata.
-  void finish();
-
-  [[nodiscard]] const std::vector<Channel>& channels() const {
-    return channels_;
-  }
-  [[nodiscard]] transform::StreamingTransformer& transformer() {
-    return *transformer_;
-  }
-  [[nodiscard]] collector::Aggregator& aggregator() { return *aggregator_; }
-  [[nodiscard]] sim::Node& collector_node() { return *collector_node_; }
-
-  /// The write-ahead log, when durability is configured (else nullptr).
-  [[nodiscard]] db::wal::WalWriter* wal() { return wal_.get(); }
-
-  /// The pipeline span tracer, when observability with tracing is configured
-  /// (else nullptr). Save a Chrome trace with tracer()->save_chrome_json().
-  [[nodiscard]] obs::Tracer* tracer() { return tracer_.get(); }
-
-  /// The registry -> warehouse exporter, when observability is configured
-  /// (else nullptr).
-  [[nodiscard]] obs::MetaExporter* exporter() { return exporter_.get(); }
-
-  /// Forces a durability checkpoint now (commit + snapshot + WAL
-  /// truncation). No-op unless durability is configured. finish() ends
-  /// with one, so a cleanly finished run always recovers completely.
-  void checkpoint();
-
-  /// Fleet-wide stats, summed over channels.
+  /// Run totals under the flat collector's names.
   struct Totals {
     std::uint64_t records_tailed = 0;
     std::uint64_t bytes_tailed = 0;
     std::uint64_t dropped = 0;    ///< records lost to backpressure
     std::uint64_t blocked = 0;    ///< pushes refused under kBlock
-    std::uint64_t batches = 0;    ///< batches delivered in band
+    std::uint64_t batches = 0;    ///< batches delivered
     std::uint64_t retries = 0;    ///< shipper re-sends
     std::uint64_t abandoned = 0;  ///< batches given up after max_retries
     std::uint64_t gaps = 0;       ///< stream holes those abandonments left
     std::uint64_t gap_bytes = 0;  ///< log bytes lost in those holes
     SimTime shipping_cpu = 0;     ///< modeled CPU on monitored nodes
   };
-  [[nodiscard]] Totals totals() const;
+
+  /// `detector` may be null (collection without live diagnosis).
+  OnlineCollection(Testbed& testbed, db::Database& db,
+                   OnlineVsbDetector* detector, Config cfg)
+      : pipeline_(testbed, {&db}, detector, std::move(cfg)) {}
+
+  void finish() { pipeline_.finish(); }
+  /// The write-ahead log, when durability is configured (else null).
+  [[nodiscard]] db::wal::WalWriter* wal() { return pipeline_.wal(0); }
+  [[nodiscard]] transform::StreamingTransformer& transformer() {
+    return pipeline_.shard_transformer(0);
+  }
+  [[nodiscard]] Totals totals() const {
+    const auto t = pipeline_.totals();
+    return {.records_tailed = t.records_tailed,
+            .bytes_tailed = t.bytes_tailed,
+            .dropped = t.dropped,
+            .blocked = t.blocked,
+            .batches = t.batches,
+            .retries = t.leaf_retries,
+            .abandoned = t.leaf_abandoned,
+            .gaps = t.root_gaps,
+            .gap_bytes = t.root_gap_bytes,
+            .shipping_cpu = t.shipping_cpu};
+  }
+
+  [[nodiscard]] fleet::FleetCollection& pipeline() { return pipeline_; }
 
  private:
-  void tick();
-  void commit_tick();
-  /// Scrapes channel/pipeline health into registry gauges, then exports the
-  /// registry into the warehouse's meta tables.
-  void export_tick();
-  void scrape_gauges();
-
-  Testbed& testbed_;
-  db::Database& db_;
-  OnlineVsbDetector* detector_;
-  Config cfg_;
-  std::unique_ptr<db::wal::WalWriter> wal_;
-  std::uint64_t commits_since_checkpoint_ = 0;
-  std::unique_ptr<obs::Tracer> tracer_;
-  std::unique_ptr<obs::MetaExporter> exporter_;
-  std::unique_ptr<sim::Node> collector_node_;
-  std::uint16_t collector_wire_ = 0;
-  std::unique_ptr<transform::StreamingTransformer> transformer_;
-  std::unique_ptr<collector::Aggregator> aggregator_;
-  std::vector<Channel> channels_;
-  bool finished_ = false;
-
-  /// Live queue estimation over streamed event rows (see core/queue_signal.h).
-  QueueSignal queue_signal_;
+  fleet::FleetCollection pipeline_;
 };
 
 }  // namespace mscope::core

@@ -14,9 +14,9 @@ namespace mscope::core {
 
 using util::SimTime;
 
-/// Live queue-depth estimation over streamed event rows, shared by every
-/// collection frontend (the single-collector OnlineCollection and the fleet
-/// root). Feed it each event-table row as it becomes visible (on_row) and
+/// Live queue-depth estimation over streamed event rows, fed by the
+/// collection pipeline's root (fleet::FleetCollection, at any depth). Feed
+/// it each event-table row as it becomes visible (on_row) and
 /// tick it periodically (evaluate): per event table it maintains arrival /
 /// departure min-heaps and emits the tier's queue depth at a watermark
 /// trailing the newest departure seen, so rows still in flight through the

@@ -5,13 +5,44 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "transform/warehouse_io.h"
 
 namespace mscope::fleet {
 
-FleetCollection::FleetCollection(core::Testbed& testbed, ShardedWarehouse& db,
+namespace {
+
+/// Cadence of the forced incremental parse + queue estimation tick (bounds
+/// how stale the live signal can get).
+constexpr SimTime kParseInterval = 250 * util::kMsec;
+/// Queue depth is evaluated this far behind the newest departure seen, so
+/// rows still in flight through the pipeline rarely invalidate it.
+constexpr SimTime kQueueWatermark = 500 * util::kMsec;
+/// Cadence of the scrape + registry -> warehouse export tick.
+constexpr SimTime kExportInterval = 1 * util::kSec;
+constexpr int kRootCores = 8;
+/// Root decode/dispatch cost per arriving batch or frame, plus per KB.
+constexpr SimTime kRootCpuPerTransfer = 40;
+constexpr SimTime kRootCpuPerKb = 8;
+
+std::vector<db::Database*> shards_of(ShardedWarehouse& warehouse) {
+  std::vector<db::Database*> out;
+  for (int i = 0; i < warehouse.shard_count(); ++i) {
+    out.push_back(&warehouse.shard(i));
+  }
+  return out;
+}
+
+}  // namespace
+
+FleetCollection::FleetCollection(core::Testbed& testbed,
+                                 ShardedWarehouse& warehouse,
+                                 core::OnlineVsbDetector* detector, Config cfg)
+    : FleetCollection(testbed, shards_of(warehouse), detector, cfg) {}
+
+FleetCollection::FleetCollection(core::Testbed& testbed,
+                                 std::vector<db::Database*> shards,
                                  core::OnlineVsbDetector* detector, Config cfg)
     : testbed_(testbed),
-      db_(db),
       detector_(detector),
       cfg_(cfg),
       topology_(
@@ -25,35 +56,41 @@ FleetCollection::FleetCollection(core::Testbed& testbed, ShardedWarehouse& db,
             return leaves;
           }(),
           cfg.topology),
-      queue_signal_(cfg.queue_watermark) {
-  if (topology_.shards() != db_.shard_count()) {
+      queue_signal_(kQueueWatermark) {
+  if (static_cast<std::size_t>(topology_.shards()) != shards.size()) {
     throw std::invalid_argument(
         "FleetCollection: topology shards != warehouse shards");
   }
+  for (db::Database* db : shards) shards_.emplace_back().db = db;
   auto& sim = testbed_.simulation();
   auto& net = testbed_.network();
 
-  // Satellite: deterministic per-node jitter. Streams are pinned to the
-  // node's *name* hash, so a node replays the same latency sequence no
-  // matter what else joins the network or in what order it registered.
-  if (cfg_.network_jitter > 0) {
-    net.set_jitter(cfg_.network_jitter, testbed_.config().seed);
-    for (int tier = 0; tier < core::Testbed::kTiers; ++tier) {
-      for (int r = 0; r < testbed_.replicas(tier); ++r) {
-        net.seed_node_stream(
-            testbed_.tier_wire_id(tier, r),
-            Topology::node_stream(core::Testbed::replica_name(tier, r)));
-      }
+  if (cfg_.observability) {
+    if (cfg_.observability->trace) {
+      tracer_ = std::make_unique<obs::Tracer>(
+          [&sim]() -> util::SimTime { return sim.now(); });
     }
+    exporter_ = std::make_unique<obs::MetaExporter>(*shards_[0].db,
+                                                    obs::Registry::global());
+    sim.schedule(kExportInterval, [this] { export_tick(); });
   }
 
-  if (cfg_.observability) {
-    obs::MetaExporter::Config mc;
-    mc.prefix = cfg_.observability->table_prefix;
-    exporter_ = std::make_unique<obs::MetaExporter>(
-        db_.shard(0), obs::Registry::global(), mc);
-    sim.schedule(cfg_.observability->export_interval,
-                 [this] { export_tick(); });
+  if (cfg_.durability) {
+    // Each journal must be attached before its shard's first mutation
+    // (including the static metadata rows below): recovery replays the WAL
+    // into a fresh Database, so anything that lands unjournaled before the
+    // first checkpoint would be unrecoverable.
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      Shard& s = shards_[i];
+      s.wal_dir = shards_.size() == 1
+                      ? cfg_.durability->dir
+                      : cfg_.durability->dir / ("shard" + std::to_string(i));
+      std::filesystem::create_directories(s.wal_dir);
+      s.wal = std::make_unique<db::wal::WalWriter>(
+          transform::WarehouseIO::wal_path(s.wal_dir));
+      s.db->set_journal(s.wal.get());
+    }
+    sim.schedule(cfg_.durability->commit_interval, [this] { commit_tick(); });
   }
 
   if (cfg_.record_metadata) {
@@ -61,11 +98,12 @@ FleetCollection::FleetCollection(core::Testbed& testbed, ShardedWarehouse& db,
     // warehouse records it — the merged view then reproduces the flat
     // tables row-for-row.
     const auto& tc = testbed_.config();
-    db_.shard(0).record_experiment("run", "RUBBoS n-tier experiment",
-                                   tc.workload, tc.duration);
+    db::Database& meta = *shards_[0].db;
+    meta.record_experiment("run", "RUBBoS n-tier experiment", tc.workload,
+                           tc.duration);
     for (int tier = 0; tier < core::Testbed::kTiers; ++tier) {
       for (int r = 0; r < testbed_.replicas(tier); ++r) {
-        db_.shard(0).record_node(
+        meta.record_node(
             core::Testbed::replica_name(tier, r),
             core::Testbed::services()[static_cast<std::size_t>(tier)],
             tc.cores_per_node);
@@ -76,22 +114,19 @@ FleetCollection::FleetCollection(core::Testbed& testbed, ShardedWarehouse& db,
   // The root collector machine.
   sim::Node::Config nc;
   nc.name = "collector";
-  nc.cores = cfg_.collector_cores;
+  nc.cores = kRootCores;
   root_node_ = std::make_unique<sim::Node>(sim, nc);
   root_wire_ = net.register_node(root_node_.get());
 
-  if (cfg_.transform_workers != 1) {
-    cfg_.streaming.transform.parse_workers = cfg_.transform_workers;
-  }
-  for (int s = 0; s < topology_.shards(); ++s) {
-    auto t = std::make_unique<transform::StreamingTransformer>(db_.shard(s),
-                                                               cfg_.streaming);
-    t->set_row_observer(
+  for (Shard& s : shards_) {
+    s.transformer =
+        std::make_unique<transform::StreamingTransformer>(*s.db, cfg_.streaming);
+    s.transformer->set_tracer(tracer_.get());
+    s.transformer->set_row_observer(
         [this](const std::string& table, const db::Schema& schema,
                const std::vector<std::string>& row) {
           queue_signal_.on_row(table, schema, row);
         });
-    transformers_.push_back(std::move(t));
   }
 
   // Interior levels, parents first so children have wires to aim at.
@@ -163,6 +198,7 @@ FleetCollection::FleetCollection(core::Testbed& testbed, ShardedWarehouse& db,
           sim, net, testbed_.node(tier, r), testbed_.tier_wire_id(tier, r),
           dst_wire, *ch.buffer, std::move(sink), ch.node, cfg_.shipper);
       ch.shipper->set_on_drain([t = ch.tailer.get()] { t->pump(); });
+      ch.shipper->set_tracer(tracer_.get());
       if (topology_.levels() >= 2) {
         // Leaves probe their rack relay's incarnation: while the relay
         // process is dead the leaf link holds its batch back (no retries
@@ -184,32 +220,48 @@ FleetCollection::FleetCollection(core::Testbed& testbed, ShardedWarehouse& db,
   for (auto& relay : pod_relays_) relay->start();
   for (auto& relay : rack_relays_) relay->start();
 
-  sim.schedule(cfg_.parse_interval, [this] { tick(); });
+  sim.schedule(kParseInterval, [this] { tick(); });
 }
 
-FleetCollection::~FleetCollection() = default;
+FleetCollection::~FleetCollection() {
+  // Detach before the WalWriters die; the Databases may outlive us.
+  for (Shard& s : shards_) {
+    if (s.wal != nullptr && s.db->journal() == s.wal.get()) {
+      s.db->set_journal(nullptr);
+    }
+  }
+}
 
-void FleetCollection::charge_root(std::size_t bytes) {
+void FleetCollection::root_receive(const std::string& sender,
+                                   std::uint64_t seq, std::size_t records,
+                                   std::size_t bytes, SimTime assembled_at,
+                                   bool in_band) {
+  root_stats_.records += records;
+  root_stats_.bytes += bytes;
+  if (!in_band) return;
+  const SimTime now = testbed_.simulation().now();
+  if (root_stats_.first_batch_at < 0) root_stats_.first_batch_at = now;
   const SimTime cpu =
-      cfg_.root.cpu_per_batch +
-      cfg_.root.cpu_per_kb * static_cast<SimTime>(bytes / 1024);
+      kRootCpuPerTransfer + kRootCpuPerKb * static_cast<SimTime>(bytes / 1024);
   root_stats_.cpu_charged += cpu;
   root_node_->cpu().submit(cpu, sim::CpuCategory::kSystem,
                            sim::CpuPriority::kNormal, [] {});
+  if (tracer_ != nullptr) {
+    // The ingest itself happens at one frozen instant; the transfer's real
+    // virtual extent is its modeled decode CPU charge.
+    tracer_->record("aggregate " + sender + "#" + std::to_string(seq),
+                    "aggregate", now, now + cpu);
+  }
+  if (assembled_at > 0) {
+    root_stats_.last_lag = now - assembled_at;
+    root_stats_.max_lag = std::max(root_stats_.max_lag, root_stats_.last_lag);
+  }
 }
 
 void FleetCollection::root_on_frame(RelayFrame&& frame, bool in_band) {
   ++root_stats_.frames;
-  root_stats_.bytes += frame.bytes();
-  if (in_band) {
-    charge_root(frame.bytes());
-    if (frame.oldest_assembled > 0) {
-      const SimTime lag =
-          testbed_.simulation().now() - frame.oldest_assembled;
-      root_stats_.last_lag = lag;
-      root_stats_.max_lag = std::max(root_stats_.max_lag, lag);
-    }
-  }
+  root_receive(frame.relay, frame.seq, frame.chunks.size(), frame.bytes(),
+               frame.oldest_assembled, in_band);
   for (auto& c : frame.chunks) {
     ingest_chunk(c.node, c.file, c.generation, c.offset, std::move(c.data));
   }
@@ -217,15 +269,8 @@ void FleetCollection::root_on_frame(RelayFrame&& frame, bool in_band) {
 
 void FleetCollection::root_on_batch(collector::Batch&& batch, bool in_band) {
   ++root_stats_.batches;
-  root_stats_.bytes += batch.bytes();
-  if (in_band) {
-    charge_root(batch.bytes());
-    if (batch.assembled_at > 0) {
-      const SimTime lag = testbed_.simulation().now() - batch.assembled_at;
-      root_stats_.last_lag = lag;
-      root_stats_.max_lag = std::max(root_stats_.max_lag, lag);
-    }
-  }
+  root_receive(batch.node, batch.seq, batch.records.size(), batch.bytes(),
+               batch.assembled_at, in_band);
   for (auto& r : batch.records) {
     ingest_chunk(batch.node, r.file, r.generation, r.offset,
                  std::move(r.data));
@@ -247,7 +292,7 @@ void FleetCollection::ingest_chunk(const std::string& node,
   const auto admitted =
       root_gaps_.admit(node, file, generation, offset, data.size());
   transform::StreamingTransformer& t =
-      *transformers_[static_cast<std::size_t>(topology_.shard_of(node))];
+      *shards_[static_cast<std::size_t>(topology_.shard_of(node))].transformer;
   if (admitted.skipped > 0) {
     ++root_stats_.gaps;
     root_stats_.gap_bytes += admitted.skipped;
@@ -305,9 +350,15 @@ void FleetCollection::restart_leaf(const std::string& node) {
 }
 
 void FleetCollection::tick() {
+  // Scoped: marks *where* on the run timeline the parse pass happened and
+  // what it cost the host (wall_us); the virtual instant is frozen.
+  obs::Tracer::Span span = tracer_ != nullptr
+                               ? tracer_->span("parse_all", "transform")
+                               : obs::Tracer::Span{};
   // Shard order keeps the parse pass deterministic (and so the warehouse
-  // bit-reproducible at any worker count, same argument as the flat path).
-  for (auto& t : transformers_) t->parse_all();
+  // bit-reproducible at any worker count).
+  for (Shard& s : shards_) s.transformer->parse_all();
+  span.close();
   if (detector_ != nullptr) {
     queue_signal_.evaluate(
         [this](SimTime t, const std::string& table, double depth) {
@@ -316,7 +367,28 @@ void FleetCollection::tick() {
   } else {
     queue_signal_.evaluate(nullptr);
   }
-  testbed_.simulation().schedule(cfg_.parse_interval, [this] { tick(); });
+  testbed_.simulation().schedule(kParseInterval, [this] { tick(); });
+}
+
+void FleetCollection::commit_tick() {
+  for (Shard& s : shards_) {
+    if (!s.wal->dirty()) continue;
+    s.wal->commit();
+    if (cfg_.durability->checkpoint_every > 0 &&
+        ++s.commits_since_checkpoint >= cfg_.durability->checkpoint_every) {
+      checkpoint(s);
+    }
+  }
+  if (!finished_) {
+    testbed_.simulation().schedule(cfg_.durability->commit_interval,
+                                   [this] { commit_tick(); });
+  }
+}
+
+void FleetCollection::checkpoint(Shard& shard) {
+  if (shard.wal == nullptr) return;
+  transform::WarehouseIO::checkpoint(*shard.db, shard.wal_dir, *shard.wal);
+  shard.commits_since_checkpoint = 0;
 }
 
 void FleetCollection::scrape_gauges() {
@@ -394,14 +466,27 @@ void FleetCollection::scrape_gauges() {
     reg.gauge(p + "gaps").set(static_cast<std::int64_t>(g.gaps));
     reg.gauge(p + "gap_bytes").set(static_cast<std::int64_t>(g.gap_bytes));
   }
+  std::uint64_t rows_live = 0;
+  std::uint64_t files = 0;
+  for (const Shard& s : shards_) {
+    rows_live += s.transformer->stats().rows_live;
+    files += s.transformer->stats().files;
+  }
+  reg.gauge("transform.rows_live").set(static_cast<std::int64_t>(rows_live));
+  reg.gauge("transform.files").set(static_cast<std::int64_t>(files));
+  if (tracer_ != nullptr) {
+    reg.gauge("obs.trace.spans")
+        .set(static_cast<std::int64_t>(tracer_->spans().size()));
+    reg.gauge("obs.trace.dropped")
+        .set(static_cast<std::int64_t>(tracer_->dropped()));
+  }
 }
 
 void FleetCollection::export_tick() {
   scrape_gauges();
   exporter_->export_metrics(testbed_.simulation().now());
   if (!finished_) {
-    testbed_.simulation().schedule(cfg_.observability->export_interval,
-                                   [this] { export_tick(); });
+    testbed_.simulation().schedule(kExportInterval, [this] { export_tick(); });
   }
 }
 
@@ -428,11 +513,23 @@ void FleetCollection::finish() {
   // Finalize shard-by-shard in shard order: load-catalog and deployment
   // metadata land per shard in the same sorted (node, file) order the flat
   // finalize uses, so the merged view reproduces it.
-  for (auto& t : transformers_) t->finalize();
+  obs::Tracer::Span span = tracer_ != nullptr
+                               ? tracer_->span("finalize", "transform")
+                               : obs::Tracer::Span{};
+  for (Shard& s : shards_) s.transformer->finalize();
+  span.close();
   if (exporter_ != nullptr) {
+    // Final export: the registry's end-of-run snapshot plus every span the
+    // run recorded (all scopes are closed by now) land in the warehouse
+    // before the final checkpoint snapshots it.
     scrape_gauges();
     exporter_->export_metrics(testbed_.simulation().now());
+    if (tracer_ != nullptr) exporter_->export_spans(*tracer_);
   }
+  // Final checkpoint: each finished shard (including the load-catalog rows
+  // finalize() just wrote) becomes one durable snapshot and its WAL shrinks
+  // back to an empty header.
+  for (Shard& s : shards_) checkpoint(s);
 }
 
 FleetCollection::Totals FleetCollection::totals() const {

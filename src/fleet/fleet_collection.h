@@ -1,13 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "collector/aggregator.h"
 #include "collector/gap_tracker.h"
 #include "collector/log_tailer.h"
 #include "collector/ring_buffer.h"
@@ -15,72 +15,82 @@
 #include "core/online_detector.h"
 #include "core/queue_signal.h"
 #include "core/testbed.h"
+#include "db/database.h"
+#include "db/wal/wal.h"
 #include "fleet/frame.h"
 #include "fleet/relay.h"
 #include "fleet/sharded_warehouse.h"
 #include "fleet/topology.h"
 #include "obs/meta_exporter.h"
+#include "obs/trace.h"
 #include "sim/node.h"
 #include "transform/streaming.h"
 
 namespace mscope::fleet {
 
-/// mScopeFleet: the collection tree wired onto a Testbed.
+/// mScopeCollector wired onto a Testbed: the one collection pipeline.
 ///
 ///   per monitored node:  LoggingFacility -> LogTailer -> RingBuffer
-///     -> Shipper --sim::Network--> rack RelayAggregator
+///     -> Shipper --sim::Network--> rack RelayAggregator   (levels >= 2)
 ///     [--> pod RelayAggregator]      (levels == 3)
 ///     --sim::Network--> root collector -> per-shard StreamingTransformer
-///     -> ShardedWarehouse (merge-on-read) -> OnlineVsbDetector
+///     -> shard Databases (merge-on-read) -> OnlineVsbDetector
 ///
 /// Every hop ships over the same stop-and-wait ReliableLink with retry +
 /// backoff + abandonment, and re-runs the same offset-gap accounting, so a
 /// hole opened anywhere in the tree is detected, sized, and attributed to
-/// its origin node at every level it crosses. With levels == 1 the tree
-/// degenerates to the classic single-aggregator deployment (leaves ship
-/// straight to the root), which keeps the flat pipeline reachable through
-/// the same wiring for apples-to-apples depth sweeps.
+/// its origin node at every level it crosses. With levels == 1 and one
+/// shard (the Topology defaults) the tree is the flat deployment: leaves
+/// ship straight to the root, which streams into one Database — what
+/// core::OnlineCollection runs. With the default block backpressure policy
+/// the warehouse is cell-identical to the post-hoc batch transform.
 class FleetCollection {
  public:
   struct Config {
     Topology::Config topology;
-
-    // Leaf pipeline knobs, mirroring core::OnlineCollection.
     std::size_t buffer_capacity = 4096;  ///< records per node buffer
     collector::OverflowPolicy policy = collector::OverflowPolicy::kBlock;
     collector::LogTailer::Config tailer;
     collector::Shipper::Config shipper;
     RelayAggregator::Config relay;
-    /// Root ingest cost model (same meaning as the single aggregator's).
-    collector::Aggregator::Config root;
     transform::StreamingTransformer::Config streaming;
-    /// Worker threads for the streaming parse passes (see OnlineCollection).
-    unsigned transform_workers = 1;
-    SimTime parse_interval = 250 * util::kMsec;
-    SimTime queue_watermark = 500 * util::kMsec;
-    int collector_cores = 8;
+    /// Record ms_experiment / ms_node rows (same values as
+    /// Experiment::load_warehouse), once, in shard 0, so a streamed
+    /// warehouse is complete.
     bool record_metadata = true;
 
-    /// Per-hop network latency jitter (satellite of the fleet work): when
-    /// > 0, every node's sends draw uniform [0, jitter] usec extra from a
-    /// private RNG stream derived from the node's *name* via
-    /// Topology::node_stream — never from a shared stream or registration
-    /// order — so a node's jitter sequence replays identically when the
-    /// fleet grows or shrinks around it. 0 leaves the network untouched.
-    SimTime network_jitter = 0;
+    /// Crash durability. Each shard journals to its own write-ahead log,
+    /// attached *before* any metadata or streamed row lands, so every
+    /// mutation on the streaming path is journaled. One shard keeps its log
+    /// and snapshots in `dir` itself; with N > 1 shards, shard i uses
+    /// `dir/shard<i>`. `WarehouseIO::recover` on that directory restores
+    /// the shard after a crash. Unset (the default): no journal, no I/O.
+    struct Durability {
+      std::filesystem::path dir;
+      /// Group-commit cadence: how often (virtual time) journaled frames
+      /// are made durable with a commit marker + flush.
+      SimTime commit_interval = 1 * util::kSec;
+      /// Checkpoint (snapshot + WAL truncation) every N group commits of a
+      /// shard; 0 = checkpoint only in finish().
+      std::uint64_t checkpoint_every = 0;
+    };
+    std::optional<Durability> durability;
 
-    /// mScopeMeta for the tree: periodic export of per-hop lag / queue-depth
-    /// / drop / gap gauges, tagged by node id, into `<table_prefix>*` tables
-    /// of shard 0. Unset adds nothing to the warehouse.
+    /// mScopeMeta: the pipeline monitoring itself. When set, a 1 Hz export
+    /// tick scrapes per-hop health (ring depth/drops, tailer lag, shipper
+    /// and relay retries, holds and lag, root gaps and dedup, transform
+    /// progress), tagged by node id, into the process-wide metrics registry
+    /// and snapshots the registry into `mscope_meta_*` tables of shard 0.
+    /// Unset (the default) adds nothing to the warehouse.
     struct Observability {
-      SimTime export_interval = 1 * util::kSec;
-      std::string table_prefix = "mscope_meta_";
+      /// Record pipeline spans (leaf ship, root aggregate, parse) on the
+      /// simulation clock; finish() exports them to mscope_meta_spans.
+      bool trace = false;
     };
     std::optional<Observability> observability;
   };
 
-  /// The collection pipeline of one monitored replica (same shape as
-  /// core::OnlineCollection::Channel).
+  /// The collection pipeline of one monitored replica.
   struct Channel {
     std::string node;
     std::unique_ptr<collector::RingBuffer> buffer;
@@ -89,7 +99,11 @@ class FleetCollection {
   };
 
   /// `detector` may be null (collection without live diagnosis).
-  FleetCollection(core::Testbed& testbed, ShardedWarehouse& db,
+  FleetCollection(core::Testbed& testbed, ShardedWarehouse& warehouse,
+                  core::OnlineVsbDetector* detector, Config cfg);
+  /// Streams into caller-owned Databases, one per topology shard. They must
+  /// outlive finish(); they may outlive the pipeline.
+  FleetCollection(core::Testbed& testbed, std::vector<db::Database*> shards,
                   core::OnlineVsbDetector* detector, Config cfg);
   ~FleetCollection();
 
@@ -97,8 +111,10 @@ class FleetCollection {
   FleetCollection& operator=(const FleetCollection&) = delete;
 
   /// Call once after Testbed::run(): drains every level of the tree leaf-
-  /// to-root (out of band — virtual time has stopped) and finalizes the
-  /// per-shard transformers in shard order.
+  /// to-root (out of band — virtual time has stopped), finalizes the
+  /// per-shard transformers in shard order, exports the final metrics and
+  /// spans, and checkpoints every durable shard, so a cleanly finished run
+  /// always recovers completely.
   void finish();
 
   /// Kills one monitored node's collection *agent* (tailer + buffer +
@@ -131,9 +147,40 @@ class FleetCollection {
   [[nodiscard]] sim::Node& root_node() { return *root_node_; }
   [[nodiscard]] std::uint16_t root_wire() const { return root_wire_; }
   [[nodiscard]] transform::StreamingTransformer& shard_transformer(int i) {
-    return *transformers_.at(static_cast<std::size_t>(i));
+    return *shards_.at(static_cast<std::size_t>(i)).transformer;
   }
+  /// Shard i's write-ahead log, when durability is configured (else null).
+  [[nodiscard]] db::wal::WalWriter* wal(int i) {
+    return shards_.at(static_cast<std::size_t>(i)).wal.get();
+  }
+  /// The pipeline span tracer, when observability with `trace` is
+  /// configured (else null). Save a Chrome trace with
+  /// tracer()->save_chrome_json().
+  [[nodiscard]] obs::Tracer* tracer() { return tracer_.get(); }
+  /// The registry -> warehouse exporter, when observability is configured
+  /// (else null).
   [[nodiscard]] obs::MetaExporter* exporter() { return exporter_.get(); }
+
+  /// What the root collector received and what ingesting it cost.
+  struct RootStats {
+    std::uint64_t frames = 0;   ///< relay frames (levels >= 2)
+    std::uint64_t batches = 0;  ///< leaf batches (levels == 1)
+    std::uint64_t records = 0;  ///< leaf records / relay chunks in them
+    std::uint64_t bytes = 0;
+    /// Stream gaps: a chunk arrived whose offset jumps past the bytes seen
+    /// so far for its (node, file, generation) — the signature of a
+    /// transfer some hop abandoned. Surfaced here and to the owning shard's
+    /// transformer (note_gap) so the loss is never silently misparsed.
+    std::uint64_t gaps = 0;
+    std::uint64_t gap_bytes = 0;
+    std::uint64_t dups = 0;       ///< redelivered chunks trimmed at the root
+    std::uint64_t dup_bytes = 0;  ///< duplicate bytes suppressed at the root
+    SimTime first_batch_at = -1;  ///< -1 until the first in-band arrival
+    SimTime cpu_charged = 0;
+    SimTime last_lag = 0;
+    SimTime max_lag = 0;
+  };
+  [[nodiscard]] const RootStats& root_stats() const { return root_stats_; }
 
   /// Tree-wide stats.
   struct Totals {
@@ -176,13 +223,6 @@ class FleetCollection {
     return root_gaps_.per_node();
   }
 
-  /// The root's gap/dedup tracker — per-channel positions let tests close
-  /// the byte-conservation books: bytes written at the origin == unique
-  /// bytes ingested + attributed holes.
-  [[nodiscard]] const collector::GapTracker& root_gap_tracker() const {
-    return root_gaps_;
-  }
-
   /// Unique (post-dedup) bytes the root ingested per (node, file) channel.
   [[nodiscard]] const std::map<std::pair<std::string, std::string>,
                                std::uint64_t>&
@@ -191,25 +231,41 @@ class FleetCollection {
   }
 
  private:
+  /// One warehouse shard: its Database, the transformer streaming into it
+  /// and, with durability, its write-ahead log.
+  struct Shard {
+    db::Database* db = nullptr;
+    std::unique_ptr<transform::StreamingTransformer> transformer;
+    std::unique_ptr<db::wal::WalWriter> wal;
+    std::filesystem::path wal_dir;
+    std::uint64_t commits_since_checkpoint = 0;
+  };
+
   void root_on_frame(RelayFrame&& frame, bool in_band);
   void root_on_batch(collector::Batch&& batch, bool in_band);
+  /// Accounts one transfer arriving at the root from `sender`; in band it
+  /// also charges the root's ingest CPU and records the aggregate span.
+  void root_receive(const std::string& sender, std::uint64_t seq,
+                    std::size_t records, std::size_t bytes,
+                    SimTime assembled_at, bool in_band);
   void ingest_chunk(const std::string& node, const std::string& file,
                     std::uint64_t generation, std::uint64_t offset,
                     std::string&& data);
-  void charge_root(std::size_t bytes);
   void tick();
+  void commit_tick();
+  void checkpoint(Shard& shard);
   void export_tick();
   void scrape_gauges();
 
   core::Testbed& testbed_;
-  ShardedWarehouse& db_;
   core::OnlineVsbDetector* detector_;
   Config cfg_;
   Topology topology_;
+  std::vector<Shard> shards_;
+  std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::MetaExporter> exporter_;
   std::unique_ptr<sim::Node> root_node_;
   std::uint16_t root_wire_ = 0;
-  std::vector<std::unique_ptr<transform::StreamingTransformer>> transformers_;
   std::vector<std::unique_ptr<RelayAggregator>> rack_relays_;
   std::vector<std::unique_ptr<RelayAggregator>> pod_relays_;
   std::vector<Channel> channels_;
@@ -218,19 +274,6 @@ class FleetCollection {
   core::QueueSignal queue_signal_;
   bool finished_ = false;
   std::uint64_t leaf_crashes_ = 0;
-
-  struct RootStats {
-    std::uint64_t frames = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t gaps = 0;
-    std::uint64_t gap_bytes = 0;
-    std::uint64_t dups = 0;      ///< redelivered chunks trimmed at the root
-    std::uint64_t dup_bytes = 0; ///< duplicate bytes suppressed at the root
-    SimTime cpu_charged = 0;
-    SimTime last_lag = 0;
-    SimTime max_lag = 0;
-  };
   RootStats root_stats_;
 };
 

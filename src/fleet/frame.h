@@ -14,7 +14,7 @@ namespace mscope::fleet {
 /// the byte stream itself has a hole (an abandoned transfer upstream) or a
 /// rotation boundary. The origin coordinates ride along unchanged through
 /// every hop, so any downstream fan-in point can re-run the exact same
-/// offset-gap accounting the single-node aggregator does — and attribute
+/// offset-gap accounting a leaf's first hop does — and attribute
 /// every hole to the origin node that lost it.
 struct ChannelChunk {
   std::string node;              ///< origin monitored node, e.g. "db3"

@@ -19,13 +19,13 @@ namespace mscope::fleet {
 class Topology {
  public:
   struct Config {
-    /// Tree depth: 1 = leaves ship straight to the root (the classic
-    /// single-aggregator deployment), 2 = leaves -> rack relays -> root,
+    /// Tree depth: 1 = leaves ship straight to the root (the flat
+    /// deployment), 2 = leaves -> rack relays -> root,
     /// 3 = leaves -> rack relays -> pod relays -> root.
-    int levels = 2;
+    int levels = 1;
     int racks = 8;       ///< rack relays (ignored when levels == 1)
     int pods = 0;        ///< pod relays; 0 = auto (~sqrt(racks)), levels == 3
-    int shards = 4;      ///< root warehouse shards
+    int shards = 1;      ///< root warehouse shards
     /// Shard routing: origin-node name hashed (stable under any node-list
     /// change) or position in the sorted node list round-robin (perfectly
     /// balanced for this exact fleet).

@@ -10,9 +10,6 @@ using db::Table;
 using db::TextRef;
 using db::Value;
 
-MetaExporter::MetaExporter(db::Database& db, Registry& registry, Config cfg)
-    : db_(db), registry_(registry), cfg_(std::move(cfg)) {}
-
 Table& MetaExporter::ensure(const std::string& name, const Schema& schema) {
   if (Table* t = db_.find(name)) {
     if (t->schema() != schema) {

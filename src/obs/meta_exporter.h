@@ -20,21 +20,17 @@ namespace mscope::obs {
 /// over the monitor's own health series, because they are
 /// just rows with a ts_usec anchor like every other table.
 ///
-/// Tables (created on first export, `prefix` defaults to "mscope_meta_"):
-///   <prefix>metrics  ts_usec | name | kind | value
+/// Tables (created on first export):
+///   mscope_meta_metrics  ts_usec | name | kind | value
 ///       one row per counter/gauge per export tick — a time series per
 ///       metric name, queryable with SQL like any monitor log;
-///   <prefix>hist     ts_usec | name | count | mean_usec | p50/p95/p99/max
+///   mscope_meta_hist     ts_usec | name | count | mean_usec | p50/p95/p99/max
 ///       one row per histogram per export tick (merged over shards);
-///   <prefix>spans    ts_usec | dur_usec | name | track | depth | wall_usec
+///   mscope_meta_spans    ts_usec | dur_usec | name | track | depth | wall_usec
 ///       one row per closed tracer span (exported once, typically at
 ///       finish()); ts_usec is the span's virtual begin time.
 class MetaExporter {
  public:
-  struct Config {
-    std::string prefix = "mscope_meta_";
-  };
-
   struct Stats {
     std::uint64_t exports = 0;     ///< export_metrics calls
     std::uint64_t metric_rows = 0;
@@ -43,8 +39,7 @@ class MetaExporter {
   };
 
   MetaExporter(db::Database& db, Registry& registry)
-      : MetaExporter(db, registry, Config{}) {}
-  MetaExporter(db::Database& db, Registry& registry, Config cfg);
+      : db_(db), registry_(registry) {}
 
   /// Writes one row per registry instrument, stamped `t` (virtual time).
   void export_metrics(util::SimTime t);
@@ -55,22 +50,18 @@ class MetaExporter {
   void export_spans(const Tracer& tracer);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const std::string& prefix() const { return cfg_.prefix; }
 
   [[nodiscard]] std::string metrics_table() const {
-    return cfg_.prefix + "metrics";
+    return "mscope_meta_metrics";
   }
-  [[nodiscard]] std::string hist_table() const { return cfg_.prefix + "hist"; }
-  [[nodiscard]] std::string spans_table() const {
-    return cfg_.prefix + "spans";
-  }
+  [[nodiscard]] std::string hist_table() const { return "mscope_meta_hist"; }
+  [[nodiscard]] std::string spans_table() const { return "mscope_meta_spans"; }
 
  private:
   db::Table& ensure(const std::string& name, const db::Schema& schema);
 
   db::Database& db_;
   Registry& registry_;
-  Config cfg_;
   Stats stats_;
   std::size_t spans_exported_ = 0;
 };

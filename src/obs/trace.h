@@ -17,7 +17,7 @@ namespace mscope::obs {
 /// (loadable in about://tracing / Perfetto).
 ///
 /// The clock is injected, never hardwired: this framework runs on virtual
-/// time, so OnlineCollection hands the tracer its Simulation's clock and
+/// time, so the collection pipeline hands the tracer its Simulation's clock and
 /// every span lands on the same timeline as the run itself — a span's `ts`
 /// is *where in the experiment* the work happened. Because a discrete-event
 /// callback executes at one frozen virtual instant, a scoped span also

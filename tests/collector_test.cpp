@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "collector/aggregator.h"
 #include "collector/log_tailer.h"
 #include "collector/ring_buffer.h"
 #include "collector/shipper.h"
@@ -496,8 +495,8 @@ TEST_F(StreamingParityFixture, WarehouseFillsWhileRunning) {
   // Linear parse work: every byte shipped into a matched file is parsed
   // exactly once, however many parse ticks the run had.
   EXPECT_EQ(st.parsed_bytes, matched_bytes_);
-  EXPECT_GT(online_->aggregator().stats().first_batch_at, 0);
-  EXPECT_LT(online_->aggregator().stats().first_batch_at, sec(2));
+  EXPECT_GT(online_->pipeline().root_stats().first_batch_at, 0);
+  EXPECT_LT(online_->pipeline().root_stats().first_batch_at, sec(2));
 }
 
 TEST_F(StreamingParityFixture, QueueSignalReachesDetectorMidRun) {
@@ -526,8 +525,8 @@ TEST_F(StreamingParityFixture, CollectionOverheadIsModeled) {
   const auto t = online_->totals();
   EXPECT_GT(t.shipping_cpu, 0);
   // The collector machine, not the monitored nodes, pays for the transform.
-  EXPECT_GT(online_->aggregator().stats().bytes, 100'000u);
-  EXPECT_GT(online_->collector_node().counters().net_rx, 100'000u);
+  EXPECT_GT(online_->pipeline().root_stats().bytes, 100'000u);
+  EXPECT_GT(online_->pipeline().root_node().counters().net_rx, 100'000u);
 }
 
 // --- Backpressure under a deliberately tiny buffer -------------------------
@@ -712,32 +711,34 @@ TEST(StreamingTransformer, TwoFilesOneTableIsRejected) {
 
 // --- abandoned batches: the gap must be surfaced, never silently misparsed --
 
-TEST(Aggregator, OffsetJumpSurfacesAsGap) {
-  sim::Simulation sim;
-  sim::Node node(sim, {});
+TEST(OnlineCollectionLoss, OffsetJumpSurfacesAsGapAtTheRoot) {
+  core::TestbedConfig cfg;
+  cfg.log_dir = test::scratch_dir("collector_gap");
+  cfg.capture_messages = false;
+  core::Testbed testbed(cfg);
   db::Database db;
-  transform::StreamingTransformer st(db);
-  collector::Aggregator agg(sim, node, st, {});
+  core::OnlineCollection online(testbed, db, nullptr, {});
+  fleet::FleetCollection::Channel* web1 =
+      online.pipeline().channel_by_node("web1");
+  ASSERT_NE(web1, nullptr);
 
-  const auto batch = [](std::uint64_t seq, std::uint64_t offset,
-                        const std::string& data) {
-    Batch b;
-    b.node = "web1";
-    b.seq = seq;
+  // Hands web1's shipper one record and drains it to the root out of band.
+  const auto ship = [web1](std::uint64_t offset, const std::string& data) {
     Record r;
     r.file = "gap.log";
     r.offset = offset;
     r.data = data;
-    b.records.push_back(r);
-    return b;
+    ASSERT_TRUE(web1->buffer->push(std::move(r)));
+    web1->shipper->flush_now();
   };
+  ship(0, "line one\n");
+  // Bytes 9..17 were abandoned upstream; the next record lands at 18.
+  ship(18, "line three\n");
 
-  agg.on_batch(batch(0, 0, "line one\n"), /*in_band=*/false);
-  // Batch 1 (bytes 9..17) was abandoned upstream; batch 2 lands next.
-  agg.on_batch(batch(2, 18, "line three\n"), /*in_band=*/false);
-
-  EXPECT_EQ(agg.stats().gaps, 1u);
-  EXPECT_EQ(agg.stats().gap_bytes, 9u);
+  const auto& root = online.pipeline().root_stats();
+  auto& st = online.transformer();
+  EXPECT_EQ(root.gaps, 1u);
+  EXPECT_EQ(root.gap_bytes, 9u);
   EXPECT_EQ(st.stats().gaps, 1u);
   EXPECT_EQ(st.stats().gap_bytes, 9u);
   ASSERT_EQ(st.warnings().size(), 1u);
@@ -745,8 +746,9 @@ TEST(Aggregator, OffsetJumpSurfacesAsGap) {
   EXPECT_NE(st.warnings().front().find("9 byte(s)"), std::string::npos);
 
   // In-order delivery reports nothing.
-  agg.on_batch(batch(3, 29, "line four\n"), /*in_band=*/false);
-  EXPECT_EQ(agg.stats().gaps, 1u);
+  ship(29, "line four\n");
+  EXPECT_EQ(root.gaps, 1u);
+  fs::remove_all(cfg.log_dir);
 }
 
 TEST(OnlineCollectionLoss, AbandonedBatchShowsUpInRunTotals) {
@@ -764,7 +766,7 @@ TEST(OnlineCollectionLoss, AbandonedBatchShowsUpInRunTotals) {
   core::OnlineCollection online(testbed, db, nullptr, oc);
   // Batch #3 of every channel is undeliverable: after max_retries the
   // shipper abandons it and the stream continues with a hole.
-  for (const auto& ch : online.channels()) {
+  for (const auto& ch : online.pipeline().channels()) {
     ch.shipper->set_fault_injector(
         [](SimTime, std::uint64_t seq, int) { return seq == 3; });
   }
@@ -774,7 +776,7 @@ TEST(OnlineCollectionLoss, AbandonedBatchShowsUpInRunTotals) {
 
   const auto t = online.totals();
   EXPECT_GT(t.abandoned, 0u);          // the shipper admits the loss...
-  EXPECT_GT(t.gaps, 0u);               // ...the aggregator locates it...
+  EXPECT_GT(t.gaps, 0u);               // ...the root locates it...
   EXPECT_GT(t.gap_bytes, 0u);
   EXPECT_LE(t.gaps, t.abandoned * 4);  // one abandoned batch, few files
   // ...and the transformer reports instead of silently misparsing.

@@ -13,10 +13,12 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "catalog_equal.h"
 #include "core/milliscope.h"
 #include "fleet/fleet_collection.h"
 #include "fleet/sharded_warehouse.h"
@@ -28,28 +30,10 @@ namespace mscope::fleet {
 namespace {
 
 namespace fs = std::filesystem;
+using test::expect_identical_catalogs;
 using util::msec;
 using util::sec;
 using util::SimTime;
-
-/// Cell-by-cell equality across the Catalog seam — works for a flat
-/// Database and a ShardedWarehouse alike.
-void expect_identical_catalogs(const db::Catalog& a, const db::Catalog& b) {
-  ASSERT_EQ(a.table_names(), b.table_names());
-  for (const auto& name : a.table_names()) {
-    const db::Table& ta = a.get(name);
-    const db::Table& tb = b.get(name);
-    ASSERT_EQ(ta.schema(), tb.schema()) << "schema mismatch in " << name;
-    ASSERT_EQ(ta.row_count(), tb.row_count()) << "row count in " << name;
-    for (std::size_t r = 0; r < ta.row_count(); ++r) {
-      for (std::size_t c = 0; c < ta.column_count(); ++c) {
-        ASSERT_TRUE(ta.at(r, c) == tb.at(r, c))
-            << name << " differs at row " << r << " col "
-            << ta.schema()[c].name;
-      }
-    }
-  }
-}
 
 /// Max exported value of one metric series in a <prefix>metrics table.
 double max_metric(const db::Catalog& db, const std::string& metric) {
@@ -436,6 +420,61 @@ TEST(FleetDepth, DepthOneDegeneratesToTheFlatPipeline) {
 
 TEST(FleetDepth, DepthThreeAddsAPodLayerWithoutChangingTheData) {
   expect_depth_parity(3, 3, 2, 2, "fleet_d3");
+}
+
+// --- Pipeline spans: opt-in, and on every hop of a fleet ------------------
+
+TEST(FleetTrace, SpansAreOptInAndCoverLeavesRootAndParse) {
+  for (const bool trace : {false, true}) {
+    SCOPED_TRACE(trace ? "trace on" : "trace off");
+    core::TestbedConfig cfg;
+    cfg.workload = 400;
+    cfg.duration = sec(3);
+    cfg.nodes_per_tier = {1, 2, 1, 2};
+    cfg.capture_messages = false;
+    cfg.log_dir = test::scratch_dir("fleet_trace");
+    core::Experiment exp(cfg);
+
+    FleetCollection::Config fc;
+    fc.topology.levels = 2;
+    fc.topology.racks = 2;
+    fc.topology.shards = 2;
+    fc.observability.emplace().trace = trace;
+    ShardedWarehouse db(fc.topology.shards);
+    FleetCollection fleet(exp.testbed(), db, nullptr, fc);
+    exp.run();
+    fleet.finish();
+    fs::remove_all(cfg.log_dir);
+
+    // The gauges export either way; spans only when asked for.
+    EXPECT_TRUE(db.shard(0).exists("mscope_meta_metrics"));
+    if (!trace) {
+      EXPECT_EQ(fleet.tracer(), nullptr);
+      EXPECT_FALSE(db.shard(0).exists("mscope_meta_spans"));
+      continue;
+    }
+    ASSERT_NE(fleet.tracer(), nullptr);
+    const auto& spans = fleet.tracer()->spans();
+    std::set<std::string> shipped, parsed;
+    std::size_t aggregates = 0;
+    std::size_t parse_ticks = 0;
+    for (const auto& s : spans) {
+      if (s.track.rfind("ship:", 0) == 0) shipped.insert(s.track.substr(5));
+      if (s.name.rfind("aggregate relay", 0) == 0) ++aggregates;
+      if (s.name == "parse_all") ++parse_ticks;
+      if (s.name.rfind("parse ", 0) == 0) {
+        parsed.insert(s.name.substr(6, s.name.find('/') - 6));
+      }
+    }
+    const std::set<std::string> leaves(fleet.topology().leaves().begin(),
+                                       fleet.topology().leaves().end());
+    EXPECT_EQ(shipped, leaves) << "every leaf records its ship spans";
+    EXPECT_EQ(parsed, leaves) << "both shards' transformers record parses";
+    EXPECT_GT(aggregates, 0u) << "the root records relay frames";
+    EXPECT_GT(parse_ticks, 0u);
+    ASSERT_TRUE(db.shard(0).exists("mscope_meta_spans"));
+    EXPECT_EQ(db.shard(0).get("mscope_meta_spans").row_count(), spans.size());
+  }
 }
 
 }  // namespace

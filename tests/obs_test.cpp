@@ -393,14 +393,14 @@ class MetaParityFixture : public ::testing::Test {
     core::Experiment exp(base_config(log_dir));
     auto* db = new db::Database();
     core::OnlineCollection::Config ccfg;
-    if (observed) ccfg.observability.emplace();
+    if (observed) ccfg.observability.emplace().trace = true;
     auto online = exp.start_online(*db, nullptr, ccfg);
     exp.run();
     online->finish();
     if (observed) {
-      exports_ = online->exporter()->stats().exports;
-      spans_ = online->tracer()->spans().size();
-      trace_json_ = online->tracer()->to_chrome_json();
+      exports_ = online->pipeline().exporter()->stats().exports;
+      spans_ = online->pipeline().tracer()->spans().size();
+      trace_json_ = online->pipeline().tracer()->to_chrome_json();
     }
     return db;
   }

@@ -16,6 +16,7 @@
 
 #include "core/milliscope.h"
 #include "core/online_collection.h"
+#include "crash_at_injector.h"
 #include "db/database.h"
 #include "db/wal/wal.h"
 #include "scratch_dir.h"
@@ -26,6 +27,7 @@ namespace mscope {
 namespace {
 
 namespace fs = std::filesystem;
+using test::CrashAtInjector;
 using transform::RecoveryStats;
 using transform::WarehouseIO;
 using util::io::CrashError;
@@ -263,23 +265,6 @@ struct CountingInjector final : FaultInjector {
   Decision on_op(const Event&) override {
     ++count;
     return {};
-  }
-};
-
-/// Kills operation number `target` (0-based). With `torn` set, a write
-/// lands only half its payload first — the torn-write variant.
-struct CrashAtInjector final : FaultInjector {
-  std::size_t target;
-  bool torn;
-  std::size_t seen = 0;
-  explicit CrashAtInjector(std::size_t t, bool torn_write)
-      : target(t), torn(torn_write) {}
-  Decision on_op(const Event& ev) override {
-    if (seen++ != target) return {};
-    Decision d;
-    d.crash = true;
-    d.partial_bytes = (torn && ev.op == Op::kWrite) ? ev.bytes / 2 : 0;
-    return d;
   }
 };
 
