@@ -1,5 +1,5 @@
 // Microbenchmarks of the data-pipeline stages (google-benchmark): how fast
-// mScopeDataTransformer parses native logs, infers schemas, loads mScopeDB,
+// mScopeDataTransformer parses native logs and loads mScopeDB,
 // and how fast the analyses read their series back (db::ColumnReader under
 // PIT and queue length). These bound how quickly a collected run can be
 // turned into a diagnosis.
@@ -9,10 +9,7 @@
 #include "core/metrics.h"
 #include "logging/formats.h"
 #include "sim/simulation.h"
-#include "transform/declaration.h"
-#include "transform/parsers.h"
 #include "transform/streaming.h"
-#include "transform/xml_to_csv.h"
 #include "util/rng.h"
 
 namespace {
@@ -37,35 +34,6 @@ std::string make_apache_log(int lines) {
   }
   return out;
 }
-
-std::unique_ptr<transform::XmlNode> parse_apache(const std::string& content) {
-  static const transform::DeclarationRegistry registry;
-  const transform::Declaration* d = registry.match("apache_access.log");
-  const transform::ParseContext ctx{"web1", "apache_access.log", d};
-  return transform::ParserRegistry::get(d->parser_id)(content, ctx);
-}
-
-void BM_ApacheParser(benchmark::State& state) {
-  const auto lines = static_cast<int>(state.range(0));
-  const std::string content = make_apache_log(lines);
-  for (auto _ : state) {
-    auto doc = parse_apache(content);
-    benchmark::DoNotOptimize(doc);
-  }
-  state.SetItemsProcessed(state.iterations() * lines);
-}
-BENCHMARK(BM_ApacheParser)->Arg(1000)->Arg(10000);
-
-void BM_XmlToCsvConversion(benchmark::State& state) {
-  const auto lines = static_cast<int>(state.range(0));
-  const auto doc = parse_apache(make_apache_log(lines));
-  for (auto _ : state) {
-    auto conv = transform::XmlToCsvConverter::convert(*doc);
-    benchmark::DoNotOptimize(conv);
-  }
-  state.SetItemsProcessed(state.iterations() * lines);
-}
-BENCHMARK(BM_XmlToCsvConversion)->Arg(1000)->Arg(10000);
 
 // One complete file through the batch load path: ingest + finalize() (fast
 // parse, typing, inserts, load catalog).

@@ -1,10 +1,10 @@
 // mScopeParse throughput: the compiled byte-scanning parsers
-// (transform/fastparse/) against the reference std::regex mScopeParsers,
-// per declared log format, plus the streaming transform's worker-pool
-// scaling. The headline target is the tentpole claim: >= 1M Apache
-// access-log lines per second per core on the fast path — roughly the log
-// volume of the paper's full RUBBoS testbed in real time — while staying
-// cell-for-cell identical to the reference oracle.
+// (transform/fastparse/) against the reference std::regex mScopeParsers +
+// XMLtoCSV chain (the test oracle in tests/oracle/), per declared log
+// format, plus the streaming transform's worker-pool scaling. The headline
+// target: >= 1M Apache access-log lines per second per core on the fast
+// path — roughly the log volume of the paper's full RUBBoS testbed in real
+// time — while staying cell-for-cell identical to the reference oracle.
 //
 // Shape checks are relative (fast >= 5x reference) in any build; the
 // absolute 1M lines/s/core floor is asserted only in optimized,
@@ -18,8 +18,9 @@
 
 #include "db/database.h"
 #include "logging/formats.h"
+#include "oracle/parsers.h"
 #include "transform/declaration.h"
-#include "transform/parse_path.h"
+#include "transform/fastparse/fast_parser.h"
 #include "transform/streaming.h"
 #include "util/simtime.h"
 
@@ -187,22 +188,21 @@ struct Throughput {
   std::size_t rows = 0;
 };
 
-/// Times parse_to_conversion over `content` until `min_sec` of work has
-/// accumulated; returns million lines per second.
-double time_path(const std::string& content, const ParseContext& ctx,
-                 const TransformConfig& cfg, ParserCache& cache,
-                 std::size_t lines, double min_sec, std::size_t& rows_out) {
-  // Warm-up compiles the parser and faults the buffer in.
-  ParseResult warm = parse_to_conversion(content, ctx, cfg, cache);
-  rows_out = warm.conv.rows.size();
+/// Times `parse` (one whole-content parse per call) until `min_sec` of work
+/// has accumulated; returns million lines per second.
+template <typename Parse>
+double time_path(Parse&& parse, std::size_t lines, double min_sec,
+                 std::size_t& rows_out) {
+  // Warm-up faults the buffer in.
+  rows_out = parse().rows.size();
   double elapsed = 0;
   std::uint64_t parsed = 0;
   while (elapsed < min_sec) {
     const double t0 = now_sec();
-    ParseResult r = parse_to_conversion(content, ctx, cfg, cache);
+    const Conversion c = parse();
     elapsed += now_sec() - t0;
     parsed += lines;
-    if (r.conv.rows.size() != rows_out) return 0;  // paths must agree
+    if (c.rows.size() != rows_out) return 0;  // runs must agree
   }
   return static_cast<double>(parsed) / elapsed / 1e6;
 }
@@ -212,16 +212,18 @@ Throughput measure_format(const DeclarationRegistry& reg,
   const Declaration* decl = reg.match(run.file);
   const ParseContext ctx{"bench1", run.file, decl};
   const std::size_t lines = count_lines(run.content);
-  ParserCache cache;
+  const auto fast = fastparse::FastParser::compile(*decl);
+  const double min_sec = kOptimizedBuild ? 0.3 : 0.05;
   Throughput t;
   std::size_t fast_rows = 0, ref_rows = 0;
-  TransformConfig fast_cfg;
-  t.fast_mlps = time_path(run.content, ctx, fast_cfg, cache, lines,
-                          kOptimizedBuild ? 0.3 : 0.05, fast_rows);
-  TransformConfig ref_cfg;
-  ref_cfg.use_reference_parser = true;
-  t.ref_mlps = time_path(run.content, ctx, ref_cfg, cache, lines,
-                         kOptimizedBuild ? 0.3 : 0.05, ref_rows);
+  t.fast_mlps = time_path(
+      [&] {
+        fastparse::ParseStats stats;
+        return fast->parse(run.content, ctx, stats);
+      },
+      lines, min_sec, fast_rows);
+  t.ref_mlps = time_path([&] { return reference_parse(run.content, ctx); },
+                         lines, min_sec, ref_rows);
   t.speedup = t.ref_mlps > 0 ? t.fast_mlps / t.ref_mlps : 0;
   t.rows = fast_rows == ref_rows ? fast_rows : 0;
   return t;

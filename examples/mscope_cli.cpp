@@ -8,7 +8,8 @@
 //   mscope sql    --archive DIR ["SELECT ..."] [--file F] [--explain]
 //
 // `run` simulates the RUBBoS testbed, transforms the logs into mScopeDB,
-// prints the diagnosis report, and optionally archives the warehouse.
+// prints the diagnosis report, and optionally archives the warehouse (an
+// archive is a directory of binary table snapshots, <table>.mseg).
 // `report` re-analyzes a previously archived warehouse without re-running;
 // `query` runs ad-hoc SQL against it; `sql` is the full-featured front end
 // to the vectorized engine (query from argument, file or stdin, EXPLAIN
@@ -25,6 +26,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -188,6 +190,14 @@ core::Diagnoser::Tables discover_tables(const db::Database& db,
   return tables;
 }
 
+/// Loads the snapshot archive `dir` into `db`. A directory with no table
+/// snapshot in it is an error, not an empty warehouse.
+void load_archive(db::Database& db, const std::string& dir) {
+  if (transform::WarehouseIO::load_snapshot(db, dir).empty()) {
+    throw std::runtime_error(dir + ": no warehouse snapshot (*.mseg)");
+  }
+}
+
 void print_report(const db::Database& db, util::SimTime horizon) {
   std::vector<std::string> services;
   const core::Diagnoser::Tables tables = discover_tables(db, &services);
@@ -248,7 +258,7 @@ int cmd_run(const Args& a) {
 
   if (a.want_report) print_report(db, cfg.duration);
   if (!a.archive.empty()) {
-    transform::WarehouseIO::save(db, a.archive);
+    transform::WarehouseIO::save_snapshot(db, a.archive);
     std::printf("warehouse archived to %s\n", a.archive.c_str());
   }
   return 0;
@@ -260,7 +270,7 @@ int cmd_report(const Args& a) {
     return 2;
   }
   db::Database db;
-  transform::WarehouseIO::load(db, a.archive);
+  load_archive(db, a.archive);
   // Horizon: widest time range recorded in the load catalog.
   util::SimTime horizon = 0;
   const db::Table& catalog = db.get(db::Database::kLoadCatalogTable);
@@ -282,7 +292,7 @@ int cmd_query(const Args& a) {
     return 2;
   }
   db::Database db;
-  transform::WarehouseIO::load(db, a.archive);
+  load_archive(db, a.archive);
   try {
     const db::Table result = db::Sql::execute(db, a.sql);
     std::printf("%s", db::Sql::format(result).c_str());
@@ -325,7 +335,7 @@ int cmd_sql(const Args& a) {
   if (a.explain) sql = "EXPLAIN " + sql;
 
   db::Database db;
-  transform::WarehouseIO::load(db, a.archive);
+  load_archive(db, a.archive);
   try {
     const db::Table result = db::Sql::execute(db, sql);
     std::printf("%s", db::Sql::format(result).c_str());
@@ -437,7 +447,7 @@ int cmd_trace(const Args& a) {
   }
 
   db::Database db;
-  transform::WarehouseIO::load(db, a.archive);
+  load_archive(db, a.archive);
   std::vector<std::string> services;
   const core::Diagnoser::Tables tables = discover_tables(db, &services);
   const auto recon =
@@ -470,7 +480,7 @@ int cmd_flow(const Args& a) {
     return 2;
   }
   db::Database db;
-  transform::WarehouseIO::load(db, a.archive);
+  load_archive(db, a.archive);
   std::vector<std::string> services;
   const core::Diagnoser::Tables tables = discover_tables(db, &services);
 
@@ -512,7 +522,7 @@ int cmd_flow(const Args& a) {
 int cmd_stats(const Args& a) {
   if (!a.archive.empty()) {
     db::Database db;
-    transform::WarehouseIO::load(db, a.archive);
+    load_archive(db, a.archive);
     std::printf("meta tables of %s:\n", a.archive.c_str());
     print_meta_tables(db);
     return 0;

@@ -220,9 +220,10 @@ int run_explorer() {
 
   // Archive the warehouse and restore it into a fresh database.
   const std::filesystem::path archive = "warehouse_archive";
-  transform::WarehouseIO::save(db, archive);
+  transform::WarehouseIO::save_snapshot(db, archive);
   db::Database restored;
-  const auto loaded = transform::WarehouseIO::load(restored, archive);
+  const auto loaded =
+      transform::WarehouseIO::load_snapshot(restored, archive);
   std::printf("\narchived %zu tables; restored %zu tables; "
               "apache rows: %zu == %zu\n",
               db.table_names().size(), loaded.size(),

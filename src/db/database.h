@@ -15,8 +15,9 @@ namespace mscope::db {
 ///
 /// Four *static* tables store load metadata (experiment configuration, node
 /// inventory, monitor deployment, load catalog); *dynamic* tables are
-/// created on the fly by mScope Data Importer — one per (monitor, node)
-/// log file, with the schema inferred upstream by the XMLtoCSV converter.
+/// created on the fly by the transformer — one per (monitor, node) log
+/// file, with the schema its parser inferred by the paper's XMLtoCSV
+/// best-match rules.
 class Database : public Catalog {
  public:
   /// Names of the four static metadata tables.

@@ -68,8 +68,8 @@ class ResourceMonitor {
 };
 
 /// SAR mScopeMonitor: CPU utilization. Two output paths, as in the paper —
-/// classic text (handled by a custom parser) or XML (the upgraded path that
-/// goes straight to the XMLtoCSV converter).
+/// classic text (handled by a custom parser) or XML (the upgraded path,
+/// read by its own streaming scanner).
 class SarMonitor final : public ResourceMonitor {
  public:
   enum class Output { kText, kXml };

@@ -97,7 +97,7 @@ Declaration sar_text_decl() {
 
 Declaration sar_xml_decl() {
   Declaration d;
-  // The upgraded path: SAR emits XML directly; no custom parser needed.
+  // The upgraded path: SAR emits XML directly, read by the sar XML scanner.
   d.parser_id = "sar_xml";
   d.file_name = "sar_cpu.xml";
   d.source = "sar";

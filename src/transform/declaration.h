@@ -32,7 +32,7 @@ struct TokenInstruction {
 /// a mapping between input log files and their specific mScopeParser, along
 /// with instructions for how the parser should inject semantics").
 struct Declaration {
-  std::string parser_id;      ///< dispatch key into the ParserRegistry
+  std::string parser_id;      ///< which compiled scanner parses the file
   std::string file_name;      ///< log file this declaration applies to
   std::string source;         ///< logical source, e.g. "apache", "collectl"
   std::string table_prefix;   ///< dynamic-table prefix, e.g. "ev_apache"

@@ -6,18 +6,32 @@
 #include <string_view>
 #include <vector>
 
+#include "db/table.h"
 #include "db/value.h"
-#include "transform/xml_to_csv.h"
 
 namespace mscope::transform {
-struct ParseContext;
-}
+
+/// One parsed log file (or piece of one) in the shape the paper's XMLtoCSV
+/// converter gives it (Section III-B.3): an inferred relational schema plus
+/// string-typed rows aligned to it (empty cell = NULL).
+struct Conversion {
+  db::Schema schema;
+  std::vector<std::vector<std::string>> rows;
+  std::string source;
+  std::string node;
+  std::string file;
+  /// 1-based source line number per row, when the producing parser tracked
+  /// it (the scanners do). Used only for error context — never affects the
+  /// warehouse.
+  std::vector<std::uint32_t> row_lines;
+};
+
+}  // namespace mscope::transform
 
 namespace mscope::transform::fastparse {
 
-/// Builds a Conversion directly from emitted (column, value) pairs,
-/// bypassing the XML materialization of the reference path while
-/// reproducing XmlToCsvConverter::convert() exactly:
+/// Builds a Conversion directly from emitted (column, value) pairs, with the
+/// paper's XMLtoCSV typing rules and no XML in between:
 ///  * columns are the union of all emitted names in first-appearance order;
 ///  * each column's type is the best-match accumulation (widen over
 ///    infer_type of every occurrence, Null finalized to Text);

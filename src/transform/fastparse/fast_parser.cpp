@@ -3,11 +3,73 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "transform/fastparse/scan.h"
-#include "transform/parsers.h"
+#include "util/simtime.h"
 #include "util/strings.h"
+#include "util/time_format.h"
+
+namespace mscope::transform {
+
+std::string sanitize_column(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size() + 4);
+  bool pct = false;
+  for (char c : raw) {
+    if (c == '%') {
+      pct = true;
+      continue;
+    }
+    if (c == '[') continue;
+    if (std::isalnum(static_cast<unsigned char>(c))) {
+      out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    } else {
+      if (!out.empty() && out.back() != '_') out += '_';
+    }
+  }
+  while (!out.empty() && out.back() == '_') out.pop_back();
+  if (pct) out += "_pct";
+  if (out.empty()) out = "col";
+  return out;
+}
+
+bool convert_time(std::string_view raw, TimeEncoding enc,
+                  std::int64_t& out_usec) {
+  using util::TimeFormat;
+  switch (enc) {
+    case TimeEncoding::kNone:
+      return false;
+    case TimeEncoding::kHmsMilli: {
+      const auto t = TimeFormat::parse_hms(raw);
+      if (!t) return false;
+      out_usec = *t;
+      return true;
+    }
+    case TimeEncoding::kApacheClf: {
+      const auto t = TimeFormat::parse_apache_clf(raw);
+      if (!t) return false;
+      out_usec = *t;
+      return true;
+    }
+    case TimeEncoding::kMysqlDateTime: {
+      const auto t = TimeFormat::parse_mysql(raw);
+      if (!t) return false;
+      out_usec = *t;
+      return true;
+    }
+    case TimeEncoding::kEpochUsec: {
+      const auto v = util::parse_int(raw);
+      if (!v) return false;
+      out_usec = *v - TimeFormat::kEpochUnixSec * util::kSec;
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace mscope::transform
 
 namespace mscope::transform::fastparse {
 
@@ -17,7 +79,7 @@ using SlotIds = FastParser::SlotIds;
 constexpr ConversionBuilder::ColId kNoCol = SlotIds::kNone;
 
 /// Strict fixed-layout decode first; anything it can't express defers to
-/// the reference convert_time so the two paths agree byte-for-byte.
+/// the general convert_time, so both decode every input identically.
 bool convert_time_fast(std::string_view raw, TimeEncoding enc,
                        std::int64_t& usec) {
   const char* b = raw.data();
@@ -92,8 +154,8 @@ void split_char_into(std::string_view s, char sep,
 
 }  // namespace
 
-std::shared_ptr<const FastParser> FastParser::compile(const Declaration& decl) {
-  std::shared_ptr<FastParser> fp(new FastParser());
+std::unique_ptr<const FastParser> FastParser::compile(const Declaration& decl) {
+  std::unique_ptr<FastParser> fp(new FastParser());
   fp->skip_lines_ = static_cast<std::size_t>(std::max(decl.skip_lines, 0));
   fp->comment_prefix_ = decl.comment_prefix;
   fp->source_ = decl.source;
@@ -126,7 +188,11 @@ std::shared_ptr<const FastParser> FastParser::compile(const Declaration& decl) {
     fp->kind_ = Kind::kTokenLines;
     for (const auto& t : decl.tokens) fp->instrs_.push_back(compile_instr(t));
   } else if (decl.parser_id == "tomcat") {
-    if (decl.tokens.empty()) return nullptr;  // reference throws; keep it
+    if (decl.tokens.empty()) {
+      throw std::invalid_argument("FastParser: " + decl.file_name +
+                                  ": parser 'tomcat' needs token "
+                                  "instructions");
+    }
     fp->kind_ = Kind::kTomcat;
     for (const auto& t : decl.tokens) fp->instrs_.push_back(compile_instr(t));
   } else if (decl.parser_id == "sar_text") {
@@ -137,8 +203,12 @@ std::shared_ptr<const FastParser> FastParser::compile(const Declaration& decl) {
     fp->kind_ = Kind::kCollectlCsv;
   } else if (decl.parser_id == "collectl_plain") {
     fp->kind_ = Kind::kCollectlPlain;
+  } else if (decl.parser_id == "sar_xml") {
+    fp->kind_ = Kind::kSarXml;
   } else {
-    return nullptr;  // sar_xml / unknown ids keep the reference path
+    throw std::invalid_argument("FastParser: " + decl.file_name +
+                                ": unknown parser_id '" + decl.parser_id +
+                                "'");
   }
   return fp;
 }
@@ -146,7 +216,9 @@ std::shared_ptr<const FastParser> FastParser::compile(const Declaration& decl) {
 Conversion FastParser::parse(std::string_view content, const ParseContext& ctx,
                              ParseStats& stats) const {
   State st;
-  return parse_more(st, content, ctx, stats);
+  Conversion c = parse_more(st, content, ctx, stats);
+  finish(st);
+  return c;
 }
 
 Conversion FastParser::parse_more(State& st, std::string_view piece,
@@ -171,6 +243,9 @@ Conversion FastParser::parse_more(State& st, std::string_view piece,
       break;
     case Kind::kCollectlPlain:
       lines = parse_collectl(piece, st, stats, /*csv=*/false);
+      break;
+    case Kind::kSarXml:
+      lines = parse_sar_xml(piece, st, stats);
       break;
   }
   st.next_line += lines;
@@ -568,6 +643,287 @@ std::size_t FastParser::parse_collectl(std::string_view piece, State& st,
       b.set(col.ids.raw_id, std::string(toks[f]));
     }
   });
+}
+
+// ------------------------------- sar_xml ------------------------------------
+//
+// sar's native XML (sadf -x). The scanner accepts exactly the documents the
+// XML DOM of the test oracle (tests/oracle/xml.h) accepts: whitespace,
+// <?...?> and <!--...--> around one root element; inside it, elements,
+// attributes quoted either way, text and comments, with matching closing
+// tags. It emits each timestamp's row when that element closes, so a
+// document still being written streams its samples. A construct that a
+// piece boundary cuts in two is carried over.
+
+namespace {
+
+constexpr std::size_t kNpos = std::string_view::npos;
+
+bool xml_space(char c) {
+  return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
+
+bool xml_name_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_' ||
+         c == '-' || c == '.' || c == ':';
+}
+
+std::string attr_value(std::string_view raw) {
+  return raw.find('&') == kNpos ? std::string(raw) : util::xml_unescape(raw);
+}
+
+/// Scans one piece (with any carried construct in front) of a document.
+class SarXmlScanner {
+ public:
+  SarXmlScanner(std::string_view text, std::size_t first_line,
+                FastParser::SarXmlState& x, ConversionBuilder& b,
+                ParseStats& stats)
+      : text_(text), first_line_(first_line), x_(x), b_(b), stats_(stats) {}
+
+  /// Scans the whole text, carrying an unfinished construct into the
+  /// state; returns the number of '\n' in what it consumed.
+  std::size_t run() {
+    const std::size_t n = text_.size();
+    while (pos_ < n) {
+      std::size_t end;
+      if (x_.open.empty()) {  // before or after the root element
+        if (xml_space(text_[pos_])) {
+          ++pos_;
+          continue;
+        }
+        const char* after_root = "content after the root element";
+        if (text_[pos_] != '<') fail(x_.seen[0] ? after_root : "expected '<'");
+        if (pos_ + 1 == n) break;
+        const char c = text_[pos_ + 1];
+        if (c == '?') {
+          end = skip_past("?>");
+        } else if (c == '!') {
+          end = comment();
+        } else if (x_.seen[0]) {
+          fail(after_root);
+        } else {
+          end = start_tag();
+        }
+      } else {  // element content: text is skipped
+        const void* lt = std::memchr(text_.data() + pos_, '<', n - pos_);
+        if (lt == nullptr) {
+          pos_ = n;
+          break;
+        }
+        pos_ = static_cast<std::size_t>(static_cast<const char*>(lt) -
+                                        text_.data());
+        if (pos_ + 1 == n) break;
+        const char c = text_[pos_ + 1];
+        end = c == '!' ? comment() : c == '/' ? end_tag() : start_tag();
+      }
+      if (end == kNpos) break;
+      pos_ = end;
+    }
+    if (pos_ < n) x_.carry.assign(text_.substr(pos_));
+    return line_at(pos_) - first_line_ - 1;
+  }
+
+ private:
+  /// 1-based line of text_[p]; p never decreases between calls.
+  std::size_t line_at(std::size_t p) {
+    newlines_ += static_cast<std::size_t>(
+        std::count(text_.begin() + static_cast<std::ptrdiff_t>(counted_),
+                   text_.begin() + static_cast<std::ptrdiff_t>(p), '\n'));
+    counted_ = p;
+    return first_line_ + newlines_ + 1;
+  }
+
+  [[noreturn]] void fail(const char* why) {
+    throw std::runtime_error(std::string("sar xml: ") + why + " at line " +
+                             std::to_string(line_at(pos_)));
+  }
+
+  std::size_t skip_space(std::size_t p) const {
+    while (p < text_.size() && xml_space(text_[p])) ++p;
+    return p;
+  }
+
+  std::size_t name_end(std::size_t p) const {
+    while (p < text_.size() && xml_name_char(text_[p])) ++p;
+    return p;
+  }
+
+  /// End of the construct at pos_ closed by `term`, searched from the '<'.
+  std::size_t skip_past(std::string_view term) const {
+    const std::size_t e = text_.find(term, pos_);
+    return e == kNpos ? kNpos : e + term.size();
+  }
+
+  std::size_t comment() {
+    constexpr std::string_view kOpen = "<!--";
+    const std::size_t have = std::min(text_.size() - pos_, kOpen.size());
+    if (text_.substr(pos_, have) != kOpen.substr(0, have)) {
+      fail("expected a name");
+    }
+    return have < kOpen.size() ? kNpos : skip_past("-->");
+  }
+
+  std::size_t start_tag() {
+    const std::size_t n = text_.size();
+    std::size_t p = pos_ + 1;
+    std::size_t e = name_end(p);
+    if (e == n) return kNpos;
+    if (e == p) fail("expected a name");
+    name_ = text_.substr(p, e - p);
+    attrs_.clear();
+    for (p = e;;) {
+      p = skip_space(p);
+      if (p == n) return kNpos;
+      if (text_[p] == '/' || text_[p] == '>') {
+        const bool self_closing = text_[p] == '/';
+        if (self_closing && p + 1 == n) return kNpos;
+        if (self_closing && text_[p + 1] != '>') fail("expected a name");
+        on_start(self_closing);
+        return p + (self_closing ? 2 : 1);
+      }
+      e = name_end(p);
+      if (e == n) return kNpos;
+      if (e == p) fail("expected a name");
+      const std::string_view key = text_.substr(p, e - p);
+      p = skip_space(e);
+      if (p == n) return kNpos;
+      if (text_[p] != '=') fail("expected '='");
+      p = skip_space(p + 1);
+      if (p == n) return kNpos;
+      const char quote = text_[p];
+      if (quote != '"' && quote != '\'') fail("expected a quoted value");
+      const std::size_t close = text_.find(quote, p + 1);
+      if (close == kNpos) return kNpos;
+      attrs_.emplace_back(key, text_.substr(p + 1, close - p - 1));
+      p = close + 1;
+    }
+  }
+
+  std::size_t end_tag() {
+    const std::size_t n = text_.size();
+    const std::size_t p = pos_ + 2;
+    const std::size_t e = name_end(p);
+    if (e == n) return kNpos;
+    if (e == p) fail("expected a name");
+    if (text_.substr(p, e - p) != x_.open.back()) fail("mismatched end tag");
+    const std::size_t q = skip_space(e);
+    if (q == n) return kNpos;
+    if (text_[q] != '>') fail("expected '>'");
+    const std::size_t k = x_.open.size() - 1;
+    x_.open.pop_back();
+    if (x_.path == k + 1) {  // a route element closed
+      x_.path = k;
+      if (k == 3) end_timestamp();
+    }
+    return q + 1;
+  }
+
+  /// A complete start tag name_/attrs_ at pos_. An element joins the route
+  /// only as the next route element under the route's deepest open one.
+  void on_start(bool self_closing) {
+    static constexpr std::string_view kRoute[] = {
+        "", "host", "statistics", "timestamp", "cpu-load", "cpu"};
+    const std::size_t d = x_.open.size();  // depth of the new element
+    bool on_route = false;
+    // A root of any name; then each route element's first occurrence,
+    // except timestamps, which all count.
+    if (d == 0 || (d == x_.path && d < 6 && name_ == kRoute[d] &&
+                   (d == 3 || !x_.seen[d]))) {
+      x_.seen[d] = true;
+      on_route = d < 5;  // nothing below the cpu matters
+      if (d == 3) begin_timestamp();
+      if (d == 5) keep_cpu_attrs();
+    }
+    if (self_closing) {
+      if (on_route && d == 3) end_timestamp();
+      return;
+    }
+    x_.open.emplace_back(name_);
+    if (on_route) x_.path = d + 1;
+  }
+
+  void begin_timestamp() {
+    ++stats_.lines;
+    x_.time.reset();
+    for (const auto& [k, v] : attrs_) {
+      if (k == "time") x_.time = attr_value(v);  // a repeat: last value
+    }
+    x_.line = static_cast<std::uint32_t>(line_at(pos_));
+    x_.seen[4] = x_.seen[5] = false;
+    x_.cpu.clear();
+  }
+
+  /// A repeated attribute keeps its first position and its last value.
+  void keep_cpu_attrs() {
+    for (const auto& [k, v] : attrs_) {
+      auto it = std::find_if(x_.cpu.begin(), x_.cpu.end(),
+                             [k = k](const auto& a) { return a.first == k; });
+      if (it != x_.cpu.end()) {
+        it->second = attr_value(v);
+      } else {
+        x_.cpu.emplace_back(std::string(k), attr_value(v));
+      }
+    }
+  }
+
+  void end_timestamp() {
+    if (!x_.time || !x_.seen[5]) {
+      ++stats_.rejected;
+      return;
+    }
+    b_.begin_entry(x_.line);
+    std::int64_t usec = 0;
+    if (convert_time_fast(*x_.time, TimeEncoding::kHmsMilli, usec)) {
+      if (x_.ts_col == kNoCol) x_.ts_col = b_.column("ts_usec");
+      b_.set_known_int(x_.ts_col, std::to_string(usec));
+    }
+    for (auto& [k, v] : x_.cpu) {
+      if (k == "number") continue;
+      auto it = x_.cols.find(k);
+      if (it == x_.cols.end()) {
+        it = x_.cols.emplace(k, b_.column(sanitize_column(k) + "_pct")).first;
+      }
+      b_.set(it->second, std::move(v));
+    }
+  }
+
+  std::string_view text_;
+  std::size_t first_line_;
+  FastParser::SarXmlState& x_;
+  ConversionBuilder& b_;
+  ParseStats& stats_;
+  std::size_t pos_ = 0;
+  std::size_t counted_ = 0;
+  std::size_t newlines_ = 0;
+  std::string_view name_;
+  std::vector<std::pair<std::string_view, std::string_view>> attrs_;
+};
+
+}  // namespace
+
+std::size_t FastParser::parse_sar_xml(std::string_view piece, State& st,
+                                      ParseStats& stats) const {
+  std::string joined;
+  if (!st.xml.carry.empty()) {
+    joined = std::move(st.xml.carry);
+    st.xml.carry.clear();
+    joined.append(piece);
+    piece = joined;
+  }
+  return SarXmlScanner(piece, st.next_line, st.xml, st.builder, stats).run();
+}
+
+void FastParser::finish(const State& st) const {
+  if (kind_ != Kind::kSarXml) return;
+  const SarXmlState& x = st.xml;
+  if (!x.carry.empty()) {
+    throw std::runtime_error("sar xml: document ends inside a construct");
+  }
+  if (!x.seen[0]) throw std::runtime_error("sar xml: no root element");
+  if (!x.open.empty()) {
+    throw std::runtime_error("sar xml: unterminated element " +
+                             x.open.back());
+  }
 }
 
 }  // namespace mscope::transform::fastparse

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <regex>
 #include <string>
 #include <string_view>
@@ -13,40 +15,59 @@
 #include "transform/declaration.h"
 #include "transform/fastparse/builder.h"
 #include "transform/fastparse/pattern.h"
-#include "transform/xml_to_csv.h"
 
 namespace mscope::transform {
-struct ParseContext;
-}
+
+/// Context handed to a parse: where the bytes come from and which
+/// declaration governs them.
+struct ParseContext {
+  std::string node;  ///< node the log came from (directory name)
+  std::string file;  ///< file name
+  const Declaration* decl = nullptr;
+};
+
+/// Normalizes a raw header token into a column name:
+/// "%user" -> "user_pct", "[CPU]User%" -> "cpu_user_pct", "kB_read/s" ->
+/// "kb_read_s".
+[[nodiscard]] std::string sanitize_column(std::string_view raw);
+
+/// Converts a raw timestamp string per encoding into relative microseconds;
+/// returns false if unparseable.
+[[nodiscard]] bool convert_time(std::string_view raw, TimeEncoding enc,
+                                std::int64_t& out_usec);
+
+}  // namespace mscope::transform
 
 namespace mscope::transform::fastparse {
 
-/// Per-parse tallies. `rejected` counts candidate lines that survived the
-/// format's structural skip rules (banner/comment/blank) but produced no
-/// entry — the lines the reference parsers used to drop silently.
+/// Per-parse tallies. `rejected` counts candidate lines (for sar XML:
+/// timestamp elements) that survived the format's structural skip rules
+/// (banner/comment/blank) but produced no entry.
 struct ParseStats {
   std::uint64_t lines = 0;
   std::uint64_t rejected = 0;
 };
 
 /// A specialized byte-scanning parser compiled from one Declaration —
-/// stage 2 of the transformer with the XML materialization and std::regex
-/// removed from the hot path.
+/// stages 2-3 of the transformer (paper Fig. 3: add semantics, then
+/// XMLtoCSV) in one pass, with no XML materialized and std::regex off the
+/// hot path.
 ///
 /// compile() translates each TokenInstruction's regex into a
 /// CompiledPattern (pattern.h); instructions outside the supported regex
 /// subset keep a std::regex fallback, matched over the raw byte range (no
 /// per-line std::string copies either way). The structured formats
-/// (sar_text, iostat, collectl) become hand-rolled scanners that mirror the
-/// reference implementations line for line. parse() is required — and
-/// tested — to produce a Conversion cell-for-cell identical to the
-/// reference parser + XmlToCsvConverter on the same bytes.
+/// (sar_text, sar_xml, iostat, collectl) are hand-rolled scanners. parse()
+/// is required — and tested against the regex/XML oracle in tests/oracle/
+/// — to produce a Conversion cell-for-cell identical to the paper's
+/// mScopeParser -> XML -> XMLtoCSV chain on the same bytes, and to throw
+/// exactly when that chain throws (only sar XML can: a malformed document).
 ///
 /// Parsing is resumable: parse_more() continues a file where the previous
-/// call stopped, carrying everything a later line depends on in a State.
-/// Every input format is line-oriented and its best-match column typing is
-/// a running join, so parsing a file in line-aligned pieces yields exactly
-/// the schema, rows and stats of one parse of the whole file (tested).
+/// call stopped, carrying everything a later piece depends on in a State,
+/// and finish() closes the file. Column typing is a running join, so
+/// parsing a file in pieces yields exactly the schema, rows and stats of
+/// one parse of the whole file (tested).
 ///
 /// Instances are immutable after compile() and safe to share across
 /// threads; all mutable state lives in the caller's State and per-call
@@ -70,6 +91,25 @@ class FastParser {
     SlotIds ids;
   };
 
+  /// A sar XML document between pieces. Rows come from the `timestamp`
+  /// children of the root's first `host` child's first `statistics` child.
+  /// That route runs root, host, statistics, timestamp, cpu-load, cpu (the
+  /// first cpu-load's first cpu); `path` counts the open elements on it.
+  struct SarXmlState {
+    std::string carry;              ///< a construct a piece boundary cut
+    std::vector<std::string> open;  ///< open element names, root first
+    std::size_t path = 0;
+    /// seen[d]: the route's element at depth d has started (for the
+    /// timestamp's cpu-load and cpu: in the pending timestamp).
+    std::array<bool, 6> seen{};
+    std::optional<std::string> time;  ///< the pending timestamp's
+    std::uint32_t line = 0;           ///< ... its tag's line
+    std::vector<std::pair<std::string, std::string>> cpu;  ///< ... its cpu
+    /// Column ids: ts_usec, and one per cpu attribute name.
+    ConversionBuilder::ColId ts_col = SlotIds::kNone;
+    std::map<std::string, ConversionBuilder::ColId, std::less<>> cols;
+  };
+
   /// Everything one file's parse carries from one piece to the next.
   struct State {
     std::size_t next_line = 0;  ///< index of the next piece's first line
@@ -83,30 +123,39 @@ class FastParser {
     std::vector<HeaderCol> header;
     /// iostat: the timestamp the next device line belongs to (-1: none yet).
     std::int64_t iostat_ts = -1;
+    /// sar XML: where the document stands.
+    SarXmlState xml;
   };
 
-  /// Compiles a fast parser for `decl`. Returns nullptr when the
-  /// declaration's parser has no fast path (sar_xml, unknown parser ids,
-  /// declarations the byte-scanners cannot honor) — the caller then keeps
-  /// the reference path. All needed declaration state is copied; the
-  /// registry may grow/reallocate afterwards.
-  [[nodiscard]] static std::shared_ptr<const FastParser> compile(
+  /// Compiles a parser for `decl`. Throws std::invalid_argument naming the
+  /// file and the parser id when the id is unknown or the declaration
+  /// cannot be honored (a tomcat declaration without token instructions).
+  /// All needed declaration state is copied; the registry may
+  /// grow/reallocate afterwards.
+  [[nodiscard]] static std::unique_ptr<const FastParser> compile(
       const Declaration& decl);
 
-  /// Parses `content` (read in place, never copied) into a Conversion:
-  /// one parse_more() call on a fresh State.
+  /// Parses a whole file (read in place, never copied) into a Conversion:
+  /// parse_more() on a fresh State, then finish().
   [[nodiscard]] Conversion parse(std::string_view content,
                                  const ParseContext& ctx,
                                  ParseStats& stats) const;
 
   /// Parses the next `piece` of a file whose earlier pieces went through
-  /// `state`. Every piece but the file's last must end with '\n'. Returns
-  /// the cumulative schema (every column seen so far, at its running type)
-  /// and only this piece's rows, padded to that schema's width; adds this
-  /// piece's tallies to `stats`. If it throws, `state` is unusable.
+  /// `state`. For the line formats every piece but the file's last must
+  /// end with '\n'; sar XML pieces may end at any byte. Returns the
+  /// cumulative schema (every column seen so far, at its running type) and
+  /// only this piece's rows, padded to that schema's width; adds this
+  /// piece's tallies to `stats`. Throws std::runtime_error on a malformed
+  /// sar XML document; after a throw `state` is unusable.
   [[nodiscard]] Conversion parse_more(State& state, std::string_view piece,
                                       const ParseContext& ctx,
                                       ParseStats& stats) const;
+
+  /// End of the file whose pieces went through `state`. A no-op for the
+  /// line formats; for sar XML, throws std::runtime_error if the document
+  /// never closed its root or ends inside a construct.
+  void finish(const State& state) const;
 
  private:
   enum class Kind : std::uint8_t {
@@ -116,6 +165,7 @@ class FastParser {
     kIostat,
     kCollectlCsv,
     kCollectlPlain,
+    kSarXml,
   };
 
   /// One declared output field of a token instruction.
@@ -147,6 +197,9 @@ class FastParser {
                            ParseStats& stats) const;
   std::size_t parse_collectl(std::string_view piece, State& st,
                              ParseStats& stats, bool csv) const;
+  /// Returns the number of '\n' it consumed instead of lines walked.
+  std::size_t parse_sar_xml(std::string_view piece, State& st,
+                            ParseStats& stats) const;
 
   Kind kind_ = Kind::kTokenLines;
   std::size_t skip_lines_ = 0;

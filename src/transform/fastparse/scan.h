@@ -42,7 +42,7 @@ inline bool scan_2d(const char* p, std::int64_t& out) {
 /// HH:MM:SS with optional .1-6 digit fraction, consuming exactly [b, e).
 /// Mirrors util::TimeFormat::parse_hms for the canonical two-digit layout;
 /// anything else (one-digit hours, stray spaces, 7-digit fractions) returns
-/// false so the caller can defer to the reference parser.
+/// false so the caller can defer to util::TimeFormat.
 inline bool scan_hms(const char* b, const char* e, std::int64_t& usec) {
   if (e - b < 8) return false;
   std::int64_t h, m, s;

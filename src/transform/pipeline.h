@@ -20,14 +20,13 @@ namespace mscope::transform {
 ///      load the tuples.
 /// A run is one StreamingTransformer pass: each complete file is ingested
 /// once (its read buffer becomes the parse subject), then finalize() parses
-/// and loads every file. Stages 2-3 run on the compiled byte scanners; the
-/// regex mScopeParsers -> XML -> XMLtoCSV path is the reference oracle
-/// behind TransformConfig::use_reference_parser, with an identical
-/// warehouse either way.
+/// and loads every file. Stages 2-3 run on the compiled byte scanners
+/// (transform/fastparse); the paper's regex mScopeParsers -> XML ->
+/// XMLtoCSV chain survives as their test oracle in tests/oracle/.
 class DataTransformer {
  public:
   struct Config {
-    TransformConfig transform;  ///< parse path + parse worker pool
+    TransformConfig transform;  ///< parse worker pool
   };
 
   struct FileReport {
@@ -57,9 +56,10 @@ class DataTransformer {
   [[nodiscard]] DeclarationRegistry& declarations() { return registry_; }
 
   /// Transforms every recognized log under `run_dir` into `db`. Throws
-  /// std::invalid_argument if `run_dir` does not exist or a file maps onto a
-  /// table that exists or that another file loads, and std::runtime_error
-  /// naming the file if a file fails to parse.
+  /// std::invalid_argument if `run_dir` does not exist, a declaration names
+  /// a parser that does not exist, or a file maps onto a table that exists
+  /// or that another file loads, and std::runtime_error naming the file if a
+  /// file fails to parse.
   Report run(const std::filesystem::path& run_dir, db::Database& db) const;
 
  private:

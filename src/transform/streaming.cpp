@@ -7,9 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "transform/fastparse/parse_pool.h"
-#include "transform/parsers.h"
-#include "transform/xml_to_csv.h"
-#include "util/strings.h"
 
 namespace mscope::transform {
 
@@ -38,16 +35,22 @@ StreamingTransformer::FileState& StreamingTransformer::file_state(
   auto& files = nodes_[node];
   auto it = files.find(file);
   if (it == files.end()) {
-    // First sight of this (node, file): stage-1 declaration lookup.
+    // First sight of this (node, file): stage-1 declaration lookup, then
+    // the declaration's compiled parser. Compiling first means a
+    // declaration no parser can honor throws before the file is tracked.
+    const Declaration* decl = registry_.match(file);
+    const fastparse::FastParser* parser = nullptr;
+    if (decl != nullptr) {
+      auto& compiled = parsers_[decl];
+      if (compiled == nullptr) compiled = fastparse::FastParser::compile(*decl);
+      parser = compiled.get();
+    }
     it = files.emplace(file, FileState{}).first;
     ++stats_.files;
     FileState& st = it->second;
-    st.decl = registry_.match(file);
-    if (st.decl == nullptr) {
-      ++stats_.unmatched_files;
-    } else if (!cfg_.transform.use_reference_parser) {
-      st.parser = parser_cache_.get(*st.decl);
-    }
+    st.decl = decl;
+    st.parser = parser;
+    if (decl == nullptr) ++stats_.unmatched_files;
   }
   return it->second;
 }
@@ -58,7 +61,8 @@ void StreamingTransformer::ingest(const std::string& node,
   FileState& st = file_state(node, file);
   ++stats_.chunks;
   stats_.bytes += data.size();
-  if (st.decl == nullptr) return;  // unknown format: nothing to transform
+  // Unknown format or failed file: nothing to transform.
+  if (st.decl == nullptr || st.parse_error) return;
   st.content.append(data);
 }
 
@@ -68,7 +72,7 @@ void StreamingTransformer::ingest(const std::string& node,
   FileState& st = file_state(node, file);
   ++stats_.chunks;
   stats_.bytes += data.size();
-  if (st.decl == nullptr) return;
+  if (st.decl == nullptr || st.parse_error) return;
 
   if (st.content.empty()) {
     // Adopt the shipped buffer instead of copying it — the collector is done
@@ -113,7 +117,6 @@ void StreamingTransformer::parse_all() {
   std::vector<ParseTask> tasks;
   for (auto& [node, files] : nodes_) {
     for (auto& [file, st] : files) {
-      if (st.decl == nullptr) continue;
       ParseTask t = prepare_parse(node, file, st, /*final_pass=*/false);
       if (t.scheduled) tasks.push_back(std::move(t));
     }
@@ -131,21 +134,20 @@ StreamingTransformer::ParseTask StreamingTransformer::prepare_parse(
   t.node = &node;
   t.file = &file;
   t.st = &st;
-  // Files without a resumable parser are parsed once, whole, at finalize().
-  if (st.parser == nullptr && !final_pass) return t;
+  if (st.decl == nullptr || st.parse_error) return t;
   // Mid-run, parse up to the last complete line only; a trailing fragment
   // would produce a bogus row that a later pass could not retract. The
   // final pass takes everything, exactly like the batch pipeline reading
-  // the file.
+  // the file, and ends the file even when no new bytes arrived.
   std::size_t end = st.content.size();
   if (!final_pass) {
     const auto nl = st.content.rfind('\n');
     end = (nl == std::string::npos) ? 0 : nl + 1;
+    if (end <= st.parsed_bytes) return t;
   }
-  if (end <= st.parsed_bytes) return t;
-  // A file without a resumable parser is always parsed whole.
-  t.begin = st.parser != nullptr ? st.parsed_bytes : 0;
+  t.begin = st.parsed_bytes;
   t.end = end;
+  t.final_pass = final_pass;
   t.scheduled = true;
   return t;
 }
@@ -157,20 +159,18 @@ void StreamingTransformer::run_parse(ParseTask& t) const {
   // zero-copy lifetime rule).
   FileState& st = *t.st;
   const ParseContext ctx{*t.node, *t.file, st.decl};
-  const std::string_view piece =
-      std::string_view(st.content).substr(t.begin, t.end - t.begin);
   try {
-    if (st.parser != nullptr) {
-      t.result.conv =
-          st.parser->parse_more(st.parse_state, piece, ctx, t.result.stats);
-      t.result.fast = true;
-    } else {
-      t.result =
-          parse_to_conversion(piece, ctx, cfg_.transform, parser_cache_);
+    if (t.end > t.begin) {
+      const std::string_view piece =
+          std::string_view(st.content).substr(t.begin, t.end - t.begin);
+      t.conv = st.parser->parse_more(st.parse_state, piece, ctx, t.stats);
     }
+    // Ends the file before its last rows load: a document that never
+    // closes loads no rows from this pass.
+    if (t.final_pass) st.parser->finish(st.parse_state);
   } catch (const std::exception& e) {
-    // Lossy backpressure policies can punch holes that make a file
-    // unparseable; keep the rows loaded so far rather than losing the file.
+    // A hole in a lossy stream can make a file unparseable; keep the rows
+    // loaded so far rather than losing the file.
     t.error = e.what();
   }
 }
@@ -195,19 +195,17 @@ void StreamingTransformer::run_tasks(std::vector<ParseTask>& tasks) {
 
 void StreamingTransformer::reconcile_parse(ParseTask& task) {
   FileState& st = *task.st;
-  st.parse_error = std::move(task.error);
-  if (st.parse_error) {
+  if (task.error) {
+    // The file is failed for the run: its loaded rows stay, its bytes go.
+    st.parse_error = std::move(task.error);
+    st.content = std::string();
     ++stats_.parse_deferrals;
     static obs::Counter& deferrals =
         obs::Registry::global().counter("transform.parse_deferrals");
     deferrals.inc();
-    // A throw leaves the resume state half-advanced: the next pass
-    // re-parses the file from byte 0 with a fresh state, skipping the rows
-    // already in the table.
-    st.parse_state = {};
-    st.parsed_bytes = 0;
     return;
   }
+  if (task.end == task.begin) return;  // the final pass only ended the file
   obs::Tracer::Span span =
       tracer_ != nullptr
           ? tracer_->span("parse " + *task.node + "/" + *task.file,
@@ -219,36 +217,27 @@ void StreamingTransformer::reconcile_parse(ParseTask& task) {
       obs::Registry::global().counter("transform.parsed_bytes");
   static obs::Counter& fast_passes =
       obs::Registry::global().counter("transform.parse.fast_passes");
-  static obs::Counter& ref_passes =
-      obs::Registry::global().counter("transform.parse.ref_passes");
-  const auto count_pass = [&](std::size_t bytes, bool fast) {
+  const auto count_pass = [&](std::size_t bytes) {
     ++stats_.parse_passes;
     stats_.parsed_bytes += bytes;
     passes.inc();
     parsed_bytes_c.add(bytes);
-    (fast ? fast_passes : ref_passes).inc();
+    fast_passes.inc();
   };
-  count_pass(task.end - task.begin, task.result.fast);
+  count_pass(task.end - task.begin);
 
-  // Malformed-line accounting: the fast path counts rejections precisely
-  // per piece. A pass from byte 0 recounts lines already counted, so count
-  // only what it found beyond them.
-  const std::uint64_t seen =
-      (task.begin == 0 ? 0 : st.rejected) + task.result.stats.rejected;
-  if (seen > st.rejected) {
-    const std::uint64_t delta = seen - st.rejected;
-    st.rejected = seen;
-    stats_.rejected_lines += delta;
+  if (const std::uint64_t rejected = task.stats.rejected; rejected > 0) {
+    stats_.rejected_lines += rejected;
     static obs::Counter& rejected_c =
         obs::Registry::global().counter("transform.parse.rejected");
-    rejected_c.add(delta);
+    rejected_c.add(rejected);
     obs::Registry::global()
         .counter("transform.parse.rejected." + st.decl->source)
-        .add(delta);
+        .add(rejected);
   }
 
   st.parsed_bytes = task.end;
-  Conversion& conv = task.result.conv;
+  Conversion& conv = task.conv;
   if (conv.schema.empty()) return;  // no rows yet
 
   if (st.table.empty()) {
@@ -267,7 +256,7 @@ void StreamingTransformer::reconcile_parse(ParseTask& task) {
   }
 
   // conv.rows are the file's rows [first_row, first_row + conv.rows.size()).
-  std::size_t first_row = task.begin == 0 ? 0 : st.rows_in_table;
+  std::size_t first_row = st.rows_in_table;
   db::Table* table = db_.find(st.table);
   const bool schema_changed = table != nullptr && st.schema != conv.schema;
   if (table != nullptr && schema_changed) {
@@ -296,7 +285,7 @@ void StreamingTransformer::reconcile_parse(ParseTask& task) {
         conv = st.parser->parse_more(
             fresh, std::string_view(st.content).substr(0, task.end),
             ParseContext{*task.node, *task.file, st.decl}, ignored);
-        count_pass(task.end, /*fast=*/true);
+        count_pass(task.end);
         first_row = 0;
       }
       db_.drop(st.table);
@@ -317,8 +306,7 @@ void StreamingTransformer::reconcile_parse(ParseTask& task) {
   st.schema = conv.schema;
 
   const std::size_t end_row = first_row + conv.rows.size();
-  for (std::size_t r = std::max(st.rows_in_table, first_row); r < end_row;
-       ++r) {
+  for (std::size_t r = st.rows_in_table; r < end_row; ++r) {
     const auto& cells = conv.rows[r - first_row];
     db::Table::Row row;
     row.reserve(cells.size());
@@ -360,7 +348,6 @@ void StreamingTransformer::finalize() {
   std::vector<ParseTask> scheduled;
   for (auto& [node, files] : nodes_) {
     for (auto& [file, st] : files) {
-      if (st.decl == nullptr) continue;
       ParseTask t = prepare_parse(node, file, st, /*final_pass=*/true);
       if (t.scheduled) scheduled.push_back(std::move(t));
     }

@@ -11,7 +11,7 @@
 
 #include "db/database.h"
 #include "transform/declaration.h"
-#include "transform/parse_path.h"
+#include "transform/fastparse/fast_parser.h"
 #include "transform/transform_config.h"
 
 namespace mscope::obs {
@@ -29,22 +29,18 @@ class ParsePool;
 /// DataTransformer is a wrapper over it: one ingest per complete file, then
 /// finalize().
 ///
-/// Each shipped byte is parsed once. Every line-oriented format has a
-/// resumable fast parser (FastParser::parse_more): each file keeps a parse
-/// State — next line number, columns with their running best-match types,
-/// and the format's carried context (tomcat call columns, the sar text /
-/// collectl csv header, iostat's current timestamp) — and each parse_all()
-/// pass parses, in place in the file's accumulated buffer, only the bytes
-/// between the last pass and the last complete line, appending just their
-/// rows. Parsing a file piece by piece yields
-/// exactly the schema and rows of one parse of the whole file, so the final
-/// table is identical to a batch run's. ingest() only appends; the
-/// collectors call parse_all() on their parse tick.
-///
-/// Files with no line-resumable parser — sar's XML documents, and every
-/// file when TransformConfig::use_reference_parser selects the regex
-/// oracle — are parsed once, whole, at finalize(): a sar XML document is
-/// not well-formed until the monitor closes it at the end of the run.
+/// Each shipped byte is parsed once, by the file's compiled scanner
+/// (FastParser): each file keeps a parse State — next line number, columns
+/// with their running best-match types, and the format's carried context
+/// (tomcat call columns, the sar text / collectl csv header, iostat's
+/// current timestamp, sar XML's open elements and pending sample) — and
+/// each parse_all() pass parses, in place in the file's accumulated buffer,
+/// only the bytes between the last pass and the last complete line,
+/// appending just their rows. Parsing a file piece by piece yields exactly
+/// the schema and rows of one parse of the whole file, so the final table
+/// is identical to a batch run's. ingest() only appends; the collectors
+/// call parse_all() on their parse tick. A sar XML document streams like
+/// the line formats: each timestamp's row lands once its element closes.
 ///
 /// With Config::transform.parse_workers > 1, parse_all() and finalize() fan
 /// the per-file parse passes out across a worker pool (batch-granular work
@@ -58,10 +54,12 @@ class ParsePool;
 /// one (e.g. "042" read as Int 42, later re-typed to Text) drops the table
 /// and rebuilds it from the retained raw bytes: the file is re-parsed from
 /// byte 0 with a fresh State and every row re-inserted at the new schema.
-/// A parse that throws also restarts that file from byte 0 on the next
-/// pass, skipping the rows already in the table; its message is kept as the
-/// file's outcome().parse_error (a live stream with holes tolerates it, a
-/// batch run rethrows it).
+///
+/// A parse that throws (only a malformed sar XML document can) fails its
+/// file for the rest of the run: the rows already loaded stay, later bytes
+/// are neither kept nor parsed, and the message is the file's
+/// outcome().parse_error (a live stream with holes tolerates it, a batch
+/// run rethrows it).
 ///
 /// Each dynamic table belongs to one (node, file): a file whose declaration
 /// maps onto a table another file of this transformer created, or onto one
@@ -69,24 +67,25 @@ class ParsePool;
 /// not a merge.
 ///
 /// finalize() parses what is left of each file (including a trailing line
-/// with no newline), appends the tail rows, and records ms_load_catalog /
-/// ms_monitor_deployment entries in sorted (node, file) order, each with its
-/// table's anchor span — byte-for-byte parity with the regex-oracle batch
-/// load is asserted by tests/collector_test.cpp.
+/// with no newline), ends each file (FastParser::finish) before loading its
+/// tail rows, and records ms_load_catalog / ms_monitor_deployment entries in
+/// sorted (node, file) order, each with its table's anchor span —
+/// byte-for-byte parity with a batch load, and with the regex/XML oracle,
+/// is asserted by tests/collector_test.cpp.
 class StreamingTransformer {
  public:
   struct Config {
-    TransformConfig transform;  ///< parse path + worker pool
+    TransformConfig transform;  ///< parse worker pool
   };
 
   struct Stats {
     std::uint64_t bytes = 0;            ///< raw bytes ingested
     std::uint64_t chunks = 0;           ///< ingest() calls
-    std::uint64_t parse_passes = 0;     ///< parse calls (resumed pieces,
-                                        ///< rebuilds, whole-file parses)
+    std::uint64_t parse_passes = 0;     ///< parse calls (resumed pieces
+                                        ///< and rebuilds)
     std::uint64_t parsed_bytes = 0;     ///< bytes those calls parsed
-    std::uint64_t parse_deferrals = 0;  ///< parses that threw (the file
-                                        ///< restarts from byte 0)
+    std::uint64_t parse_deferrals = 0;  ///< files whose parse threw (each
+                                        ///< is failed for the run)
     std::uint64_t rows_live = 0;        ///< rows currently in dynamic tables
     std::uint64_t rows_inserted = 0;    ///< inserts incl. rebuild re-inserts
     std::uint64_t schema_rebuilds = 0;  ///< schema-change events (in-place
@@ -97,8 +96,7 @@ class StreamingTransformer {
     std::uint64_t gaps = 0;             ///< stream holes reported (note_gap)
     std::uint64_t gap_bytes = 0;        ///< log bytes lost in those holes
     std::uint64_t rejected_lines = 0;   ///< malformed lines that matched no
-                                        ///< instruction (fast path counts
-                                        ///< them precisely)
+                                        ///< instruction
   };
 
   /// Fires once per row the moment it becomes visible in a dynamic table
@@ -124,7 +122,9 @@ class StreamingTransformer {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Appends raw bytes of `file` on `node` (in offset order — the collector
-  /// guarantees this). Parsing happens in parse_all() and finalize().
+  /// guarantees this). Parsing happens in parse_all() and finalize(). The
+  /// first ingest of a file compiles its declaration's parser, and throws
+  /// std::invalid_argument naming the file and the parser id if it cannot.
   void ingest(const std::string& node, const std::string& file,
               std::string_view data);
 
@@ -160,10 +160,10 @@ class StreamingTransformer {
   /// out across the parse pool when Config::transform.parse_workers != 1.
   void parse_all();
 
-  /// End of stream: parses each file's remaining bytes (whole files for the
-  /// ones parsed only here), loads the tails, and records load-catalog +
-  /// deployment metadata. A parse that throws here is a deferral like any
-  /// other (see outcome()), so finalize() does not rethrow it.
+  /// End of stream: parses each file's remaining bytes, ends each file,
+  /// loads the tails, and records load-catalog + deployment metadata. A
+  /// parse that throws here fails its file like any other (see outcome()),
+  /// so finalize() does not rethrow it.
   void finalize();
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -172,7 +172,7 @@ class StreamingTransformer {
   struct FileOutcome {
     std::string table;     ///< "" until the file yields a row
     std::size_t rows = 0;  ///< rows of the file in `table`
-    /// what() of the file's last parse, if that parse threw.
+    /// what() of the parse that failed the file, if one threw.
     std::optional<std::string> parse_error;
   };
 
@@ -184,15 +184,12 @@ class StreamingTransformer {
  private:
   struct FileState {
     const Declaration* decl = nullptr;  ///< nullptr: no declaration matched
-    /// Line-resumable parser; nullptr: the file is parsed once, whole, at
-    /// finalize().
-    std::shared_ptr<const fastparse::FastParser> parser;
+    const fastparse::FastParser* parser = nullptr;  ///< set with decl
     fastparse::FastParser::State parse_state;  ///< resume point
     std::string content;            ///< full byte stream so far
     std::size_t parsed_bytes = 0;   ///< prefix already parsed
     std::size_t rows_in_table = 0;
     std::size_t rows_notified = 0;
-    std::uint64_t rejected = 0;  ///< rejected lines counted so far
     db::Schema schema;
     std::string table;
     std::optional<std::string> parse_error;  ///< see FileOutcome
@@ -200,26 +197,27 @@ class StreamingTransformer {
 
   /// One scheduled parse pass over bytes [begin, end) of a file: the pure
   /// parse stage (run_parse) may execute on a pool worker; reconcile_parse
-  /// always runs on the calling thread. begin == 0 means the file's rows
-  /// restart at index 0.
+  /// always runs on the calling thread. The final pass also ends the file,
+  /// and may parse no bytes.
   struct ParseTask {
     const std::string* node = nullptr;
     const std::string* file = nullptr;
     FileState* st = nullptr;
     std::size_t begin = 0;
     std::size_t end = 0;
-    bool scheduled = false;  ///< false: nothing to parse this pass
-    ParseResult result;
-    /// what() if the parse threw: the file restarts from byte 0 next pass.
-    std::optional<std::string> error;
+    bool final_pass = false;
+    bool scheduled = false;  ///< false: nothing to do this pass
+    Conversion conv;
+    fastparse::ParseStats stats;
+    std::optional<std::string> error;  ///< what() if the parse threw
   };
 
   /// The byte range the next pass parses. Returns a task with
-  /// scheduled=false when there is nothing new to parse.
+  /// scheduled=false when there is nothing to do.
   ParseTask prepare_parse(const std::string& node, const std::string& file,
                           FileState& st, bool final_pass);
-  /// The pure parse stage — safe on a pool worker: touches only the task,
-  /// its file's parse state, and the (internally locked) parser cache.
+  /// The pure parse stage — safe on a pool worker: touches only the task
+  /// and its file's parse state.
   void run_parse(ParseTask& t) const;
   /// Serial stage: counters, schema reconciliation, row inserts, observer.
   void reconcile_parse(ParseTask& t);
@@ -233,7 +231,9 @@ class StreamingTransformer {
   Config cfg_;
   RowObserver observer_;
   obs::Tracer* tracer_ = nullptr;
-  mutable ParserCache parser_cache_;
+  /// Compiled parsers by declaration; touched only by the calling thread.
+  std::map<const Declaration*, std::unique_ptr<const fastparse::FastParser>>
+      parsers_;
   std::unique_ptr<fastparse::ParsePool> pool_;
   // node -> file -> state; both levels sorted so finalize() records the
   // load catalog in (node, file) order.

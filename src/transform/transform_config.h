@@ -5,13 +5,6 @@ namespace mscope::transform {
 /// Knobs of the transform engine (StreamingTransformer), shared by the batch
 /// DataTransformer that wraps it.
 struct TransformConfig {
-  /// Parse with the original std::regex mScopeParsers instead of the
-  /// compiled byte-scanning fast path. The regex parsers are kept as the
-  /// reference oracle: the fast path is required (and tested) to produce a
-  /// cell-for-cell identical warehouse, so flipping this flag must never
-  /// change results — only throughput.
-  bool use_reference_parser = false;
-
   /// Worker threads for the parse passes, streamed or batch (the pure
   /// tokenize/convert stage; table reconciliation always runs on the calling
   /// thread in deterministic file order, so the warehouse is identical at

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <type_traits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "db/segment/snapshot.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "transform/csv.h"
-#include "transform/xml_to_csv.h"
 #include "util/io_file.h"
 
 namespace mscope::transform {
@@ -19,14 +17,6 @@ namespace mscope::transform {
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string read_file(const fs::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  if (!in) throw std::runtime_error("WarehouseIO: cannot read " + p.string());
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 bool is_static_table(const std::string& name) {
   return name == db::Database::kExperimentTable ||
@@ -99,73 +89,6 @@ std::vector<fs::path> files_with_extension(const fs::path& dir,
 }
 
 }  // namespace
-
-void WarehouseIO::save(const db::Database& db, const fs::path& dir) {
-  fs::create_directories(dir);
-  for (const auto& name : db.table_names()) {
-    const db::Table& table = db.get(name);
-    std::ostringstream csv;
-    std::ostringstream schema;
-    std::vector<std::string> header;
-    for (const auto& col : table.schema()) {
-      header.push_back(col.name);
-      schema << col.name << ':' << to_string(col.type) << '\n';
-    }
-    csv << Csv::write_row(header) << '\n';
-    std::vector<std::string> cells(table.column_count());
-    for (db::RowCursor cur = table.scan(); cur.next();) {
-      for (std::size_t c = 0; c < table.column_count(); ++c) {
-        cells[c] = db::value_to_string(cur.row()[c]);
-      }
-      csv << Csv::write_row(cells) << '\n';
-    }
-    // Sidecar lands before the CSV: load() treats a CSV without its schema
-    // as an error, so a crash between the two renames stays detectable.
-    atomic_write(dir / (name + ".schema"), schema.str());
-    atomic_write(dir / (name + ".csv"), csv.str());
-  }
-}
-
-std::vector<std::string> WarehouseIO::load(db::Database& db,
-                                           const fs::path& dir) {
-  if (!fs::exists(dir))
-    throw std::invalid_argument("WarehouseIO: no such directory: " +
-                                dir.string());
-  std::vector<std::string> loaded;
-  for (const auto& csv_path : files_with_extension(dir, ".csv")) {
-    const std::string name = csv_path.stem().string();
-    fs::path schema_path = csv_path;
-    schema_path.replace_extension(".schema");
-    if (!fs::exists(schema_path))
-      throw std::runtime_error("WarehouseIO: missing sidecar for " +
-                               csv_path.string());
-    const Conversion conv = XmlToCsvConverter::from_csv(
-        read_file(csv_path), read_file(schema_path));
-
-    db::Table* table = nullptr;
-    if (is_static_table(name)) {
-      table = &db.get(name);
-      if (table->schema() != conv.schema)
-        throw std::runtime_error("WarehouseIO: static schema mismatch for " +
-                                 name);
-    } else {
-      table = &db.create_table(name, conv.schema);
-    }
-    for (const auto& srow : conv.rows) {
-      db::Table::Row row;
-      row.reserve(srow.size());
-      for (std::size_t i = 0; i < srow.size(); ++i) {
-        auto v = db::parse_as(srow[i], conv.schema[i].type);
-        if (!v)
-          throw std::runtime_error("WarehouseIO: bad cell in " + name);
-        row.push_back(std::move(*v));
-      }
-      table->insert(std::move(row));
-    }
-    loaded.push_back(name);
-  }
-  return loaded;
-}
 
 void WarehouseIO::save_snapshot(const db::Database& db, const fs::path& dir) {
   timed("db.snapshot.save_usec", [&] {

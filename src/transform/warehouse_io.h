@@ -28,45 +28,36 @@ struct RecoveryStats {
   std::vector<std::string> warnings;
 };
 
-/// Persists mScopeDB to a directory and restores it — one CSV + schema
-/// sidecar per table, the same on-disk format the XMLtoCSV converter emits.
-/// This is what lets a collected-and-transformed run be archived and
-/// re-analyzed later without re-running the parsers.
+/// Persists mScopeDB to a directory and restores it — one binary segment
+/// snapshot (<table>.mseg) per table. This is what lets a collected and
+/// transformed run be archived and re-analyzed later without re-running the
+/// parsers.
 ///
 /// All writers use the temp-file + atomic-rename pattern: a crash mid-save
-/// leaves the previous good archive intact, never a torn file under the
+/// leaves the previous good snapshot intact, never a torn file under the
 /// final name. Together with the write-ahead log (db/wal) this gives the
 /// warehouse crash durability: `checkpoint` snapshots and truncates the
 /// log, `recover` restores newest-valid snapshot + committed log suffix.
 class WarehouseIO {
  public:
-  /// Writes every table (static and dynamic) under `dir`
-  /// (<table>.csv + <table>.schema). The directory is created; existing
-  /// files for the same tables are atomically replaced.
-  static void save(const db::Database& db, const std::filesystem::path& dir);
-
-  /// Loads every <name>.csv/<name>.schema pair in `dir` into `db`.
-  /// Static metadata tables are *merged* (rows appended); dynamic tables
-  /// must not already exist. Returns the names of the tables loaded.
-  static std::vector<std::string> load(db::Database& db,
-                                       const std::filesystem::path& dir);
-
-  /// Writes every table as a binary segment snapshot (<table>.mseg): sealed
-  /// columnar segments stream their encoded chunks directly, so saving skips
-  /// CSV rendering and loading skips parsing and re-encoding. The format
+  /// Writes every table (static and dynamic) under `dir` as a binary
+  /// segment snapshot (<table>.mseg); the directory is created. Sealed
+  /// columnar segments stream their encoded chunks directly, so saving
+  /// skips rendering and loading skips parsing and re-encoding. The format
   /// carries a version byte (db::segment::kSnapshotVersion) and, from v2 on,
-  /// per-chunk CRC32C checksums plus a file-footer checksum; bit-exact for
-  /// doubles, cell-for-cell equal to the CSV round trip otherwise. Each file
-  /// is written to <table>.mseg.tmp and renamed into place, so a crash never
-  /// destroys the previous good snapshot.
+  /// per-chunk CRC32C checksums plus a file-footer checksum; cells reload
+  /// bit-exact. Each file is written to <table>.mseg.tmp and renamed into
+  /// place, so a crash never destroys the previous good snapshot.
   static void save_snapshot(const db::Database& db,
                             const std::filesystem::path& dir);
 
-  /// Loads every <name>.mseg in `dir`. Same merge semantics as load():
-  /// static tables append rows, dynamic tables adopt the sealed storage
-  /// wholesale. Returns the names of the tables loaded. Throws
-  /// std::runtime_error (with byte offset and table/chunk context) on the
-  /// first corrupt file — use recover() to degrade gracefully instead.
+  /// Loads every <name>.mseg in `dir` into `db`: static metadata tables are
+  /// *merged* (rows appended), dynamic tables adopt the sealed storage
+  /// wholesale and must not already exist (std::invalid_argument). Returns
+  /// the names of the tables loaded. Throws std::invalid_argument if `dir`
+  /// does not exist, and std::runtime_error (with byte offset and
+  /// table/chunk context) on the first corrupt file — use recover() to
+  /// degrade gracefully instead.
   static std::vector<std::string> load_snapshot(
       db::Database& db, const std::filesystem::path& dir);
 

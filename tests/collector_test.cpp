@@ -18,6 +18,7 @@
 #include "core/online_detector.h"
 #include "logging/facility.h"
 #include "log_bytes.h"
+#include "oracle_parity.h"
 #include "scratch_dir.h"
 #include "sim/network.h"
 #include "sim/node.h"
@@ -433,17 +434,18 @@ class StreamingParityFixture : public ::testing::Test {
     exp_->testbed().simulation().schedule_at(cfg.duration - 1, [] {
       rows_before_drain_ = online_->transformer().stats().rows_live;
       samples_before_end_ = detector_->queue_samples().size();
+      const db::Table* sar = db_stream_->find("res_sarxml_cpu_db1");
+      sar_xml_rows_before_drain_ = sar != nullptr ? sar->row_count() : 0;
     });
 
     exp_->run();
     online_->finish();
     matched_bytes_ = test::matched_log_bytes(log_dir());
 
-    // The batch load runs the regex/XML oracle, so the parity check below
-    // compares live streaming against an independent parse path.
+    // A batch load of the same logs: streaming must reproduce it exactly,
+    // and its tables must equal the regex/XML oracle's parse of each file.
     db_batch_ = new db::Database();
-    exp_->load_warehouse(*db_batch_,
-                         {.transform = {.use_reference_parser = true}});
+    exp_->load_warehouse(*db_batch_);
   }
 
   static void TearDownTestSuite() {
@@ -461,6 +463,7 @@ class StreamingParityFixture : public ::testing::Test {
   static db::Database* db_stream_;
   static db::Database* db_batch_;
   static std::uint64_t rows_before_drain_;
+  static std::size_t sar_xml_rows_before_drain_;
   static std::size_t samples_before_end_;
   static std::uint64_t matched_bytes_;
 };
@@ -471,11 +474,18 @@ core::OnlineCollection* StreamingParityFixture::online_ = nullptr;
 db::Database* StreamingParityFixture::db_stream_ = nullptr;
 db::Database* StreamingParityFixture::db_batch_ = nullptr;
 std::uint64_t StreamingParityFixture::rows_before_drain_ = 0;
+std::size_t StreamingParityFixture::sar_xml_rows_before_drain_ = 0;
 std::size_t StreamingParityFixture::samples_before_end_ = 0;
 std::uint64_t StreamingParityFixture::matched_bytes_ = 0;
 
 TEST_F(StreamingParityFixture, StreamedWarehouseIsByteIdenticalToBatch) {
   expect_identical_databases(*db_stream_, *db_batch_);
+}
+
+TEST_F(StreamingParityFixture, BatchLoadMatchesTheOracle) {
+  // Every dynamic table of the batch load equals the oracle's parse of its
+  // file — so the streamed warehouse (equal to the batch load) does too.
+  EXPECT_GE(test::expect_run_matches_oracle(*db_batch_, log_dir()), 10u);
 }
 
 TEST_F(StreamingParityFixture, NothingDroppedUnderBlockPolicy) {
@@ -497,6 +507,12 @@ TEST_F(StreamingParityFixture, WarehouseFillsWhileRunning) {
   EXPECT_EQ(st.parsed_bytes, matched_bytes_);
   EXPECT_GT(online_->pipeline().root_stats().first_batch_at, 0);
   EXPECT_LT(online_->pipeline().root_stats().first_batch_at, sec(2));
+}
+
+TEST_F(StreamingParityFixture, SarXmlRowsArriveWhileRunning) {
+  // sar XML streams like the line formats: its samples are in the
+  // warehouse before the end-of-run drain, not only after finalize().
+  EXPECT_GT(sar_xml_rows_before_drain_, 0u);
 }
 
 TEST_F(StreamingParityFixture, QueueSignalReachesDetectorMidRun) {

@@ -24,8 +24,7 @@ Value iv(std::int64_t v) { return Value{v}; }
 Value dv(double v) { return Value{v}; }
 Value tv(std::string s) { return Value{std::move(s)}; }
 
-/// Every cell of both tables, compared through the canonical string form
-/// (the same form the CSV warehouse stores).
+/// Every cell of both tables, compared through the canonical string form.
 void expect_tables_equal(const Table& a, const Table& b) {
   ASSERT_EQ(a.schema(), b.schema()) << a.name();
   ASSERT_EQ(a.row_count(), b.row_count()) << a.name();
@@ -218,7 +217,8 @@ TEST(SegmentStore, WidenWithSealedSegments) {
 }
 
 TEST(SegmentStore, SnapshotRoundTripMatchesCsv) {
-  // One warehouse, saved both ways; the two loads must agree cell for cell.
+  // One warehouse saved as a snapshot; every reloaded table must equal the
+  // original cell for cell, including NULL positions.
   db::Database db;
   auto& ev = db.create_table("ev_apache_web1", {{"ts_usec", DataType::kInt},
                                                 {"url", DataType::kText},
@@ -234,19 +234,17 @@ TEST(SegmentStore, SnapshotRoundTripMatchesCsv) {
 
   const test::ScratchDir dir("segment");
   const fs::path& base = dir.path();
-  transform::WarehouseIO::save(db, base / "csv");
   transform::WarehouseIO::save_snapshot(db, base / "bin");
   EXPECT_TRUE(fs::exists(base / "bin" / "ev_apache_web1.mseg"));
 
-  db::Database from_csv, from_bin;
-  const auto n1 = transform::WarehouseIO::load(from_csv, base / "csv");
-  const auto n2 = transform::WarehouseIO::load_snapshot(from_bin, base / "bin");
-  EXPECT_EQ(n1, n2);
-  for (const auto& name : from_csv.table_names()) {
-    expect_tables_equal(from_bin.get(name), from_csv.get(name));
+  db::Database from_bin;
+  const auto loaded =
+      transform::WarehouseIO::load_snapshot(from_bin, base / "bin");
+  EXPECT_EQ(loaded.size(), db.table_names().size());
+  ASSERT_EQ(from_bin.table_names(), db.table_names());
+  for (const auto& name : db.table_names()) {
+    expect_tables_equal(from_bin.get(name), db.get(name));
   }
-  // And both agree with the original, including NULL positions.
-  expect_tables_equal(from_bin.get("ev_apache_web1"), ev);
 
   // Version check: a bumped version byte is rejected, not misread.
   std::ostringstream out;

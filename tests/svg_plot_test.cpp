@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "scratch_dir.h"
-#include "transform/xml.h"
+#include "oracle/xml.h"
 
 namespace mscope::util {
 namespace {

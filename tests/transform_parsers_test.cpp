@@ -1,9 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "logging/formats.h"
+#include "oracle/parsers.h"
 #include "transform/declaration.h"
-#include "transform/parsers.h"
-#include "transform/xml_to_csv.h"
 #include "util/simtime.h"
 #include "util/time_format.h"
 

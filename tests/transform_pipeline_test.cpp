@@ -4,10 +4,9 @@
 #include <fstream>
 
 #include "obs/metrics.h"
+#include "oracle/xml_to_csv.h"
 #include "scratch_dir.h"
 #include "transform/pipeline.h"
-#include "transform/xml.h"
-#include "transform/xml_to_csv.h"
 
 namespace mscope::transform {
 namespace {
@@ -64,27 +63,6 @@ TEST(XmlToCsv, AllEmptyColumnBecomesText) {
   const XmlNode root = make_logfile({{{"e", ""}}});
   const Conversion c = XmlToCsvConverter::convert(root);
   EXPECT_EQ(c.schema[0].type, db::DataType::kText);
-}
-
-TEST(XmlToCsv, CsvAndSidecarRoundTrip) {
-  const XmlNode root = make_logfile({
-      {{"a", "1"}, {"s", "hello, \"world\""}},
-      {{"a", "2"}, {"s", "line\nbreak"}},
-  });
-  const Conversion c = XmlToCsvConverter::convert(root);
-  const Conversion back = XmlToCsvConverter::from_csv(
-      XmlToCsvConverter::to_csv(c), XmlToCsvConverter::schema_sidecar(c));
-  EXPECT_EQ(back.schema, c.schema);
-  EXPECT_EQ(back.rows, c.rows);
-}
-
-TEST(XmlToCsv, FromCsvValidates) {
-  EXPECT_THROW((void)XmlToCsvConverter::from_csv("a,b\n1,2\n", "a:int\n"),
-               std::runtime_error);
-  EXPECT_THROW((void)XmlToCsvConverter::from_csv("a\n1\n", "a:badtype\n"),
-               std::runtime_error);
-  EXPECT_THROW((void)XmlToCsvConverter::from_csv("b\n1\n", "a:int\n"),
-               std::runtime_error);
 }
 
 class PipelineFixture : public ::testing::Test {
@@ -189,25 +167,18 @@ TEST_F(PipelineFixture, ParallelRunMatchesSerial) {
 }
 
 TEST_F(PipelineFixture, ParsePassesMatchMatchedFiles) {
-  // One parse pass per matched file, whichever path parses it: the
-  // reference parser under use_reference_parser, else the fast scanner.
+  // One parse pass per matched file: the batch load parses each file whole,
+  // once, on its compiled scanner.
   write_two_nodes();
   const obs::Counter& fast =
       obs::Registry::global().counter("transform.parse.fast_passes");
-  const obs::Counter& ref =
-      obs::Registry::global().counter("transform.parse.ref_passes");
-  for (const bool reference : {true, false}) {
-    SCOPED_TRACE(reference ? "reference parser" : "fast parser");
-    const std::uint64_t before = fast.get() + ref.get();
-    db::Database db;
-    const auto report =
-        DataTransformer({.transform = {.use_reference_parser = reference}})
-            .run(run_dir_, db);
-    std::uint64_t matched = 0;
-    for (const auto& f : report.files) matched += f.matched ? 1 : 0;
-    EXPECT_EQ(matched, 2u);
-    EXPECT_EQ(fast.get() + ref.get() - before, matched);
-  }
+  const std::uint64_t before = fast.get();
+  db::Database db;
+  const auto report = DataTransformer().run(run_dir_, db);
+  std::uint64_t matched = 0;
+  for (const auto& f : report.files) matched += f.matched ? 1 : 0;
+  EXPECT_EQ(matched, 2u);
+  EXPECT_EQ(fast.get() - before, matched);
 }
 
 TEST_F(PipelineFixture, TwoFilesOneTableThrows) {

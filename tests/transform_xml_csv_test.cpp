@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "transform/csv.h"
-#include "transform/xml.h"
-#include "util/rng.h"
+#include "oracle/xml.h"
 
 namespace mscope::transform {
 namespace {
@@ -63,56 +61,6 @@ TEST(Xml, ChildrenNamedReturnsAllInOrder) {
               std::to_string(i));
   }
 }
-
-TEST(Csv, QuotingRoundTrip) {
-  const std::vector<std::string> fields{
-      "plain", "with,comma", "with\"quote", "with\nnewline", "", "end"};
-  const auto row = Csv::write_row(fields);
-  EXPECT_EQ(Csv::parse_row(row), fields);
-}
-
-TEST(Csv, SplitRecordsHonorsQuotedNewlines) {
-  const std::string doc = "a,b\n\"x\ny\",c\nlast,row\n";
-  const auto records = Csv::split_records(doc);
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(Csv::parse_row(records[1])[0], "x\ny");
-}
-
-TEST(Csv, CrLfHandled) {
-  const auto records = Csv::split_records("a,b\r\nc,d\r\n");
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(Csv::parse_row(records[1])[1], "d");
-}
-
-TEST(Csv, EmptyFieldAtEnd) {
-  const auto fields = Csv::parse_row("a,,");
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[1], "");
-  EXPECT_EQ(fields[2], "");
-}
-
-/// Property: random field content always round-trips through one CSV row.
-class CsvFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(CsvFuzz, RandomRowsRoundTrip) {
-  util::Rng rng(static_cast<std::uint64_t>(GetParam()));
-  static const char kAlphabet[] = "ab,\"\n\r'x;| ";
-  for (int iter = 0; iter < 200; ++iter) {
-    std::vector<std::string> fields;
-    const auto nfields = 1 + rng.next_below(6);
-    for (std::uint64_t f = 0; f < nfields; ++f) {
-      std::string s;
-      const auto len = rng.next_below(12);
-      for (std::uint64_t i = 0; i < len; ++i) {
-        s += kAlphabet[rng.next_below(sizeof(kAlphabet) - 1)];
-      }
-      fields.push_back(std::move(s));
-    }
-    EXPECT_EQ(Csv::parse_row(Csv::write_row(fields)), fields);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CsvFuzz, ::testing::Range(1, 6));
 
 }  // namespace
 }  // namespace mscope::transform

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 
 #include "scratch_dir.h"
 
@@ -35,12 +34,11 @@ TEST_F(WarehouseIoFixture, SaveLoadRoundTrip) {
   t.insert({db::Value{}, db::Value{}, db::Value{}});
   db.record_node("web1", "apache", 4);
 
-  WarehouseIO::save(db, dir_);
-  EXPECT_TRUE(fs::exists(dir_ / "res_x_web1.csv"));
-  EXPECT_TRUE(fs::exists(dir_ / "res_x_web1.schema"));
+  WarehouseIO::save_snapshot(db, dir_);
+  EXPECT_TRUE(fs::exists(dir_ / "res_x_web1.mseg"));
 
   db::Database restored;
-  const auto loaded = WarehouseIO::load(restored, dir_);
+  const auto loaded = WarehouseIO::load_snapshot(restored, dir_);
   EXPECT_EQ(loaded.size(), 5u);  // 4 static + 1 dynamic
   const db::Table& rt = restored.get("res_x_web1");
   ASSERT_EQ(rt.row_count(), 2u);
@@ -54,37 +52,28 @@ TEST_F(WarehouseIoFixture, SaveLoadRoundTrip) {
 TEST_F(WarehouseIoFixture, LoadIntoPopulatedStaticTablesAppends) {
   db::Database db;
   db.record_node("web1", "apache", 4);
-  WarehouseIO::save(db, dir_);
+  WarehouseIO::save_snapshot(db, dir_);
 
   db::Database target;
   target.record_node("db1", "mysql", 8);
-  WarehouseIO::load(target, dir_);
+  WarehouseIO::load_snapshot(target, dir_);
   EXPECT_EQ(target.get(db::Database::kNodeTable).row_count(), 2u);
-}
-
-TEST_F(WarehouseIoFixture, MissingSidecarThrows) {
-  db::Database db;
-  WarehouseIO::save(db, dir_);
-  std::ofstream orphan(dir_ / "orphan.csv");
-  orphan << "a\n1\n";
-  orphan.close();
-  db::Database restored;
-  EXPECT_THROW((void)WarehouseIO::load(restored, dir_), std::runtime_error);
 }
 
 TEST_F(WarehouseIoFixture, MissingDirectoryThrows) {
   db::Database db;
-  EXPECT_THROW((void)WarehouseIO::load(db, dir_ / "nope"),
+  EXPECT_THROW((void)WarehouseIO::load_snapshot(db, dir_ / "nope"),
                std::invalid_argument);
 }
 
 TEST_F(WarehouseIoFixture, DuplicateDynamicTableThrows) {
   db::Database db;
   db.create_table("dyn", {{"a", db::DataType::kInt}});
-  WarehouseIO::save(db, dir_);
+  WarehouseIO::save_snapshot(db, dir_);
   db::Database target;
   target.create_table("dyn", {{"a", db::DataType::kInt}});
-  EXPECT_THROW((void)WarehouseIO::load(target, dir_), std::invalid_argument);
+  EXPECT_THROW((void)WarehouseIO::load_snapshot(target, dir_),
+               std::invalid_argument);
 }
 
 }  // namespace
