@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <thread>
 
+#include "db/column_batch.h"
 #include "db/database.h"
 #include "logging/formats.h"
 #include "oracle/parsers.h"
@@ -188,21 +189,22 @@ struct Throughput {
   std::size_t rows = 0;
 };
 
-/// Times `parse` (one whole-content parse per call) until `min_sec` of work
-/// has accumulated; returns million lines per second.
+/// Times `parse` (one whole-content parse per call, returning its row
+/// count) until `min_sec` of work has accumulated; returns million lines
+/// per second.
 template <typename Parse>
 double time_path(Parse&& parse, std::size_t lines, double min_sec,
                  std::size_t& rows_out) {
   // Warm-up faults the buffer in.
-  rows_out = parse().rows.size();
+  rows_out = parse();
   double elapsed = 0;
   std::uint64_t parsed = 0;
   while (elapsed < min_sec) {
     const double t0 = now_sec();
-    const Conversion c = parse();
+    const std::size_t rows = parse();
     elapsed += now_sec() - t0;
     parsed += lines;
-    if (c.rows.size() != rows_out) return 0;  // runs must agree
+    if (rows != rows_out) return 0;  // runs must agree
   }
   return static_cast<double>(parsed) / elapsed / 1e6;
 }
@@ -219,14 +221,36 @@ Throughput measure_format(const DeclarationRegistry& reg,
   t.fast_mlps = time_path(
       [&] {
         fastparse::ParseStats stats;
-        return fast->parse(run.content, ctx, stats);
+        return fast->parse(run.content, stats).rows;
       },
       lines, min_sec, fast_rows);
-  t.ref_mlps = time_path([&] { return reference_parse(run.content, ctx); },
-                         lines, min_sec, ref_rows);
+  t.ref_mlps = time_path(
+      [&] { return reference_parse(run.content, ctx).rows.size(); }, lines,
+      min_sec, ref_rows);
   t.speedup = t.ref_mlps > 0 ? t.fast_mlps / t.ref_mlps : 0;
   t.rows = fast_rows == ref_rows ? fast_rows : 0;
   return t;
+}
+
+/// Times one scan of `run` plus Table::append of its batch into a fresh
+/// table, until `min_sec` of work has accumulated; returns million cells
+/// per second (cells = rows x columns of the batch).
+double time_append(const DeclarationRegistry& reg, const FormatRun& run,
+                   double min_sec, std::size_t& cells_out) {
+  const auto fast = fastparse::FastParser::compile(*reg.match(run.file));
+  double elapsed = 0;
+  std::uint64_t cells = 0;
+  while (elapsed < min_sec) {
+    const double t0 = now_sec();
+    fastparse::ParseStats stats;
+    const db::ColumnBatch batch = fast->parse(run.content, stats);
+    db::Table table("t", batch.schema);
+    table.append(batch, 0, batch.rows);
+    elapsed += now_sec() - t0;
+    cells_out = batch.rows * batch.schema.size();
+    cells += cells_out;
+  }
+  return static_cast<double>(cells) / elapsed / 1e6;
 }
 
 /// Streams `files` copies of `content` through a StreamingTransformer with
@@ -283,6 +307,17 @@ int main() {
     if (std::string(name) == "apache") apache_fast = t.fast_mlps;
     min_speedup = std::min(min_speedup, t.speedup);
     rows_agree = rows_agree && t.rows > 0;
+  }
+
+  // Informational: the whole ingest of one file, scanner through
+  // Table::append (typing, text cells, row sink and seals included).
+  std::printf("\nscanner -> Table::append (informational)\n");
+  std::printf("%-14s%14s%12s\n", "format", "Mcell/s", "cells/pass");
+  for (const auto& [name, run] : formats) {
+    std::size_t cells = 0;
+    const double mcps =
+        time_append(reg, run, kOptimizedBuild ? 0.3 : 0.05, cells);
+    std::printf("%-14s%14.2f%12zu\n", name, mcps, cells);
   }
 
   // Worker-pool scaling: identical Apache streams on 8 nodes, finalized

@@ -7,6 +7,10 @@ namespace mscope::core {
 void OnlineVsbDetector::on_complete(SimTime completed_at, SimTime rt) {
   baseline_.record(rt);
   ++seen_;
+  // Monotonic window: a sample no larger than a newer one can never be the
+  // window max again (completions arrive in nondecreasing time, so the
+  // newer one leaves the window no earlier), so the front is the max.
+  while (!window_.empty() && window_.back().rt <= rt) window_.pop_back();
   window_.push_back({completed_at, rt});
   while (!window_.empty() &&
          window_.front().time < completed_at - cfg_.window) {
@@ -16,8 +20,8 @@ void OnlineVsbDetector::on_complete(SimTime completed_at, SimTime rt) {
 
   const double baseline_ms = baseline_median_ms();
   if (baseline_ms <= 0) return;
-  SimTime peak = 0;
-  for (const auto& s : window_) peak = std::max(peak, s.rt);
+  const SimTime peak =
+      window_.empty() ? 0 : std::max<SimTime>(0, window_.front().rt);
   const double peak_ms = static_cast<double>(peak) / 1000.0;
   const bool hot = peak_ms > cfg_.factor * baseline_ms;
 

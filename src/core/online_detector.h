@@ -106,6 +106,9 @@ class OnlineVsbDetector {
   Config cfg_;
   AlarmCallback callback_;
   util::LatencyHistogram baseline_;  ///< rt in usec
+  /// The window's samples that are larger than every newer one, oldest
+  /// first: rt strictly decreasing, so front() is the window max. Relies on
+  /// completions arriving in nondecreasing time.
   std::deque<Sample> window_;
   std::vector<Alarm> alarms_;
   std::vector<QueueSample> queue_samples_;

@@ -1,28 +1,36 @@
 #include "core/queue_signal.h"
 
-#include <cstdlib>
-
 namespace mscope::core {
 
-void QueueSignal::on_row(const std::string& table, const db::Schema& schema,
-                         const std::vector<std::string>& row) {
+void QueueSignal::on_rows(const std::string& table,
+                          const db::ColumnBatch& batch, std::size_t first,
+                          std::size_t end) {
   // Only event tables carry per-request (arrive, depart) pairs.
   if (table.rfind("ev_", 0) != 0) return;
-  std::size_t ua_col = schema.size();
-  std::size_t ud_col = schema.size();
-  for (std::size_t i = 0; i < schema.size(); ++i) {
-    if (schema[i].name == "ua_usec") ua_col = i;
-    if (schema[i].name == "ud_usec") ud_col = i;
+  Columns& cols = columns_[table];
+  if (cols.width != batch.schema.size()) {
+    cols = Columns{};
+    cols.width = batch.schema.size();
+    for (std::size_t i = 0; i < batch.schema.size(); ++i) {
+      if (batch.schema[i].name == "ua_usec") cols.ua = i;
+      if (batch.schema[i].name == "ud_usec") cols.ud = i;
+    }
   }
-  if (ua_col >= row.size() || ud_col >= row.size()) return;
-  if (row[ua_col].empty() || row[ud_col].empty()) return;
-  const std::int64_t ua = std::strtoll(row[ua_col].c_str(), nullptr, 10);
-  const std::int64_t ud = std::strtoll(row[ud_col].c_str(), nullptr, 10);
-  if (ud < ua) return;
-  State& q = queues_[table];
-  q.arrivals.push(ua);
-  q.departures.push(ud);
-  if (ud > q.max_ud) q.max_ud = ud;
+  if (cols.ua == Columns::kNone || cols.ud == Columns::kNone) return;
+  const db::ColumnBatch::Column& ua = batch.columns[cols.ua];
+  const db::ColumnBatch::Column& ud = batch.columns[cols.ud];
+  if (ua.type != db::DataType::kInt || ud.type != db::DataType::kInt) return;
+  State* q = nullptr;
+  for (std::size_t r = first; r < end; ++r) {
+    if (ua.valid[r] == 0 || ud.valid[r] == 0) continue;
+    const std::int64_t a = ua.ints[r];
+    const std::int64_t d = ud.ints[r];
+    if (d < a) continue;
+    if (q == nullptr) q = &queues_[table];
+    q->arrivals.push(a);
+    q->departures.push(d);
+    if (d > q->max_ud) q->max_ud = d;
+  }
 }
 
 void QueueSignal::evaluate(const SampleSink& sink) {

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "db/table.h"
+#include "db/column_batch.h"
 #include "util/simtime.h"
 
 namespace mscope::core {
@@ -16,7 +16,7 @@ using util::SimTime;
 
 /// Live queue-depth estimation over streamed event rows, fed by the
 /// collection pipeline's root (fleet::FleetCollection, at any depth). Feed
-/// it each event-table row as it becomes visible (on_row) and
+/// it each event-table batch of rows as it becomes visible (on_rows) and
 /// tick it periodically (evaluate): per event table it maintains arrival /
 /// departure min-heaps and emits the tier's queue depth at a watermark
 /// trailing the newest departure seen, so rows still in flight through the
@@ -34,11 +34,12 @@ class QueueSignal {
   using SampleSink =
       std::function<void(SimTime t, const std::string& table, double depth)>;
 
-  /// Observes one streamed row the moment it becomes visible. Rows of
-  /// non-event tables, and rows without a complete (ua_usec, ud_usec) pair,
-  /// are ignored.
-  void on_row(const std::string& table, const db::Schema& schema,
-              const std::vector<std::string>& row);
+  /// Observes rows [first, end) of a streamed batch the moment they become
+  /// visible. Rows of non-event tables, rows whose ua_usec or ud_usec is
+  /// NULL, and batches whose ua_usec or ud_usec column is not Int, are
+  /// ignored.
+  void on_rows(const std::string& table, const db::ColumnBatch& batch,
+               std::size_t first, std::size_t end);
 
   /// Advances every table's evaluation point to (newest departure -
   /// watermark) and emits one sample per table that moved. Tables are
@@ -62,8 +63,18 @@ class QueueSignal {
     std::int64_t last_eval = -1;
   };
 
+  /// ua_usec / ud_usec positions in a table's schema, resolved once per
+  /// schema width (columns only ever join a table at the end).
+  struct Columns {
+    static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+    std::size_t width = 0;
+    std::size_t ua = kNone;
+    std::size_t ud = kNone;
+  };
+
   SimTime watermark_;
   std::map<std::string, State> queues_;
+  std::map<std::string, Columns> columns_;
 };
 
 }  // namespace mscope::core

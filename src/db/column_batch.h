@@ -1,0 +1,50 @@
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "db/table.h"
+#include "db/value.h"
+
+namespace mscope::db {
+
+/// A run of rows in column-major form, each column typed once: the unit the
+/// compiled scanners hand the store (Table::append) and the live row
+/// observers. `schema` names and types the columns; `columns[c]` holds
+/// column c's `rows` cells in the one array its type selects, with a
+/// validity flag per row (0 = NULL):
+///  * kInt: `ints`, kDouble: `doubles`, one value per row (unspecified
+///    where NULL);
+///  * kText: `texts`, engaged exactly where the row is valid.
+/// A batch never holds a kNull column (the typing rules finalize an
+/// all-NULL column to Text).
+struct ColumnBatch {
+  struct Column {
+    DataType type = DataType::kText;
+    std::vector<std::uint8_t> valid;
+    std::vector<std::int64_t> ints;
+    std::vector<double> doubles;
+    std::vector<std::optional<TextRef>> texts;
+  };
+
+  Schema schema;
+  std::vector<Column> columns;
+  std::size_t rows = 0;
+
+  /// The cell at (row, col) as a Value (NULL where invalid).
+  [[nodiscard]] Value cell(std::size_t row, std::size_t col) const {
+    const Column& c = columns[col];
+    if (c.valid[row] == 0) return Value{};
+    switch (c.type) {
+      case DataType::kInt: return Value{c.ints[row]};
+      case DataType::kDouble: return Value{c.doubles[row]};
+      case DataType::kText: return Value{*c.texts[row]};
+      case DataType::kNull: break;
+    }
+    return Value{};
+  }
+};
+
+}  // namespace mscope::db

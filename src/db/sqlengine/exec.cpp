@@ -231,16 +231,15 @@ Batch RowEmitter::make_batch(const std::vector<Table::Row>& rows,
 
 namespace {
 
-/// Drains an operator into boxed rows (join build sides, sort input).
-void materialize(Operator& op, std::vector<Table::Row>& rows) {
+/// Drains an operator into a join's flat build side.
+void materialize(Operator& op, BuildRows& out) {
+  out.width = op.out_types.size();
   Batch b;
   while (op.next(b)) {
     for (std::size_t k = 0; k < b.active(); ++k) {
       const std::uint32_t r = b.row_at(k);
-      Table::Row row;
-      row.reserve(b.cols.size());
-      for (const auto& c : b.cols) row.push_back(c.get(r));
-      rows.push_back(std::move(row));
+      for (const auto& c : b.cols) out.cells.push_back(c.get(r));
+      ++out.rows;
     }
   }
 }
@@ -263,9 +262,10 @@ HashJoinOp::HashJoinOp(OpPtr left, OpPtr right, int left_key, int right_key,
 
 void HashJoinOp::build() {
   materialize(*right_, build_rows_);
-  index_.reserve(build_rows_.size());
-  for (std::size_t i = 0; i < build_rows_.size(); ++i) {
-    const Value& key = build_rows_[i][static_cast<std::size_t>(right_key_)];
+  index_.reserve(build_rows_.rows);
+  for (std::size_t i = 0; i < build_rows_.rows; ++i) {
+    const Value& key =
+        build_rows_.row(i)[static_cast<std::size_t>(right_key_)];
     if (is_null(key)) continue;
     index_[value_to_string(key)].push_back(static_cast<std::uint32_t>(i));
   }
@@ -291,8 +291,8 @@ bool HashJoinOp::next(Batch& out) {
         Table::Row row;
         row.reserve(out_types.size());
         for (const auto& c : in.cols) row.push_back(c.get(r));
-        const Table::Row& br = build_rows_[bi];
-        row.insert(row.end(), br.begin(), br.end());
+        const Value* br = build_rows_.row(bi);
+        row.insert(row.end(), br, br + build_rows_.width);
         matched.push_back(std::move(row));
       }
     }
@@ -307,7 +307,7 @@ bool HashJoinOp::next(Batch& out) {
 
 std::string HashJoinOp::describe() const {
   return "HashJoin " + key_desc_ + " [build=" +
-         std::to_string(build_rows_.size()) + " rows]";
+         std::to_string(build_rows_.rows) + " rows]";
 }
 
 // ----------------------------- AlignJoinOp -----------------------------------
@@ -328,9 +328,10 @@ AlignJoinOp::AlignJoinOp(OpPtr left, OpPtr right, int left_time,
 
 void AlignJoinOp::build() {
   materialize(*right_, build_rows_);
-  times_.reserve(build_rows_.size());
-  for (std::size_t i = 0; i < build_rows_.size(); ++i) {
-    const auto t = as_int(build_rows_[i][static_cast<std::size_t>(right_time_)]);
+  times_.reserve(build_rows_.rows);
+  for (std::size_t i = 0; i < build_rows_.rows; ++i) {
+    const auto t =
+        as_int(build_rows_.row(i)[static_cast<std::size_t>(right_time_)]);
     if (!t) continue;
     times_.emplace_back(*t, static_cast<std::uint32_t>(i));
   }
@@ -365,8 +366,8 @@ bool AlignJoinOp::next(Batch& out) {
         Table::Row row;
         row.reserve(out_types.size());
         for (const auto& c : in.cols) row.push_back(c.get(r));
-        const Table::Row& br = build_rows_[bi];
-        row.insert(row.end(), br.begin(), br.end());
+        const Value* br = build_rows_.row(bi);
+        row.insert(row.end(), br, br + build_rows_.width);
         matched.push_back(std::move(row));
       }
     }
@@ -381,7 +382,7 @@ bool AlignJoinOp::next(Batch& out) {
 
 std::string AlignJoinOp::describe() const {
   return "AlignJoin " + key_desc_ + " [build=" +
-         std::to_string(build_rows_.size()) + " rows]";
+         std::to_string(build_rows_.rows) + " rows]";
 }
 
 // ------------------------------ HashAggOp ------------------------------------

@@ -113,6 +113,20 @@ class FilterOp final : public Operator {
   std::vector<std::uint8_t> mask_;
 };
 
+/// A join's build side drained into one flat array: row i is cells
+/// [i * width, (i + 1) * width). One growing allocation for the whole side,
+/// not one per row, so building it costs the same wherever the allocator's
+/// free chunks happen to lie.
+struct BuildRows {
+  std::size_t width = 0;
+  std::size_t rows = 0;
+  std::vector<Value> cells;
+
+  [[nodiscard]] const Value* row(std::size_t i) const {
+    return cells.data() + i * width;
+  }
+};
+
 /// Hash join (equality). Builds on the right child (materialized), probes
 /// with the left child's batches in order; matches of one probe row emit in
 /// build insertion order. Keys hash by value_to_string so Int 7 and Double
@@ -136,7 +150,7 @@ class HashJoinOp final : public Operator {
   int left_key_, right_key_;
   std::string key_desc_;
   bool built_ = false;
-  std::vector<Table::Row> build_rows_;
+  BuildRows build_rows_;
   std::unordered_map<std::string, std::vector<std::uint32_t>> index_;
 };
 
@@ -164,7 +178,7 @@ class AlignJoinOp final : public Operator {
   std::int64_t tol_;
   std::string key_desc_;
   bool built_ = false;
-  std::vector<Table::Row> build_rows_;
+  BuildRows build_rows_;
   /// (time, build row) sorted — band lookups are two binary searches.
   std::vector<std::pair<std::int64_t, std::uint32_t>> times_;
 };

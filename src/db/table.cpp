@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "db/column_batch.h"
+
 #include "obs/metrics.h"
 #include "util/strings.h"
 
@@ -82,6 +84,46 @@ void Table::insert(Row row) {
                                 std::string(to_string(cell)) + ", column " +
                                 std::string(to_string(col)) + ")");
   }
+  put(std::move(row));
+}
+
+void Table::append(const ColumnBatch& batch, std::size_t first,
+                   std::size_t end) {
+  if (batch.columns.size() != schema_.size()) {
+    throw std::invalid_argument("Table '" + name_ + "': arity mismatch (" +
+                                std::to_string(batch.columns.size()) +
+                                " vs " + std::to_string(schema_.size()) + ")");
+  }
+  std::vector<std::uint8_t> int_to_double(schema_.size(), 0);
+  for (std::size_t c = 0; c < schema_.size(); ++c) {
+    const DataType cell = batch.columns[c].type;
+    const DataType col = schema_[c].type;
+    if (cell == col) continue;
+    if (cell == DataType::kInt && col == DataType::kDouble) {
+      int_to_double[c] = 1;
+      continue;
+    }
+    throw std::invalid_argument("Table '" + name_ + "': type mismatch in " +
+                                schema_[c].name + " (batch column " +
+                                std::string(to_string(cell)) + ", column " +
+                                std::string(to_string(col)) + ")");
+  }
+  for (std::size_t r = first; r < end; ++r) {
+    Row row;
+    row.reserve(schema_.size());
+    for (std::size_t c = 0; c < schema_.size(); ++c) {
+      const ColumnBatch::Column& bc = batch.columns[c];
+      if (int_to_double[c] != 0 && bc.valid[r] != 0) {
+        row.emplace_back(static_cast<double>(bc.ints[r]));
+      } else {
+        row.push_back(batch.cell(r, c));
+      }
+    }
+    put(std::move(row));
+  }
+}
+
+void Table::put(Row row) {
   if (!indexes_.empty()) {
     // Incremental index maintenance: monitoring logs append mostly in time
     // order, so this is an O(1) push_back on the hot path. Read the cells

@@ -23,6 +23,7 @@ struct ColumnDef {
 using Schema = std::vector<ColumnDef>;
 
 class Table;
+struct ColumnBatch;
 
 /// Observer of warehouse mutations, attached via Database::set_journal —
 /// the seam the write-ahead log hangs off. Callbacks fire *before* the
@@ -108,6 +109,16 @@ class Table {
   /// seal the tail into a columnar segment as a side effect.
   void insert(Row row);
 
+  /// Appends rows [first, end) of `batch`, whose columns match this table's
+  /// by position. Each column's type is checked once: it must equal the
+  /// table column's, or be Int into a Double column (converted as insert()
+  /// converts). Throws std::invalid_argument naming the table and the
+  /// column on an arity or type mismatch, before any row lands. The rows
+  /// then take insert()'s path one by one — journal, time indexes, store,
+  /// counters — so the WAL frames, index entries and db.table.inserts /
+  /// seals are those of inserting the same rows one at a time.
+  void append(const ColumnBatch& batch, std::size_t first, std::size_t end);
+
   /// Cell accessor (bounds-checked). Returns by value: sealed cells are
   /// materialized from columnar storage. Sequential whole-row access should
   /// use scan() instead.
@@ -178,6 +189,10 @@ class Table {
   friend class RowCursor;
 
   static std::optional<std::size_t> detect_anchor(const Schema& schema);
+
+  /// The one row sink behind insert() and append(): `row` is validated and
+  /// converted to the schema's types.
+  void put(Row row);
 
   std::string name_;
   Schema schema_;

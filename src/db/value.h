@@ -34,6 +34,12 @@ class TextRef {
   TextRef(std::string_view s) : TextRef(std::string(s)) {}      // NOLINT
   TextRef(const char* s) : TextRef(std::string_view(s)) {}      // NOLINT
 
+  /// Private storage without a pool lookup: ingest shares repeated cells
+  /// through its own caches instead of the process-wide lock.
+  struct Unpooled {};
+  TextRef(Unpooled, std::string_view s)
+      : s_(std::make_shared<const std::string>(s)) {}
+
   [[nodiscard]] const std::string& str() const { return *s_; }
   operator const std::string&() const { return *s_; }  // NOLINT
 

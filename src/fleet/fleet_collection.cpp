@@ -123,9 +123,9 @@ FleetCollection::FleetCollection(core::Testbed& testbed,
         std::make_unique<transform::StreamingTransformer>(*s.db, cfg_.streaming);
     s.transformer->set_tracer(tracer_.get());
     s.transformer->set_row_observer(
-        [this](const std::string& table, const db::Schema& schema,
-               const std::vector<std::string>& row) {
-          queue_signal_.on_row(table, schema, row);
+        [this](const std::string& table, const db::ColumnBatch& batch,
+               std::size_t first, std::size_t end) {
+          queue_signal_.on_rows(table, batch, first, end);
         });
   }
 

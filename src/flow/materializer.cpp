@@ -405,8 +405,22 @@ void Materializer::materialize(const Result& r, db::Database& out) {
   db::Table& reqs = out.create_table(kRequestsTable, std::move(req_schema));
   reqs.reserve(r.requests.size());
 
+  // Per-table constants: one pooled TextRef each, shared by every span.
+  const std::vector<db::TextRef> table_service(r.table_service.begin(),
+                                               r.table_service.end());
+  const std::vector<db::TextRef> table_node(r.table_node.begin(),
+                                            r.table_node.end());
+  // Every request id before any row: the long-lived strings are allocated
+  // together instead of between rows that the seals below free again.
+  std::vector<db::TextRef> hexes;
+  hexes.reserve(r.requests.size());
   for (const RequestRec& req : r.requests) {
-    const db::TextRef hex(util::IdCodec::encode(req.req_id));
+    hexes.emplace_back(util::IdCodec::encode(req.req_id));
+  }
+
+  for (std::size_t q = 0; q < r.requests.size(); ++q) {
+    const RequestRec& req = r.requests[q];
+    const db::TextRef& hex = hexes[q];
     SimTime begin = -1;
     SimTime end = -1;
     std::size_t distinct_tiers = 0;
@@ -429,9 +443,8 @@ void Materializer::materialize(const Result& r, db::Database& out) {
         if (ds >= 0 && dr >= 0 && dr > ds) wait += dr - ds;
       }
       spans.insert({hex, std::int64_t{s.tier},
-                    db::TextRef(r.table_service[static_cast<std::size_t>(
-                        s.table)]),
-                    db::TextRef(r.table_node[static_cast<std::size_t>(s.table)]),
+                    table_service[static_cast<std::size_t>(s.table)],
+                    table_node[static_cast<std::size_t>(s.table)],
                     std::int64_t{s.visit}, std::int64_t{s.ua},
                     std::int64_t{s.ud},
                     std::int64_t{s.calls_end - s.calls_begin},

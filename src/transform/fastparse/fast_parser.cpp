@@ -76,7 +76,7 @@ namespace mscope::transform::fastparse {
 namespace {
 
 using SlotIds = FastParser::SlotIds;
-constexpr ConversionBuilder::ColId kNoCol = SlotIds::kNone;
+constexpr BatchBuilder::ColId kNoCol = SlotIds::kNone;
 
 /// Strict fixed-layout decode first; anything it can't express defers to
 /// the general convert_time, so both decode every input identically.
@@ -158,7 +158,6 @@ std::unique_ptr<const FastParser> FastParser::compile(const Declaration& decl) {
   std::unique_ptr<FastParser> fp(new FastParser());
   fp->skip_lines_ = static_cast<std::size_t>(std::max(decl.skip_lines, 0));
   fp->comment_prefix_ = decl.comment_prefix;
-  fp->source_ = decl.source;
 
   const auto compile_instr = [&decl](const TokenInstruction& t) {
     InstrSpec spec;
@@ -213,17 +212,16 @@ std::unique_ptr<const FastParser> FastParser::compile(const Declaration& decl) {
   return fp;
 }
 
-Conversion FastParser::parse(std::string_view content, const ParseContext& ctx,
-                             ParseStats& stats) const {
+db::ColumnBatch FastParser::parse(std::string_view content,
+                                  ParseStats& stats) const {
   State st;
-  Conversion c = parse_more(st, content, ctx, stats);
+  db::ColumnBatch b = parse_more(st, content, stats);
   finish(st);
-  return c;
+  return b;
 }
 
-Conversion FastParser::parse_more(State& st, std::string_view piece,
-                                  const ParseContext& ctx,
-                                  ParseStats& stats) const {
+db::ColumnBatch FastParser::parse_more(State& st, std::string_view piece,
+                                       ParseStats& stats) const {
   std::size_t lines = 0;
   switch (kind_) {
     case Kind::kTokenLines:
@@ -249,14 +247,14 @@ Conversion FastParser::parse_more(State& st, std::string_view piece,
       break;
   }
   st.next_line += lines;
-  return st.builder.take(source_, ctx.node, ctx.file);
+  return st.builder.take();
 }
 
 // --------------------------- token_lines ------------------------------------
 
 std::size_t FastParser::parse_token_lines(std::string_view piece, State& st,
                                           ParseStats& stats) const {
-  ConversionBuilder& b = st.builder;
+  BatchBuilder& b = st.builder;
   std::vector<std::vector<SlotIds>> slots(instrs_.size());
   for (std::size_t i = 0; i < instrs_.size(); ++i) {
     slots[i].resize(instrs_[i].emit_count);
@@ -283,7 +281,7 @@ std::size_t FastParser::parse_token_lines(std::string_view piece, State& st,
         ok = std::regex_match(lb, le, m, *instr.fallback);
       }
       if (!ok) continue;
-      b.begin_entry(static_cast<std::uint32_t>(index + 1));
+      b.begin_entry();
       for (std::size_t g = 0; g < instr.emit_count; ++g) {
         std::string_view v;
         if (instr.fast != nullptr) {
@@ -301,12 +299,12 @@ std::size_t FastParser::parse_token_lines(std::string_view piece, State& st,
           std::int64_t usec = 0;
           if (convert_time_fast(v, f.enc, usec)) {
             if (ids.time_id == kNoCol) ids.time_id = b.column(f.time_name);
-            b.set_known_int(ids.time_id, std::to_string(usec));
+            b.set_int(ids.time_id, usec);
             continue;
           }
         }
         if (ids.raw_id == kNoCol) ids.raw_id = b.column(f.name);
-        b.set(ids.raw_id, std::string(v));
+        b.set(ids.raw_id, v);
       }
       return;  // first matching instruction wins
     }
@@ -372,7 +370,7 @@ bool find_tomcat_call(const char* p, const char* end, TomcatCall& out) {
 
 std::size_t FastParser::parse_tomcat(std::string_view piece, State& st,
                                      ParseStats& stats) const {
-  ConversionBuilder& b = st.builder;
+  BatchBuilder& b = st.builder;
   const InstrSpec& head = instrs_[0];
   const InstrSpec* baseline = instrs_.size() > 1 ? &instrs_[1] : nullptr;
   std::vector<std::vector<SlotIds>> slots(instrs_.size());
@@ -404,12 +402,12 @@ std::size_t FastParser::parse_tomcat(std::string_view piece, State& st,
         std::int64_t usec = 0;
         if (convert_time_fast(v, f.enc, usec)) {
           if (ids.time_id == kNoCol) ids.time_id = b.column(f.time_name);
-          b.set_known_int(ids.time_id, std::to_string(usec));
+          b.set_int(ids.time_id, usec);
           continue;
         }
       }
       if (ids.raw_id == kNoCol) ids.raw_id = b.column(f.name);
-      b.set(ids.raw_id, std::string(v));
+      b.set(ids.raw_id, v);
     }
   };
 
@@ -432,7 +430,7 @@ std::size_t FastParser::parse_tomcat(std::string_view piece, State& st,
       if (head_ok) tail = m[0].second;
     }
     if (head_ok) {
-      b.begin_entry(static_cast<std::uint32_t>(index + 1));
+      b.begin_entry();
       emit_fields(head, slots[0], head.fast != nullptr);
       TomcatCall call;
       const char* p = tail;
@@ -451,8 +449,8 @@ std::size_t FastParser::parse_tomcat(std::string_view piece, State& st,
             const auto dr_id = b.column("dr" + idx + "_usec");
             it = call_ids.emplace(idx, std::make_pair(ds_id, dr_id)).first;
           }
-          b.set_known_int(it->second.first, std::to_string(ds));
-          b.set_known_int(it->second.second, std::to_string(dr));
+          b.set_int(it->second.first, ds);
+          b.set_int(it->second.second, dr);
         }
       }
       return;
@@ -465,7 +463,7 @@ std::size_t FastParser::parse_tomcat(std::string_view piece, State& st,
         base_ok = std::regex_match(lb, le, m, *baseline->fallback);
       }
       if (base_ok) {
-        b.begin_entry(static_cast<std::uint32_t>(index + 1));
+        b.begin_entry();
         emit_fields(*baseline, slots[1], baseline->fast != nullptr);
         return;
       }
@@ -481,10 +479,10 @@ std::size_t FastParser::parse_sar_text(std::string_view piece, State& st,
   // Data rows are emitted under the most recent header, which may sit in an
   // earlier piece. Column ids resolve lazily at first emission to preserve
   // first-appearance order.
-  ConversionBuilder& b = st.builder;
+  BatchBuilder& b = st.builder;
   std::vector<HeaderCol>& header = st.header;
   std::vector<std::string_view> tokens;
-  return for_each_line(piece, st.next_line, [&](std::size_t index,
+  return for_each_line(piece, st.next_line, [&](std::size_t /*index*/,
                                                 std::string_view line) {
     const auto trimmed = util::trim(line);
     if (trimmed.empty() || util::starts_with(trimmed, "Linux")) return;
@@ -513,19 +511,19 @@ std::size_t FastParser::parse_sar_text(std::string_view piece, State& st,
       ++stats.rejected;  // malformed row
       return;
     }
-    b.begin_entry(static_cast<std::uint32_t>(index + 1));
+    b.begin_entry();
     for (std::size_t f = 0; f < header.size(); ++f) {
       HeaderCol& col = header[f];
       if (col.is_time) {
         std::int64_t usec = 0;
         if (convert_time_fast(tokens[f], TimeEncoding::kHmsMilli, usec)) {
           if (col.ids.time_id == kNoCol) col.ids.time_id = b.column("ts_usec");
-          b.set_known_int(col.ids.time_id, std::to_string(usec));
+          b.set_int(col.ids.time_id, usec);
           continue;
         }
       }
       if (col.ids.raw_id == kNoCol) col.ids.raw_id = b.column(col.name);
-      b.set(col.ids.raw_id, std::string(tokens[f]));
+      b.set(col.ids.raw_id, tokens[f]);
     }
   });
 }
@@ -536,7 +534,7 @@ std::size_t FastParser::parse_iostat(std::string_view piece, State& st,
                                      ParseStats& stats) const {
   static constexpr const char* kFields[] = {"device",    "tps",   "read_kbs",
                                             "write_kbs", "queue", "util_pct"};
-  ConversionBuilder& b = st.builder;
+  BatchBuilder& b = st.builder;
   SlotIds ts_ids;
   SlotIds field_ids[6];
   std::int64_t& current_ts = st.iostat_ts;
@@ -563,14 +561,14 @@ std::size_t FastParser::parse_iostat(std::string_view piece, State& st,
       ++stats.rejected;
       return;
     }
-    b.begin_entry(static_cast<std::uint32_t>(index + 1));
+    b.begin_entry();
     if (ts_ids.time_id == kNoCol) ts_ids.time_id = b.column("ts_usec");
-    b.set_known_int(ts_ids.time_id, std::to_string(current_ts));
+    b.set_int(ts_ids.time_id, current_ts);
     for (std::size_t f = 0; f < 6; ++f) {
       if (field_ids[f].raw_id == kNoCol) {
         field_ids[f].raw_id = b.column(kFields[f]);
       }
-      b.set(field_ids[f].raw_id, std::string(toks[f]));
+      b.set(field_ids[f].raw_id, toks[f]);
     }
   });
 }
@@ -583,7 +581,7 @@ std::size_t FastParser::parse_collectl(std::string_view piece, State& st,
                                                "sys_pct",   "wait_pct",
                                                "read_kbs",  "write_kbs",
                                                "util_pct"};
-  ConversionBuilder& b = st.builder;
+  BatchBuilder& b = st.builder;
   // csv: the last '#' header line, possibly from an earlier piece. plain: a
   // fixed header, set up by the file's first piece and never replaced.
   std::vector<HeaderCol>& header = st.header;
@@ -597,7 +595,7 @@ std::size_t FastParser::parse_collectl(std::string_view piece, State& st,
   }
   std::vector<std::string_view> toks;
 
-  return for_each_line(piece, st.next_line, [&](std::size_t index,
+  return for_each_line(piece, st.next_line, [&](std::size_t /*index*/,
                                                 std::string_view line) {
     const auto trimmed = util::trim(line);
     if (trimmed.empty()) return;
@@ -628,19 +626,19 @@ std::size_t FastParser::parse_collectl(std::string_view piece, State& st,
       ++stats.rejected;
       return;
     }
-    b.begin_entry(static_cast<std::uint32_t>(index + 1));
+    b.begin_entry();
     for (std::size_t f = 0; f < header.size(); ++f) {
       HeaderCol& col = header[f];
       if (col.is_time) {
         std::int64_t usec = 0;
         if (convert_time_fast(toks[f], TimeEncoding::kHmsMilli, usec)) {
           if (col.ids.time_id == kNoCol) col.ids.time_id = b.column("ts_usec");
-          b.set_known_int(col.ids.time_id, std::to_string(usec));
+          b.set_int(col.ids.time_id, usec);
           continue;
         }
       }
       if (col.ids.raw_id == kNoCol) col.ids.raw_id = b.column(col.name);
-      b.set(col.ids.raw_id, std::string(toks[f]));
+      b.set(col.ids.raw_id, toks[f]);
     }
   });
 }
@@ -676,7 +674,7 @@ std::string attr_value(std::string_view raw) {
 class SarXmlScanner {
  public:
   SarXmlScanner(std::string_view text, std::size_t first_line,
-                FastParser::SarXmlState& x, ConversionBuilder& b,
+                FastParser::SarXmlState& x, BatchBuilder& b,
                 ParseStats& stats)
       : text_(text), first_line_(first_line), x_(x), b_(b), stats_(stats) {}
 
@@ -848,7 +846,6 @@ class SarXmlScanner {
     for (const auto& [k, v] : attrs_) {
       if (k == "time") x_.time = attr_value(v);  // a repeat: last value
     }
-    x_.line = static_cast<std::uint32_t>(line_at(pos_));
     x_.seen[4] = x_.seen[5] = false;
     x_.cpu.clear();
   }
@@ -871,11 +868,11 @@ class SarXmlScanner {
       ++stats_.rejected;
       return;
     }
-    b_.begin_entry(x_.line);
+    b_.begin_entry();
     std::int64_t usec = 0;
     if (convert_time_fast(*x_.time, TimeEncoding::kHmsMilli, usec)) {
       if (x_.ts_col == kNoCol) x_.ts_col = b_.column("ts_usec");
-      b_.set_known_int(x_.ts_col, std::to_string(usec));
+      b_.set_int(x_.ts_col, usec);
     }
     for (auto& [k, v] : x_.cpu) {
       if (k == "number") continue;
@@ -883,14 +880,14 @@ class SarXmlScanner {
       if (it == x_.cols.end()) {
         it = x_.cols.emplace(k, b_.column(sanitize_column(k) + "_pct")).first;
       }
-      b_.set(it->second, std::move(v));
+      b_.set_owned(it->second, std::move(v));
     }
   }
 
   std::string_view text_;
   std::size_t first_line_;
   FastParser::SarXmlState& x_;
-  ConversionBuilder& b_;
+  BatchBuilder& b_;
   ParseStats& stats_;
   std::size_t pos_ = 0;
   std::size_t counted_ = 0;

@@ -18,14 +18,6 @@
 
 namespace mscope::transform {
 
-/// Context handed to a parse: where the bytes come from and which
-/// declaration governs them.
-struct ParseContext {
-  std::string node;  ///< node the log came from (directory name)
-  std::string file;  ///< file name
-  const Declaration* decl = nullptr;
-};
-
 /// Normalizes a raw header token into a column name:
 /// "%user" -> "user_pct", "[CPU]User%" -> "cpu_user_pct", "kB_read/s" ->
 /// "kb_read_s".
@@ -51,7 +43,8 @@ struct ParseStats {
 /// A specialized byte-scanning parser compiled from one Declaration —
 /// stages 2-3 of the transformer (paper Fig. 3: add semantics, then
 /// XMLtoCSV) in one pass, with no XML materialized and std::regex off the
-/// hot path.
+/// hot path. Each cell is typed once, where it is scanned (BatchBuilder),
+/// and the result is a typed db::ColumnBatch ready for Table::append.
 ///
 /// compile() translates each TokenInstruction's regex into a
 /// CompiledPattern (pattern.h); instructions outside the supported regex
@@ -59,14 +52,15 @@ struct ParseStats {
 /// per-line std::string copies either way). The structured formats
 /// (sar_text, sar_xml, iostat, collectl) are hand-rolled scanners. parse()
 /// is required — and tested against the regex/XML oracle in tests/oracle/
-/// — to produce a Conversion cell-for-cell identical to the paper's
-/// mScopeParser -> XML -> XMLtoCSV chain on the same bytes, and to throw
-/// exactly when that chain throws (only sar XML can: a malformed document).
+/// — to produce the schema of the paper's mScopeParser -> XML -> XMLtoCSV
+/// chain on the same bytes, and cells equal to that chain's read through
+/// db::parse_as at their column types, and to throw exactly when that chain
+/// throws (only sar XML can: a malformed document).
 ///
 /// Parsing is resumable: parse_more() continues a file where the previous
 /// call stopped, carrying everything a later piece depends on in a State,
 /// and finish() closes the file. Column typing is a running join, so
-/// parsing a file in pieces yields exactly the schema, rows and stats of
+/// parsing a file in pieces yields exactly the schema, cells and stats of
 /// one parse of the whole file (tested).
 ///
 /// Instances are immutable after compile() and safe to share across
@@ -79,9 +73,9 @@ class FastParser {
   /// emission (not at compile) preserves the reference's first-appearance
   /// column order.
   struct SlotIds {
-    static constexpr ConversionBuilder::ColId kNone = 0xFFFFFFFFu;
-    ConversionBuilder::ColId time_id = kNone;
-    ConversionBuilder::ColId raw_id = kNone;
+    static constexpr BatchBuilder::ColId kNone = 0xFFFFFFFFu;
+    BatchBuilder::ColId time_id = kNone;
+    BatchBuilder::ColId raw_id = kNone;
   };
 
   /// One column of a header-driven format (sar text, collectl).
@@ -103,20 +97,19 @@ class FastParser {
     /// timestamp's cpu-load and cpu: in the pending timestamp).
     std::array<bool, 6> seen{};
     std::optional<std::string> time;  ///< the pending timestamp's
-    std::uint32_t line = 0;           ///< ... its tag's line
     std::vector<std::pair<std::string, std::string>> cpu;  ///< ... its cpu
     /// Column ids: ts_usec, and one per cpu attribute name.
-    ConversionBuilder::ColId ts_col = SlotIds::kNone;
-    std::map<std::string, ConversionBuilder::ColId, std::less<>> cols;
+    BatchBuilder::ColId ts_col = SlotIds::kNone;
+    std::map<std::string, BatchBuilder::ColId, std::less<>> cols;
   };
 
   /// Everything one file's parse carries from one piece to the next.
   struct State {
     std::size_t next_line = 0;  ///< index of the next piece's first line
-    ConversionBuilder builder;  ///< columns and their running types
+    BatchBuilder builder;  ///< columns and their running types
     /// tomcat: dsN/drN column ids keyed by the call index digits.
     std::map<std::string,
-             std::pair<ConversionBuilder::ColId, ConversionBuilder::ColId>,
+             std::pair<BatchBuilder::ColId, BatchBuilder::ColId>,
              std::less<>>
         tomcat_calls;
     /// sar text / collectl: the header the next data line belongs to.
@@ -135,22 +128,21 @@ class FastParser {
   [[nodiscard]] static std::unique_ptr<const FastParser> compile(
       const Declaration& decl);
 
-  /// Parses a whole file (read in place, never copied) into a Conversion:
+  /// Parses a whole file (read in place, never copied) into a batch:
   /// parse_more() on a fresh State, then finish().
-  [[nodiscard]] Conversion parse(std::string_view content,
-                                 const ParseContext& ctx,
-                                 ParseStats& stats) const;
+  [[nodiscard]] db::ColumnBatch parse(std::string_view content,
+                                      ParseStats& stats) const;
 
   /// Parses the next `piece` of a file whose earlier pieces went through
   /// `state`. For the line formats every piece but the file's last must
   /// end with '\n'; sar XML pieces may end at any byte. Returns the
   /// cumulative schema (every column seen so far, at its running type) and
-  /// only this piece's rows, padded to that schema's width; adds this
-  /// piece's tallies to `stats`. Throws std::runtime_error on a malformed
-  /// sar XML document; after a throw `state` is unusable.
-  [[nodiscard]] Conversion parse_more(State& state, std::string_view piece,
-                                      const ParseContext& ctx,
-                                      ParseStats& stats) const;
+  /// only this piece's rows, typed to that schema; adds this piece's
+  /// tallies to `stats`. Throws std::runtime_error on a malformed sar XML
+  /// document; after a throw `state` is unusable.
+  [[nodiscard]] db::ColumnBatch parse_more(State& state,
+                                           std::string_view piece,
+                                           ParseStats& stats) const;
 
   /// End of the file whose pieces went through `state`. A no-op for the
   /// line formats; for sar XML, throws std::runtime_error if the document
@@ -204,7 +196,6 @@ class FastParser {
   Kind kind_ = Kind::kTokenLines;
   std::size_t skip_lines_ = 0;
   std::string comment_prefix_;
-  std::string source_;
   std::vector<InstrSpec> instrs_;
 };
 

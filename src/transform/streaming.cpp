@@ -158,12 +158,11 @@ void StreamingTransformer::run_parse(ParseTask& t) const {
   // and no ingest/note_gap can run while run_tasks() holds the caller (the
   // zero-copy lifetime rule).
   FileState& st = *t.st;
-  const ParseContext ctx{*t.node, *t.file, st.decl};
   try {
     if (t.end > t.begin) {
       const std::string_view piece =
           std::string_view(st.content).substr(t.begin, t.end - t.begin);
-      t.conv = st.parser->parse_more(st.parse_state, piece, ctx, t.stats);
+      t.batch = st.parser->parse_more(st.parse_state, piece, t.stats);
     }
     // Ends the file before its last rows load: a document that never
     // closes loads no rows from this pass.
@@ -237,8 +236,8 @@ void StreamingTransformer::reconcile_parse(ParseTask& task) {
   }
 
   st.parsed_bytes = task.end;
-  Conversion& conv = task.conv;
-  if (conv.schema.empty()) return;  // no rows yet
+  db::ColumnBatch& batch = task.batch;
+  if (batch.schema.empty()) return;  // no rows yet
 
   if (st.table.empty()) {
     std::string table = st.decl->table_prefix + "_" + *task.node;
@@ -255,10 +254,10 @@ void StreamingTransformer::reconcile_parse(ParseTask& task) {
     st.table = std::move(table);
   }
 
-  // conv.rows are the file's rows [first_row, first_row + conv.rows.size()).
+  // The batch holds the file's rows [first_row, first_row + batch.rows).
   std::size_t first_row = st.rows_in_table;
   db::Table* table = db_.find(st.table);
-  const bool schema_changed = table != nullptr && st.schema != conv.schema;
+  const bool schema_changed = table != nullptr && st.schema != batch.schema;
   if (table != nullptr && schema_changed) {
     // Widened type or new column: earlier rows must be re-typed. Exact
     // widenings (Int -> Double, all-NULL columns, appended columns) apply
@@ -270,7 +269,18 @@ void StreamingTransformer::reconcile_parse(ParseTask& task) {
     static obs::Counter& widens_c =
         obs::Registry::global().counter("transform.schema_widenings");
     widens_c.inc();
-    if (table->try_widen(conv.schema)) {
+    // A "-0" stored as Int 0 would re-type to +0.0 in place, where a
+    // one-pass parse reads it as -0.0: that Int -> Double is inexact.
+    bool exact = true;
+    for (std::size_t c = 0; c < st.schema.size(); ++c) {
+      if (st.schema[c].type == db::DataType::kInt &&
+          batch.schema[c].type == db::DataType::kDouble &&
+          st.parse_state.builder.stored_negative_zero(
+              static_cast<fastparse::BatchBuilder::ColId>(c))) {
+        exact = false;
+      }
+    }
+    if (exact && table->try_widen(batch.schema)) {
       ++stats_.schema_rebuilds;  // counts schema-change events of both kinds
       ++stats_.inplace_widens;
       // A widened schema can introduce new *_usec columns; make sure their
@@ -278,13 +288,13 @@ void StreamingTransformer::reconcile_parse(ParseTask& task) {
       prewarm_time_indexes(*table);
     } else {
       if (first_row > 0) {
-        // Earlier passes' rows are gone as text: re-parse the file from
-        // byte 0 with a fresh state. Same bytes, so the same schema.
+        // Earlier passes' rows are typed at the old schema: re-parse the
+        // file from byte 0 with a fresh state. Same bytes, so the same
+        // schema.
         fastparse::FastParser::State fresh;
         fastparse::ParseStats ignored;
-        conv = st.parser->parse_more(
-            fresh, std::string_view(st.content).substr(0, task.end),
-            ParseContext{*task.node, *task.file, st.decl}, ignored);
+        batch = st.parser->parse_more(
+            fresh, std::string_view(st.content).substr(0, task.end), ignored);
         count_pass(task.end);
         first_row = 0;
       }
@@ -296,49 +306,27 @@ void StreamingTransformer::reconcile_parse(ParseTask& task) {
     }
   }
   if (table == nullptr) {
-    table = &db_.create_table(st.table, conv.schema);
+    table = &db_.create_table(st.table, batch.schema);
     // Warm the time indexes on the empty table: every row streamed in from
     // here on (including all rows re-inserted after a schema-widening
     // rebuild, which passes through this branch again) maintains them
     // incrementally, so the live queue-depth queries never pay a rebuild.
     prewarm_time_indexes(*table);
   }
-  st.schema = conv.schema;
+  st.schema = batch.schema;
 
-  const std::size_t end_row = first_row + conv.rows.size();
-  for (std::size_t r = st.rows_in_table; r < end_row; ++r) {
-    const auto& cells = conv.rows[r - first_row];
-    db::Table::Row row;
-    row.reserve(cells.size());
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      auto v = db::parse_as(cells[c], conv.schema[c].type);
-      if (!v) {
-        std::string where = *task.node + "/" + *task.file;
-        if (r - first_row < conv.row_lines.size()) {
-          where += ":" + std::to_string(conv.row_lines[r - first_row]);
-        }
-        throw std::invalid_argument("StreamingTransformer: " + where +
-                                    ": cell '" + cells[c] +
-                                    "' does not fit column " +
-                                    conv.schema[c].name + " of " + st.table);
-      }
-      row.push_back(std::move(*v));
-    }
-    table->insert(std::move(row));
-    ++stats_.rows_inserted;
-    ++stats_.rows_live;
-  }
+  // first_row == st.rows_in_table here (a rebuild reset both to 0).
+  table->append(batch, 0, batch.rows);
+  stats_.rows_inserted += batch.rows;
+  stats_.rows_live += batch.rows;
   static obs::Counter& rows_c =
       obs::Registry::global().counter("transform.rows_inserted");
-  if (end_row > st.rows_in_table) {
-    rows_c.add(end_row - st.rows_in_table);
-    st.rows_in_table = end_row;
-  }
-  if (observer_) {
-    for (std::size_t r = std::max(st.rows_notified, first_row); r < end_row;
-         ++r) {
-      observer_(st.table, conv.schema, conv.rows[r - first_row]);
-    }
+  rows_c.add(batch.rows);
+  const std::size_t end_row = first_row + batch.rows;
+  st.rows_in_table = end_row;
+  if (observer_ && end_row > std::max(st.rows_notified, first_row)) {
+    observer_(st.table, batch,
+              std::max(st.rows_notified, first_row) - first_row, batch.rows);
   }
   st.rows_notified = std::max(st.rows_notified, end_row);
 }

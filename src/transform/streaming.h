@@ -9,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "db/column_batch.h"
 #include "db/database.h"
 #include "transform/declaration.h"
 #include "transform/fastparse/fast_parser.h"
@@ -48,12 +49,18 @@ class ParsePool;
 /// sorted (node, file) order, so the warehouse is byte-identical at any
 /// worker count.
 ///
+/// Each pass's cells are typed where they are scanned: a parse pass yields
+/// a db::ColumnBatch (typed on the pool worker when there is one), and the
+/// serial reconcile appends it to the file's table with Table::append —
+/// no cell is rendered to text and parsed back on the way.
+///
 /// Schema widening on the fly: the XMLtoCSV "best match" type of a column
 /// can widen as data arrives (Int -> Double -> Text), and new columns can
 /// appear. Exact widenings apply in place (Table::try_widen). An inexact
-/// one (e.g. "042" read as Int 42, later re-typed to Text) drops the table
-/// and rebuilds it from the retained raw bytes: the file is re-parsed from
-/// byte 0 with a fresh State and every row re-inserted at the new schema.
+/// one (e.g. "042" read as Int 42, later re-typed to Text, or a "-0" stored
+/// as Int 0 in a column that widens to Double) drops the table and rebuilds
+/// it from the retained raw bytes: the file is re-parsed from byte 0 with a
+/// fresh State and every row re-inserted at the new schema.
 ///
 /// A parse that throws (only a malformed sar XML document can) fails its
 /// file for the rest of the run: the rows already loaded stay, later bytes
@@ -99,12 +106,12 @@ class StreamingTransformer {
                                         ///< instruction
   };
 
-  /// Fires once per row the moment it becomes visible in a dynamic table
-  /// mid-run (rebuild re-inserts do not re-fire). Cells are the stage-3
-  /// string form; `schema` gives column names/types.
-  using RowObserver = std::function<void(
-      const std::string& table, const db::Schema& schema,
-      const std::vector<std::string>& row)>;
+  /// Fires for rows [first, end) of `batch` the moment they become visible
+  /// in a dynamic table mid-run: each row once (rebuild re-inserts do not
+  /// re-fire). The batch's schema names and types its columns.
+  using RowObserver = std::function<void(const std::string& table,
+                                         const db::ColumnBatch& batch,
+                                         std::size_t first, std::size_t end)>;
 
   StreamingTransformer(db::Database& db, Config cfg);
   explicit StreamingTransformer(db::Database& db)
@@ -207,7 +214,7 @@ class StreamingTransformer {
     std::size_t end = 0;
     bool final_pass = false;
     bool scheduled = false;  ///< false: nothing to do this pass
-    Conversion conv;
+    db::ColumnBatch batch;
     fastparse::ParseStats stats;
     std::optional<std::string> error;  ///< what() if the parse threw
   };
@@ -219,7 +226,7 @@ class StreamingTransformer {
   /// The pure parse stage — safe on a pool worker: touches only the task
   /// and its file's parse state.
   void run_parse(ParseTask& t) const;
-  /// Serial stage: counters, schema reconciliation, row inserts, observer.
+  /// Serial stage: counters, schema reconciliation, batch append, observer.
   void reconcile_parse(ParseTask& t);
   /// Runs every scheduled task, on the pool when configured.
   void run_tasks(std::vector<ParseTask>& tasks);

@@ -2,10 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "db/catalog.h"
 #include "db/table.h"
 
 namespace mscope::test {
+
+/// Cell identity: equal values, and for doubles the same sign of zero too
+/// (-0.0 == 0.0 numerically, but a store that turns one into the other has
+/// changed the cell). NaN is identical to NaN.
+inline bool same_value(const db::Value& a, const db::Value& b) {
+  if (a.index() == 2 && b.index() == 2) {
+    const double x = std::get<double>(a);
+    const double y = std::get<double>(b);
+    if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+    return x == y && std::signbit(x) == std::signbit(y);
+  }
+  return a == b;
+}
 
 /// Cell-by-cell equality across the Catalog seam — works for a flat
 /// Database and a ShardedWarehouse alike.
@@ -19,7 +34,7 @@ inline void expect_identical_catalogs(const db::Catalog& a,
     ASSERT_EQ(ta.row_count(), tb.row_count()) << "row count in " << name;
     for (std::size_t r = 0; r < ta.row_count(); ++r) {
       for (std::size_t c = 0; c < ta.column_count(); ++c) {
-        ASSERT_TRUE(ta.at(r, c) == tb.at(r, c))
+        ASSERT_TRUE(same_value(ta.at(r, c), tb.at(r, c)))
             << name << " differs at row " << r << " col "
             << ta.schema()[c].name;
       }

@@ -401,7 +401,7 @@ void expect_identical_databases(const db::Database& a, const db::Database& b) {
     ASSERT_EQ(ta.row_count(), tb.row_count()) << "row count in " << name;
     for (std::size_t r = 0; r < ta.row_count(); ++r) {
       for (std::size_t c = 0; c < ta.column_count(); ++c) {
-        ASSERT_TRUE(ta.at(r, c) == tb.at(r, c))
+        ASSERT_TRUE(test::same_value(ta.at(r, c), tb.at(r, c)))
             << name << " differs at row " << r << " col "
             << ta.schema()[c].name;
       }
@@ -658,9 +658,12 @@ TEST(StreamingTransformer, InexactWideningRebuildsFromRawText) {
   transform::StreamingTransformer st(db);
   declare_widen_log(st);
   std::vector<std::string> announced;
-  st.set_row_observer([&announced](const std::string&, const db::Schema&,
-                                   const std::vector<std::string>& row) {
-    announced.push_back(row[0]);
+  st.set_row_observer([&announced](const std::string&,
+                                   const db::ColumnBatch& batch,
+                                   std::size_t first, std::size_t end) {
+    for (std::size_t r = first; r < end; ++r) {
+      announced.push_back(db::as_text(batch.cell(r, 0)));
+    }
   });
 
   // "042" reads as Int 42: re-rendering it after a widening to Text would

@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 
+#include "oracle/conversion.h"
 #include "oracle/xml.h"
 #include "transform/declaration.h"
 #include "transform/fastparse/fast_parser.h"

@@ -1,7 +1,7 @@
 #pragma once
 
+#include "oracle/conversion.h"
 #include "oracle/xml.h"
-#include "transform/fastparse/builder.h"
 
 namespace mscope::transform {
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <string_view>
 
+#include "catalog_equal.h"
 #include "db/database.h"
 #include "oracle/parsers.h"
 #include "transform/declaration.h"
@@ -20,7 +21,8 @@ namespace mscope::test {
 
 /// The table `db` holds for `node`/`file` has the schema and rows of
 /// reference_parse(content), each oracle cell read through db::parse_as at
-/// its column type. A file the oracle gives no columns has no table.
+/// its column type (same_value: the sign of zero counts). A file the oracle
+/// gives no columns has no table.
 inline void expect_table_matches_oracle(const db::Database& db,
                                         const transform::Declaration& decl,
                                         const std::string& node,
@@ -43,7 +45,7 @@ inline void expect_table_matches_oracle(const db::Database& db,
       const auto want = db::parse_as(ref.rows[r][c], ref.schema[c].type);
       ASSERT_TRUE(want.has_value())
           << "row " << r << " col " << ref.schema[c].name;
-      ASSERT_TRUE(got.at(r, c) == *want)
+      ASSERT_TRUE(same_value(got.at(r, c), *want))
           << "row " << r << " col " << ref.schema[c].name;
     }
   }

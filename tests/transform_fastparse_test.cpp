@@ -5,7 +5,8 @@
 // The contract under test is strict: for every declared format and any input
 // bytes — well-formed, malformed, mutated or truncated — the fast path must
 // throw exactly when the reference mScopeParser + XmlToCsvConverter throws,
-// and otherwise produce a Conversion cell-for-cell identical to theirs; the
+// and otherwise produce a typed batch with their schema, each cell equal to
+// theirs read through db::parse_as (the sign of zero included); the
 // resulting warehouse must be byte-identical at any parse worker count.
 
 #include <gtest/gtest.h>
@@ -190,7 +191,13 @@ std::string collectl_csv_content() {
     m.t = c.t;
     m.dirty_kb = 100 + i;
     m.cached_kb = 2048;
-    s += fmt::collectl_csv_row(c, d, m) + "\n";
+    std::string row = fmt::collectl_csv_row(c, d, m);
+    // QueLen, the last field: a signed zero, then a fraction that makes the
+    // column Double, where "-0" must read -0.0.
+    if (i == 9 || i == 10) {
+      row = row.substr(0, row.rfind(',') + 1) + (i == 9 ? "-0" : "0.5");
+    }
+    s += row + "\n";
   }
   s += "1,2,3\n";  // width mismatch
   return s;
@@ -304,10 +311,10 @@ std::vector<FormatFixture> all_fixtures() {
 // Parity helpers.
 // ---------------------------------------------------------------------------
 
-/// `parse()`'s Conversion, or nullopt if it threw std::runtime_error (a
+/// `parse()`'s result, or nullopt if it threw std::runtime_error (a
 /// malformed sar XML document, on either path).
 template <typename Fn>
-std::optional<Conversion> unless_throws(Fn&& parse) {
+auto unless_throws(Fn&& parse) -> std::optional<decltype(parse())> {
   try {
     return parse();
   } catch (const std::runtime_error&) {
@@ -315,28 +322,39 @@ std::optional<Conversion> unless_throws(Fn&& parse) {
   }
 }
 
-void expect_same_conversion(const Conversion& ref, const Conversion& fast,
-                            const std::string& label) {
-  EXPECT_EQ(ref.source, fast.source) << label;
-  EXPECT_EQ(ref.node, fast.node) << label;
-  EXPECT_EQ(ref.file, fast.file) << label;
+/// The batch has the oracle's schema, and each of its cells equals the
+/// oracle's cell read through db::parse_as at the column type (the sign of
+/// zero included).
+void expect_batch_matches(const Conversion& ref, const db::ColumnBatch& fast,
+                          const std::string& label) {
   ASSERT_EQ(ref.schema.size(), fast.schema.size()) << label;
+  ASSERT_EQ(fast.columns.size(), fast.schema.size()) << label;
   for (std::size_t i = 0; i < ref.schema.size(); ++i) {
     EXPECT_EQ(ref.schema[i].name, fast.schema[i].name)
         << label << " column " << i;
     EXPECT_EQ(static_cast<int>(ref.schema[i].type),
               static_cast<int>(fast.schema[i].type))
         << label << " column " << ref.schema[i].name;
+    EXPECT_EQ(static_cast<int>(fast.columns[i].type),
+              static_cast<int>(fast.schema[i].type))
+        << label << " column " << ref.schema[i].name;
   }
-  ASSERT_EQ(ref.rows.size(), fast.rows.size()) << label;
+  ASSERT_EQ(ref.rows.size(), fast.rows) << label;
   for (std::size_t r = 0; r < ref.rows.size(); ++r) {
-    ASSERT_EQ(ref.rows[r], fast.rows[r]) << label << " row " << r;
+    for (std::size_t c = 0; c < ref.schema.size(); ++c) {
+      const auto want = db::parse_as(ref.rows[r][c], ref.schema[c].type);
+      ASSERT_TRUE(want.has_value()) << label << " row " << r;
+      ASSERT_TRUE(test::same_value(fast.cell(r, c), *want))
+          << label << " row " << r << " col " << ref.schema[c].name
+          << ": oracle '" << ref.rows[r][c] << "', batch '"
+          << db::value_to_string(fast.cell(r, c)) << "'";
+    }
   }
 }
 
 /// Parses `content` on both paths: either both throw, or neither does and
-/// their Conversions are identical. The fast path's stats land in `*out`
-/// (for rejected-count assertions).
+/// the batch matches the oracle's Conversion. The fast path's stats land in
+/// `*out` (for rejected-count assertions).
 void expect_parity(const std::string& file, std::string_view content,
                    ParseStats* out = nullptr) {
   DeclarationRegistry registry;
@@ -347,13 +365,12 @@ void expect_parity(const std::string& file, std::string_view content,
   auto fp = FastParser::compile(*decl);
   ASSERT_NE(fp, nullptr) << file;
   ParseStats stats;
-  const auto fast =
-      unless_throws([&] { return fp->parse(content, ctx, stats); });
+  const auto fast = unless_throws([&] { return fp->parse(content, stats); });
   const auto ref = unless_throws([&] { return reference_parse(content, ctx); });
   ASSERT_EQ(fast.has_value(), ref.has_value())
       << file << ": only " << (ref ? "the fast path" : "the oracle")
       << " threw";
-  if (ref) expect_same_conversion(*ref, *fast, file);
+  if (ref) expect_batch_matches(*ref, *fast, file);
   if (out != nullptr) *out = stats;
 }
 
@@ -367,7 +384,7 @@ void expect_identical_databases(const db::Database& a, const db::Database& b,
     ASSERT_EQ(ta.row_count(), tb.row_count()) << label << ": rows of " << name;
     for (std::size_t r = 0; r < ta.row_count(); ++r) {
       for (std::size_t c = 0; c < ta.column_count(); ++c) {
-        ASSERT_TRUE(ta.at(r, c) == tb.at(r, c))
+        ASSERT_TRUE(test::same_value(ta.at(r, c), tb.at(r, c)))
             << label << ": " << name << " differs at row " << r << " col "
             << ta.schema()[c].name;
       }
@@ -764,14 +781,14 @@ TEST(FastParseProperty, MutatedContentNeverCrashesAndMatchesOracle) {
                    std::to_string(iter));
       ParseStats stats;
       const auto fast =
-          unless_throws([&] { return fp->parse(mutated, ctx, stats); });
+          unless_throws([&] { return fp->parse(mutated, stats); });
       const auto ref =
           unless_throws([&] { return reference_parse(mutated, ctx); });
       ASSERT_EQ(fast.has_value(), ref.has_value())
           << (ref ? "only the fast path threw" : "only the oracle threw");
       if (!ref) continue;
       ++accepted;
-      expect_same_conversion(*ref, *fast, f.file);
+      expect_batch_matches(*ref, *fast, f.file);
     }
     if (xml) {
       EXPECT_GT(accepted, 20) << "too few well-formed mutations";
@@ -811,45 +828,72 @@ std::vector<std::string_view> cut_at_bytes(std::string_view content,
 }
 
 /// Feeds `pieces` through parse_more() on one State, then finish(), and
-/// reassembles the file's Conversion (earlier pieces' rows padded to the
-/// final width). Throws what the parser throws.
-Conversion parse_pieces(const FastParser& fp,
-                        const std::vector<std::string_view>& pieces,
-                        const ParseContext& ctx, ParseStats& stats) {
+/// returns each piece's batch. Throws what the parser throws.
+std::vector<db::ColumnBatch> parse_pieces(
+    const FastParser& fp, const std::vector<std::string_view>& pieces,
+    ParseStats& stats) {
   FastParser::State state;
-  Conversion out;
+  std::vector<db::ColumnBatch> out;
   for (const std::string_view piece : pieces) {
-    Conversion part = fp.parse_more(state, piece, ctx, stats);
+    db::ColumnBatch part = fp.parse_more(state, piece, stats);
     // The schema only ever grows at the end: earlier columns keep their
     // names and positions (their types may widen).
-    EXPECT_GE(part.schema.size(), out.schema.size());
-    for (std::size_t c = 0; c < out.schema.size() && c < part.schema.size();
-         ++c) {
-      EXPECT_EQ(part.schema[c].name, out.schema[c].name);
+    if (!out.empty()) {
+      const db::Schema& prev = out.back().schema;
+      EXPECT_GE(part.schema.size(), prev.size());
+      for (std::size_t c = 0; c < prev.size() && c < part.schema.size();
+           ++c) {
+        EXPECT_EQ(part.schema[c].name, prev[c].name);
+      }
     }
-    out.schema = part.schema;
-    out.source = part.source;
-    out.node = part.node;
-    out.file = part.file;
-    for (auto& row : part.rows) {
-      EXPECT_EQ(row.size(), part.schema.size());
-      out.rows.push_back(std::move(row));
-    }
-    out.row_lines.insert(out.row_lines.end(), part.row_lines.begin(),
-                         part.row_lines.end());
+    out.push_back(std::move(part));
   }
   fp.finish(state);
-  for (auto& row : out.rows) row.resize(out.schema.size());
   return out;
+}
+
+/// The pieces' rows, in order, are the whole parse's rows. Each piece cell
+/// equals the oracle's cell read through db::parse_as at the piece's own
+/// (possibly narrower) column type, and the whole parse's cell wherever
+/// that type is already the final one; columns that appear only in a later
+/// piece are NULL in the whole parse's earlier rows.
+void expect_pieces_match(const Conversion& ref, const db::ColumnBatch& whole,
+                         const std::vector<db::ColumnBatch>& pieces,
+                         const std::string& label) {
+  ASSERT_FALSE(pieces.empty()) << label;
+  ASSERT_EQ(pieces.back().schema, whole.schema) << label;
+  std::size_t g = 0;  // row in the whole file
+  for (const db::ColumnBatch& part : pieces) {
+    for (std::size_t r = 0; r < part.rows; ++r, ++g) {
+      ASSERT_LT(g, whole.rows) << label;
+      for (std::size_t c = 0; c < part.schema.size(); ++c) {
+        const db::DataType t = part.schema[c].type;
+        const auto want = db::parse_as(ref.rows[g][c], t);
+        ASSERT_TRUE(want.has_value()) << label << " row " << g;
+        ASSERT_TRUE(test::same_value(part.cell(r, c), *want))
+            << label << " row " << g << " col " << part.schema[c].name;
+        if (t == whole.schema[c].type) {
+          ASSERT_TRUE(test::same_value(part.cell(r, c), whole.cell(g, c)))
+              << label << " row " << g << " col " << part.schema[c].name;
+        }
+      }
+      for (std::size_t c = part.schema.size(); c < whole.schema.size();
+           ++c) {
+        ASSERT_TRUE(db::is_null(whole.cell(g, c)))
+            << label << " row " << g << " col " << whole.schema[c].name;
+      }
+    }
+  }
+  EXPECT_EQ(g, whole.rows) << label;
 }
 
 // Resumable parsing: feeding a file through parse_more() in pieces on one
 // State, then finish(), must equal one parse() of the whole file — the same
-// throw, or the same schema, rows (earlier pieces padded to the final
-// width), source lines and stats. Pieces are line-aligned; sar XML also
-// takes pieces cut at any byte. The clean inputs are cut at every line (and
-// sar XML at every byte), so each header, tomcat call column, skipped
-// banner line and XML construct meets a cut.
+// throw, or the same final schema, cells and stats — and both must match the
+// oracle. Pieces are line-aligned; sar XML also takes pieces cut at any
+// byte. The clean inputs are cut at every line (and sar XML at every byte),
+// so each header, tomcat call column, skipped banner line and XML construct
+// meets a cut.
 TEST(FastParseProperty, ChunkedParseMatchesOneShot) {
   std::mt19937 rng(20170605);  // deterministic: failures must reproduce
   DeclarationRegistry registry;
@@ -866,8 +910,12 @@ TEST(FastParseProperty, ChunkedParseMatchesOneShot) {
     for (std::size_t k = 0; k < inputs.size(); ++k) {
       SCOPED_TRACE(std::string(f.file) + " input " + std::to_string(k));
       ParseStats whole_stats;
-      const auto whole = unless_throws(
-          [&] { return fp->parse(inputs[k], ctx, whole_stats); });
+      const auto whole =
+          unless_throws([&] { return fp->parse(inputs[k], whole_stats); });
+      const auto ref =
+          unless_throws([&] { return reference_parse(inputs[k], ctx); });
+      ASSERT_EQ(whole.has_value(), ref.has_value());
+      if (ref) expect_batch_matches(*ref, *whole, f.file);
 
       const unsigned every = k == 0 ? 1 : 1 + rng() % 6;
       std::vector<std::vector<std::string_view>> cuttings = {
@@ -878,11 +926,10 @@ TEST(FastParseProperty, ChunkedParseMatchesOneShot) {
       for (const auto& pieces : cuttings) {
         ParseStats chunk_stats;
         const auto chunked = unless_throws(
-            [&] { return parse_pieces(*fp, pieces, ctx, chunk_stats); });
+            [&] { return parse_pieces(*fp, pieces, chunk_stats); });
         ASSERT_EQ(whole.has_value(), chunked.has_value());
         if (!whole) continue;
-        expect_same_conversion(*whole, *chunked, f.file);
-        EXPECT_EQ(whole->row_lines, chunked->row_lines);
+        expect_pieces_match(*ref, *whole, *chunked, f.file);
         EXPECT_EQ(whole_stats.lines, chunk_stats.lines);
         EXPECT_EQ(whole_stats.rejected, chunk_stats.rejected);
       }
