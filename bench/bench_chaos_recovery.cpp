@@ -21,7 +21,6 @@
 #include <cstring>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -104,22 +103,23 @@ RecoveryResult run_outage(util::SimTime outage) {
   RecoveryResult res;
   res.outage = outage;
   auto& sim = exp.testbed().simulation();
-  auto target = std::make_shared<std::uint64_t>(0);
-  sim.schedule(heal_at, [&, target] {
+  // Every event that reads `target` fires inside exp.run() below.
+  std::uint64_t target = 0;
+  sim.schedule(heal_at, [&] {
     for (const auto& n : rack_nodes) {
       const auto [t, r] = place.at(n);
       exp.testbed().facility(t, r).for_each_file(
-          [&](logging::LogFile& lf) { *target += lf.bytes_written(); });
+          [&](logging::LogFile& lf) { target += lf.bytes_written(); });
     }
-    res.backlog_bytes = *target - ingested_for(fl, rack_nodes);
+    res.backlog_bytes = target - ingested_for(fl, rack_nodes);
   });
   const util::SimTime probe_every = 10 * util::kMsec;
-  std::function<void()> probe = [&, target] {
+  std::function<void()> probe = [&] {
     if (sim.now() <= heal_at) {
       sim.schedule(probe_every, probe);
       return;
     }
-    if (ingested_for(fl, rack_nodes) >= *target) {
+    if (ingested_for(fl, rack_nodes) >= target) {
       if (res.recovery < 0) res.recovery = sim.now() - heal_at;
       return;  // caught up: stop probing
     }

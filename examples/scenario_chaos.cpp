@@ -18,6 +18,8 @@
 //   ./scenario_chaos --plan FILE   # run a custom fault plan (text format)
 //   ./scenario_chaos --print-plan  # dump the default plan text and exit
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -43,7 +45,9 @@ core::TestbedConfig testbed_config(bool smoke) {
   cfg.nodes_per_tier = smoke ? std::array<int, 4>{2, 2, 2, 2}
                              : std::array<int, 4>{16, 16, 16, 16};
   cfg.capture_messages = false;
-  cfg.log_dir = std::filesystem::temp_directory_path() / "mscope_chaos_demo";
+  // Per process, so two runs on one host never share (or delete) logs.
+  cfg.log_dir = std::filesystem::temp_directory_path() /
+                ("mscope_chaos_demo_" + std::to_string(::getpid()));
   core::ScenarioA a;
   a.first_flush = util::sec(smoke ? 6 : 8);
   a.flush_bytes = (smoke ? 128ULL : 512ULL) << 20;
@@ -127,6 +131,15 @@ struct NodeBooks {
   std::uint64_t written = 0;   ///< bytes appended at the origin
   std::uint64_t ingested = 0;  ///< unique bytes the root ingested
   std::uint64_t holes = 0;     ///< bytes the root attributed as lost
+};
+
+/// Removes a run's log directory on every return from main().
+struct RemoveOnExit {
+  std::filesystem::path dir;
+  ~RemoveOnExit() {
+    std::error_code ec;  // best effort: a leftover dir is not an error
+    std::filesystem::remove_all(dir, ec);
+  }
 };
 
 struct Report {
@@ -273,6 +286,7 @@ int main(int argc, char** argv) {
   }
 
   const core::TestbedConfig cfg = testbed_config(smoke);
+  const RemoveOnExit cleanup{cfg.log_dir};
   const int servers = cfg.nodes_per_tier[0] + cfg.nodes_per_tier[1] +
                       cfg.nodes_per_tier[2] + cfg.nodes_per_tier[3];
   std::printf("mScopeChaos: %d monitored servers, %d users, %s fault plan\n\n",
@@ -361,7 +375,13 @@ int main(int argc, char** argv) {
 
   if (ok) {
     std::printf("\nrun 2: replaying the same plan\n");
-    const Report r2 = run_once(smoke, custom, /*narrate=*/false);
+    Report r2;
+    try {
+      r2 = run_once(smoke, custom, /*narrate=*/false);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "scenario_chaos: error: %s\n", e.what());
+      return 2;
+    }
     if (r2.digest != r1.digest) {
       std::printf("FAIL: replay diverged from run 1\n");
       ok = false;
@@ -371,7 +391,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::filesystem::remove_all(cfg.log_dir);
   if (!ok) return 1;
   std::printf(
       "\nOK: %d servers, %llu faults, books balanced, db1 pinned, replay "

@@ -10,9 +10,13 @@
 //   ./scenario_fleet          # the full 64-node, 50k-user run
 //   ./scenario_fleet --smoke  # CI-sized: 8 nodes, 2k users, same assertions
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
+#include <string>
 
 #include "core/milliscope.h"
 #include "fleet/fleet_collection.h"
@@ -21,16 +25,27 @@
 
 using namespace mscope;
 
-int main(int argc, char** argv) {
-  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+namespace {
 
+/// Removes a run's log directory on every return from main().
+struct RemoveOnExit {
+  std::filesystem::path dir;
+  ~RemoveOnExit() {
+    std::error_code ec;  // best effort: a leftover dir is not an error
+    std::filesystem::remove_all(dir, ec);
+  }
+};
+
+core::TestbedConfig testbed_config(bool smoke) {
   core::TestbedConfig cfg;
   cfg.workload = smoke ? 2000 : 50000;
   cfg.duration = util::sec(smoke ? 10 : 14);
   cfg.nodes_per_tier = smoke ? std::array<int, 4>{2, 2, 2, 2}
                              : std::array<int, 4>{16, 16, 16, 16};
   cfg.capture_messages = false;  // no SysViz comparison in this demo
-  cfg.log_dir = std::filesystem::temp_directory_path() / "mscope_fleet_demo";
+  // Per process, so two runs on one host never share (or delete) logs.
+  cfg.log_dir = std::filesystem::temp_directory_path() /
+                ("mscope_fleet_demo_" + std::to_string(::getpid()));
   // 50k users need datacenter-sized boxes: on 4-core nodes the post-stall
   // drain burst saturates db1's CPU and masks the disk as the root cause.
   if (!smoke) cfg.cores_per_node = 8;
@@ -40,7 +55,10 @@ int main(int argc, char** argv) {
   a.first_flush = util::sec(smoke ? 6 : 8);
   a.flush_bytes = (smoke ? 128ULL : 512ULL) << 20;
   cfg.scenario_a = a;
+  return cfg;
+}
 
+int run(const core::TestbedConfig& cfg, bool smoke) {
   const int servers = cfg.nodes_per_tier[0] + cfg.nodes_per_tier[1] +
                       cfg.nodes_per_tier[2] + cfg.nodes_per_tier[3];
   std::printf("mScopeFleet: %d monitored servers, %d users\n", servers,
@@ -143,8 +161,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::filesystem::remove_all(cfg.log_dir);
-
   if (t.dropped != 0 || t.root_gaps != 0) {
     std::printf("\nFAIL: the tree lost data on a healthy network\n");
     return 1;
@@ -164,4 +180,18 @@ int main(int argc, char** argv) {
               "the request-level drill-down agrees\n",
               servers);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const core::TestbedConfig cfg = testbed_config(smoke);
+  const RemoveOnExit cleanup{cfg.log_dir};
+  try {
+    return run(cfg, smoke);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "scenario_fleet: error: %s\n", e.what());
+    return 2;
+  }
 }

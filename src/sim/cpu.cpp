@@ -10,6 +10,8 @@ namespace mscope::sim {
 Cpu::Cpu(Simulation& sim, Node& node, int cores)
     : sim_(sim), node_(node), cores_(cores) {
   if (cores < 1) throw std::invalid_argument("Cpu: cores < 1");
+  running_.resize(static_cast<std::size_t>(cores_));
+  for (int c = cores_ - 1; c >= 0; --c) idle_cores_.push_back(c);
 }
 
 void Cpu::accrue() {
@@ -31,38 +33,40 @@ SimTime Cpu::in_progress(CpuCategory cat) const {
 void Cpu::submit(SimTime demand, CpuCategory cat, CpuPriority prio,
                  Callback done) {
   if (demand < 0) throw std::invalid_argument("Cpu::submit: demand < 0");
-  Job job{demand, cat, std::move(done)};
   if (busy_ < cores_) {
-    start(std::move(job));
+    start(demand, cat, std::move(done));
     return;
   }
-  if (prio == CpuPriority::kKernel) {
-    kernel_q_.push_back(std::move(job));
-  } else {
-    normal_q_.push_back(std::move(job));
-  }
+  auto& q = prio == CpuPriority::kKernel ? kernel_q_ : normal_q_;
+  q.push_back(Job{demand, cat, std::move(done)});
 }
 
-void Cpu::start(Job job) {
+void Cpu::start(SimTime demand, CpuCategory cat, Callback done) {
   accrue();
   ++busy_;
-  if (job.cat == CpuCategory::kUser) {
+  if (cat == CpuCategory::kUser) {
     ++running_user_;
   } else {
     ++running_system_;
   }
   node_.on_cpu_busy_changed(busy_);
-  const SimTime demand = job.demand;
-  // Move the job into the completion closure; the core frees when it fires.
-  sim_.schedule(demand, [this, job = std::move(job)]() mutable {
-    finish(job);
-  });
+  // The job waits on its core; the core frees when the completion fires.
+  const int core = idle_cores_.back();
+  idle_cores_.pop_back();
+  Job& job = running_[static_cast<std::size_t>(core)];
+  job.cat = cat;
+  job.done = std::move(done);
+  sim_.schedule(demand, [this, core] { finish(core); });
 }
 
-void Cpu::finish(Job& job) {
+void Cpu::finish(int core) {
+  Job& job = running_[static_cast<std::size_t>(core)];
+  const CpuCategory cat = job.cat;
+  Callback done = std::move(job.done);
+  idle_cores_.push_back(core);
   accrue();
   --busy_;
-  if (job.cat == CpuCategory::kUser) {
+  if (cat == CpuCategory::kUser) {
     --running_user_;
   } else {
     --running_system_;
@@ -70,23 +74,17 @@ void Cpu::finish(Job& job) {
   node_.on_cpu_busy_changed(busy_);
   // Run the completion before pulling the next job so the completing request
   // can immediately enqueue follow-on work at the queue tail.
-  if (job.done) job.done();
+  if (done) done();
   pump();
 }
 
 void Cpu::pump() {
   while (busy_ < cores_) {
-    if (!kernel_q_.empty()) {
-      Job j = std::move(kernel_q_.front());
-      kernel_q_.pop_front();
-      start(std::move(j));
-    } else if (!normal_q_.empty()) {
-      Job j = std::move(normal_q_.front());
-      normal_q_.pop_front();
-      start(std::move(j));
-    } else {
-      break;
-    }
+    auto& q = !kernel_q_.empty() ? kernel_q_ : normal_q_;
+    if (q.empty()) break;
+    Job j = std::move(q.front());
+    q.pop_front();
+    start(j.demand, j.cat, std::move(j.done));
   }
 }
 

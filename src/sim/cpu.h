@@ -2,7 +2,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <vector>
 
 #include "sim/simulation.h"
 
@@ -29,8 +29,6 @@ enum class CpuPriority { kKernel = 0, kNormal = 1 };
 /// iowait/idle bookkeeping.
 class Cpu {
  public:
-  using Callback = std::function<void()>;
-
   Cpu(Simulation& sim, Node& node, int cores);
 
   Cpu(const Cpu&) = delete;
@@ -64,13 +62,13 @@ class Cpu {
 
  private:
   struct Job {
-    SimTime demand;
-    CpuCategory cat;
+    SimTime demand = 0;
+    CpuCategory cat = CpuCategory::kUser;
     Callback done;
   };
 
-  void start(Job job);
-  void finish(Job& job);
+  void start(SimTime demand, CpuCategory cat, Callback done);
+  void finish(int core);
   void pump();
   void accrue();
   [[nodiscard]] SimTime in_progress(CpuCategory cat) const;
@@ -86,6 +84,10 @@ class Cpu {
   SimTime busy_system_ = 0;
   std::deque<Job> kernel_q_;
   std::deque<Job> normal_q_;
+  /// running_[core]: the job that core runs. Its completion event carries
+  /// only the core index, so the event's closure never nests `done`.
+  std::vector<Job> running_;
+  std::vector<int> idle_cores_;
 };
 
 }  // namespace mscope::sim

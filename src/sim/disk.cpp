@@ -40,29 +40,36 @@ void Disk::start(Op op) {
   busy_ = true;
   node_.on_disk_busy_changed(true);
   const SimTime st = service_time(op.bytes);
-  sim_.schedule(st, [this, st, op = std::move(op)]() mutable {
-    busy_time_ += st;
-    ++ops_;
-    if (op.is_write) {
-      bytes_written_ += op.bytes;
-    } else {
-      bytes_read_ += op.bytes;
-    }
-    if (queue_.empty()) {
-      busy_ = false;
-      node_.on_disk_busy_changed(false);
-    }
-    // Completion runs before the next op starts so a dependent submit lands
-    // behind everything already queued — FIFO is preserved.
-    if (op.done) op.done();
-    if (busy_ && !queue_.empty()) {
-      Op next = std::move(queue_.front());
-      queue_.pop_front();
-      // start() toggles busy/notifications idempotently.
-      busy_ = false;
-      start(std::move(next));
-    }
-  });
+  in_service_ = std::move(op);
+  sim_.schedule(st, [this, st] { complete(st); });
+}
+
+void Disk::complete(SimTime st) {
+  Op op = std::move(in_service_);
+  busy_time_ += st;
+  ++ops_;
+  if (op.is_write) {
+    bytes_written_ += op.bytes;
+  } else {
+    bytes_read_ += op.bytes;
+  }
+  // With ops queued the spindle passes straight to the next one; otherwise
+  // it idles, and a submit from the completion below starts at once.
+  const bool hand_off = !queue_.empty();
+  if (!hand_off) {
+    busy_ = false;
+    node_.on_disk_busy_changed(false);
+  }
+  // Completion runs before the next op starts so a dependent submit lands
+  // behind everything already queued — FIFO is preserved.
+  if (op.done) op.done();
+  if (hand_off) {
+    Op next = std::move(queue_.front());
+    queue_.pop_front();
+    // start() toggles busy/notifications idempotently.
+    busy_ = false;
+    start(std::move(next));
+  }
 }
 
 }  // namespace mscope::sim

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "sim/simulation.h"
 
@@ -18,8 +17,6 @@ class Node;
 /// *is* the very short bottleneck.
 class Disk {
  public:
-  using Callback = std::function<void()>;
-
   struct Config {
     double bandwidth_mbps = 150.0;  ///< sustained transfer rate
     SimTime per_op = 200;           ///< fixed per-operation latency (usec)
@@ -56,12 +53,13 @@ class Disk {
 
  private:
   struct Op {
-    std::uint64_t bytes;
-    bool is_write;
+    std::uint64_t bytes = 0;
+    bool is_write = false;
     Callback done;
   };
 
   void start(Op op);
+  void complete(SimTime service_time);
 
   Simulation& sim_;
   Node& node_;
@@ -72,6 +70,9 @@ class Disk {
   std::uint64_t bytes_read_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t ops_ = 0;
+  /// The op on the spindle; its completion event carries only the service
+  /// time, so the event's closure never nests `done`.
+  Op in_service_;
   std::deque<Op> queue_;
 };
 

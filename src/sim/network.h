@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -68,7 +67,7 @@ enum class SendOutcome : std::uint8_t {
 /// zero RNG draws — bit-identical to the pre-chaos network.
 class Network {
  public:
-  using Deliver = std::function<void()>;
+  using Deliver = Callback;
 
   struct Config {
     SimTime latency = 100;  ///< one-way usec per hop

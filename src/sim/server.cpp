@@ -24,48 +24,52 @@ std::uint64_t Server::conn_base_for(const Server& target) {
 
 void Server::accept(const RequestPtr& req, RespondFn respond) {
   auto& rec = req->records[static_cast<std::size_t>(cfg_.tier)];
-  auto t = std::make_shared<Task>();
+  Task* t = nullptr;
+  if (free_tasks_.empty()) {
+    t = &tasks_.emplace_back();
+  } else {
+    t = free_tasks_.back();
+    free_tasks_.pop_back();
+  }
   t->req = req;
   t->respond = std::move(respond);
   t->visit = static_cast<int>(rec.visits.size());
+  t->worker = -1;
+  t->call = 0;
   rec.visits.push_back(Visit{});
   visit_of(*t).upstream_arrival = sim_.now();
   ++concurrent_;
   if (hooks_ != nullptr) hooks_->on_upstream_arrival(*this, *req, t->visit);
 
   if (!free_workers_.empty()) {
-    dispatch(std::move(t));
+    dispatch(t);
   } else {
-    queue_.push_back(std::move(t));
+    queue_.push_back(t);
   }
 }
 
-void Server::dispatch(TaskPtr t) {
+void Server::dispatch(Task* t) {
   t->worker = free_workers_.back();
   free_workers_.pop_back();
   const SimTime pre = demand(*t).cpu_pre;
-  node_.cpu().submit(pre, [this, t = std::move(t)]() mutable {
-    after_cpu_pre(std::move(t));
-  });
+  node_.cpu().submit(pre, [this, t] { after_cpu_pre(t); });
 }
 
-void Server::after_cpu_pre(TaskPtr t) {
+void Server::after_cpu_pre(Task* t) {
   const TierDemand& d = demand(*t);
   if (d.disk_read_bytes > 0) {
     // Buffer-pool miss: synchronous read before query execution.
     node_.disk().submit(d.disk_read_bytes, /*is_write=*/false,
-                        [this, t = std::move(t)]() mutable {
-                          next_call(std::move(t));
-                        });
+                        [this, t] { next_call(t); });
     return;
   }
-  next_call(std::move(t));
+  next_call(t);
 }
 
-void Server::next_call(TaskPtr t) {
+void Server::next_call(Task* t) {
   const TierDemand& d = demand(*t);
   if (downstream_.empty() || t->call >= d.downstream_calls) {
-    after_calls(std::move(t));
+    after_calls(t);
     return;
   }
   const int call = t->call++;
@@ -76,54 +80,48 @@ void Server::next_call(TaskPtr t) {
 
   Server& ds = *downstream_[next_downstream_];
   next_downstream_ = (next_downstream_ + 1) % downstream_.size();
-  const std::uint64_t conn =
-      conn_base_for(ds) + static_cast<std::uint64_t>(t->worker);
-  const RequestPtr req = t->req;
-  net_.send(wire_id_, ds.wire_id(), conn, req->id, Message::Kind::kRequest,
-            ds.config().request_bytes, [this, &ds, conn, req, t]() mutable {
+  t->callee = &ds;
+  t->conn = conn_base_for(ds) + static_cast<std::uint64_t>(t->worker);
+  net_.send(wire_id_, ds.wire_id(), t->conn, t->req->id,
+            Message::Kind::kRequest, ds.config().request_bytes, [this, t] {
     // Delivered at the downstream node; it responds through the same
     // connection when its visit completes.
-    ds.accept(req, [this, &ds, conn, req, t]() mutable {
-      net_.send(ds.wire_id(), wire_id_, conn, req->id,
-                Message::Kind::kResponse, ds.config().response_bytes,
-                [this, t]() mutable {
-        const int call_done = static_cast<int>(
-            visit_of(*t).downstream.size()) - 1;
-        visit_of(*t).downstream[static_cast<std::size_t>(call_done)].second =
-            sim_.now();
-        if (hooks_ != nullptr)
-          hooks_->on_downstream_receive(*this, *t->req, t->visit, call_done);
-        const SimTime between = demand(*t).cpu_per_call;
-        node_.cpu().submit(between, [this, t = std::move(t)]() mutable {
-          next_call(std::move(t));
-        });
-      });
-    });
+    t->callee->accept(t->req, [this, t] { send_response(t); });
   });
 }
 
-void Server::after_calls(TaskPtr t) {
+void Server::send_response(Task* t) {
+  const Server& ds = *t->callee;
+  net_.send(ds.wire_id(), wire_id_, t->conn, t->req->id,
+            Message::Kind::kResponse, ds.config().response_bytes,
+            [this, t] { call_returned(t); });
+}
+
+void Server::call_returned(Task* t) {
+  const int call_done =
+      static_cast<int>(visit_of(*t).downstream.size()) - 1;
+  visit_of(*t).downstream[static_cast<std::size_t>(call_done)].second =
+      sim_.now();
+  if (hooks_ != nullptr)
+    hooks_->on_downstream_receive(*this, *t->req, t->visit, call_done);
+  const SimTime between = demand(*t).cpu_per_call;
+  node_.cpu().submit(between, [this, t] { next_call(t); });
+}
+
+void Server::after_calls(Task* t) {
   const TierDemand& d = demand(*t);
   if (d.commit_write_bytes > 0) {
     // Synchronous redo-log commit: FIFO behind whatever the disk is doing —
     // including a multi-megabyte log flush (scenario A's bottleneck).
-    node_.disk().submit(d.commit_write_bytes, /*is_write=*/true,
-                        [this, t = std::move(t)]() mutable {
-                          const SimTime post = demand(*t).cpu_post;
-                          node_.cpu().submit(post,
-                                             [this, t = std::move(t)]() mutable {
-                                               finish(std::move(t));
-                                             });
-                        });
+    node_.disk().submit(d.commit_write_bytes, /*is_write=*/true, [this, t] {
+      node_.cpu().submit(demand(*t).cpu_post, [this, t] { finish(t); });
+    });
     return;
   }
-  const SimTime post = d.cpu_post;
-  node_.cpu().submit(post, [this, t = std::move(t)]() mutable {
-    finish(std::move(t));
-  });
+  node_.cpu().submit(d.cpu_post, [this, t] { finish(t); });
 }
 
-void Server::finish(TaskPtr t) {
+void Server::finish(Task* t) {
   Visit& v = visit_of(*t);
   v.upstream_departure = sim_.now();
   const TierDemand& d = demand(*t);
@@ -135,7 +133,8 @@ void Server::finish(TaskPtr t) {
   ++completed_;
   const int worker = t->worker;
   RespondFn respond = std::move(t->respond);
-  t.reset();
+  t->req.reset();
+  free_tasks_.push_back(t);
   respond();
   // The response is already on the wire; the worker now writes its log
   // record (if any) and only then returns to the pool. This is how logging
@@ -151,9 +150,9 @@ void Server::finish(TaskPtr t) {
 void Server::release_worker(int worker) {
   free_workers_.push_back(worker);
   if (!queue_.empty() && !free_workers_.empty()) {
-    TaskPtr next = std::move(queue_.front());
+    Task* next = queue_.front();
     queue_.pop_front();
-    dispatch(std::move(next));
+    dispatch(next);
   }
 }
 

@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,7 +43,7 @@ class Server {
 
   /// Invoked (at this server's completion time) when the visit finishes; the
   /// caller wraps it with the return network hop.
-  using RespondFn = std::function<void()>;
+  using RespondFn = Callback;
 
   Server(Simulation& sim, Node& node, Network& net, Config cfg);
 
@@ -81,16 +79,24 @@ class Server {
   /// Requests waiting for a worker.
   [[nodiscard]] int waiting() const { return static_cast<int>(queue_.size()); }
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
+  /// Visit tasks allocated so far. Tasks are pooled, so on a healthy network
+  /// this is the server's peak concurrency, not its visit count.
+  [[nodiscard]] std::size_t tasks_allocated() const { return tasks_.size(); }
 
  private:
+  /// One visit in progress. At any moment exactly one pending continuation
+  /// owns a task — the worker queue, a CPU or disk completion, a network
+  /// delivery, or the downstream server holding our respond — and carries it
+  /// as a plain pointer. finish() returns it to the free list.
   struct Task {
     RequestPtr req;
     RespondFn respond;
+    Server* callee = nullptr;  ///< downstream server of the call in flight
+    std::uint64_t conn = 0;    ///< connection that call travels on
     int visit = 0;
     int worker = -1;
     int call = 0;
   };
-  using TaskPtr = std::shared_ptr<Task>;
 
   [[nodiscard]] const TierDemand& demand(const Task& t) const {
     const auto& per_visit =
@@ -104,11 +110,13 @@ class Server {
         .visits[static_cast<std::size_t>(t.visit)];
   }
 
-  void dispatch(TaskPtr t);
-  void after_cpu_pre(TaskPtr t);
-  void next_call(TaskPtr t);
-  void after_calls(TaskPtr t);
-  void finish(TaskPtr t);
+  void dispatch(Task* t);
+  void after_cpu_pre(Task* t);
+  void next_call(Task* t);
+  void send_response(Task* t);
+  void call_returned(Task* t);
+  void after_calls(Task* t);
+  void finish(Task* t);
   void release_worker(int worker);
 
   /// Connection block toward a given downstream node (one persistent
@@ -125,8 +133,10 @@ class Server {
   std::uint16_t wire_id_;
   std::map<std::uint16_t, std::uint64_t> conn_bases_;
 
+  std::deque<Task> tasks_;  ///< the pool; a deque keeps task addresses stable
+  std::vector<Task*> free_tasks_;
   std::vector<int> free_workers_;
-  std::deque<TaskPtr> queue_;
+  std::deque<Task*> queue_;
   int concurrent_ = 0;
   std::uint64_t completed_ = 0;
 };

@@ -65,15 +65,17 @@ void ClientPool::send(int s) {
   req->client_send = sim_.now();
   ++issued_;
 
+  // The closures carry only (session, request): the entry server and the
+  // session's connection follow from the session index.
   const auto wire = Rubbos::wire_sizes(Rubbos::kApache);
   const std::uint64_t conn = conn_base_ + static_cast<std::uint64_t>(s);
-  sim::Server& entry = entry_of(s);
+  const sim::Server& entry = entry_of(s);
   net_.send(wire_id_, entry.wire_id(), conn, req->id,
-            sim::Message::Kind::kRequest, wire.request,
-            [this, s, conn, req, &entry] {
-    entry.accept(req, [this, s, conn, req, &entry] {
+            sim::Message::Kind::kRequest, wire.request, [this, s, req] {
+    entry_of(s).accept(req, [this, s, req] {
       const auto w = Rubbos::wire_sizes(Rubbos::kApache);
-      net_.send(entry.wire_id(), wire_id_, conn, req->id,
+      net_.send(entry_of(s).wire_id(), wire_id_,
+                conn_base_ + static_cast<std::uint64_t>(s), req->id,
                 sim::Message::Kind::kResponse, w.response, [this, s, req] {
         req->client_recv = sim_.now();
         completed_.push_back(req);

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <queue>
 #include <vector>
 
+#include "core/milliscope.h"
+#include "obs/metrics.h"
+#include "scratch_dir.h"
 #include "sim/node.h"
 #include "sim/simulation.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace mscope::sim {
@@ -251,6 +260,310 @@ TEST(Node, CountersMonotonic) {
   const auto c = node.counters();
   EXPECT_EQ(c.net_rx, 100u);
   EXPECT_EQ(c.net_tx, 200u);
+}
+
+// --- kernel properties against a priority-queue oracle -----------------------
+
+/// The reference event queue: a std::priority_queue of (time, seq) entries,
+/// the kernel's queue before the key heap and callback slab replaced it.
+class OracleQueue {
+ public:
+  void schedule_at(SimTime t, int id) { q_.push({t, seq_++, id}); }
+  [[nodiscard]] std::optional<int> step() {
+    if (q_.empty()) return std::nullopt;
+    const Entry e = q_.top();
+    q_.pop();
+    now_ = e.time;
+    return e.id;
+  }
+  [[nodiscard]] bool due(SimTime until) const {
+    return !q_.empty() && q_.top().time <= until;
+  }
+  void advance_to(SimTime t) { now_ = std::max(now_, t); }
+  [[nodiscard]] SimTime now() const { return now_; }
+  [[nodiscard]] std::size_t size() const { return q_.size(); }
+
+ private:
+  struct Entry {
+    SimTime time;
+    std::uint64_t seq;
+    int id;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+    }
+  };
+  std::priority_queue<Entry, std::vector<Entry>, Later> q_;
+  std::uint64_t seq_ = 0;
+  SimTime now_ = 0;
+};
+
+/// Drives a Simulation and the oracle in lockstep. Every event has an id
+/// and a fixed list of child delays; firing it records the id and schedules
+/// the children (pre-assigned ids), so both sides see the same scheduling
+/// calls exactly when they fire the same events in the same order.
+class Lockstep {
+ public:
+  explicit Lockstep(std::uint64_t seed) : rng_(seed, 77) {}
+
+  /// A fresh event `delay` from now, with up to `max_children` children,
+  /// through schedule() or schedule_at().
+  void add(SimTime delay, int max_children, bool absolute) {
+    const int id = new_event(max_children);
+    if (absolute) {
+      schedule_sim(sim_.now() + delay, id);
+    } else {
+      sim_.schedule(delay, fire_sim(id));
+    }
+    oracle_.schedule_at(oracle_.now() + delay, id);
+  }
+
+  void step() {
+    const bool fired = sim_.step();
+    const std::optional<int> id = oracle_.step();
+    ASSERT_EQ(fired, id.has_value());
+    if (id) fire_oracle(*id);
+  }
+
+  void run_until(SimTime until) {
+    sim_.run_until(until);
+    while (oracle_.due(until)) fire_oracle(*oracle_.step());
+    oracle_.advance_to(until);
+  }
+
+  void expect_agree() const {
+    ASSERT_EQ(sim_order_, oracle_order_);
+    EXPECT_EQ(sim_.now(), oracle_.now());
+    EXPECT_EQ(sim_.pending(), oracle_.size());
+    EXPECT_EQ(sim_.executed(), sim_order_.size());
+  }
+
+  [[nodiscard]] Simulation& sim() { return sim_; }
+  [[nodiscard]] util::Rng& rng() { return rng_; }
+  [[nodiscard]] SimTime delay() {
+    // Small delays, 0 included, so same-time ties are the common case.
+    static constexpr std::array<SimTime, 6> kDelays{0, 0, 1, 2, 5, 40};
+    return kDelays[rng_.next_below(kDelays.size())];
+  }
+
+ private:
+  struct Plan {
+    std::vector<std::pair<SimTime, int>> children;  ///< (delay, child id)
+  };
+
+  [[nodiscard]] const std::vector<std::pair<SimTime, int>>& children(
+      int id) const {
+    return plans_[static_cast<std::size_t>(id)].children;
+  }
+
+  int new_event(int max_children) {
+    const int id = static_cast<int>(plans_.size());
+    plans_.emplace_back();
+    const std::uint64_t n =
+        rng_.next_below(static_cast<std::uint64_t>(max_children) + 1);
+    for (std::uint64_t k = 0; k < n; ++k) {
+      const SimTime d = delay();
+      const int child = new_event(0);
+      plans_[static_cast<std::size_t>(id)].children.emplace_back(d, child);
+    }
+    return id;
+  }
+
+  Callback fire_sim(int id) {
+    return [this, id] {
+      sim_order_.push_back(id);
+      for (const auto& [d, child] : children(id))
+        schedule_sim(sim_.now() + d, child);
+    };
+  }
+  void schedule_sim(SimTime t, int id) { sim_.schedule_at(t, fire_sim(id)); }
+
+  void fire_oracle(int id) {
+    oracle_order_.push_back(id);
+    for (const auto& [d, child] : children(id))
+      oracle_.schedule_at(oracle_.now() + d, child);
+  }
+
+  util::Rng rng_;
+  Simulation sim_;
+  OracleQueue oracle_;
+  std::vector<Plan> plans_;
+  std::vector<int> sim_order_;
+  std::vector<int> oracle_order_;
+};
+
+TEST(SimKernel, RandomInterleavingsMatchThePriorityQueueOracle) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Lockstep ls(seed);
+    for (int op = 0; op < 600; ++op) {
+      switch (ls.rng().next_below(5)) {
+        case 0:
+          ls.add(ls.delay(), 2, /*absolute=*/false);
+          break;
+        case 1:  // children are scheduled reentrantly, from the firing event
+          ls.add(ls.delay(), 4, /*absolute=*/true);
+          break;
+        case 2:
+        case 3:
+          ls.step();
+          break;
+        default:
+          ls.run_until(ls.sim().now() + ls.delay());
+          break;
+      }
+    }
+    ls.run_until(ls.sim().now() + 1'000'000);
+    ls.expect_agree();
+    EXPECT_EQ(ls.sim().pending(), 0u);
+  }
+}
+
+std::uint64_t heap_fallbacks() {
+  return obs::Registry::global().counter("sim.events.heap_fallbacks").get();
+}
+
+TEST(SimKernel, CallbackGrowsTheSlabWhileItRuns) {
+  // One running callback schedules hundreds of events: the slab reallocates
+  // under it, so the kernel must have moved it out before calling it. Its
+  // own (inline) captures are read after every schedule, where ASan would
+  // flag a read of freed slab memory.
+  Simulation sim;
+  std::vector<int> order;
+  const std::array<std::uint64_t, 2> payload{11, 22};
+  std::uint64_t checksum = 0;
+  const std::uint64_t fallbacks = heap_fallbacks();
+  sim.schedule(1, [&sim, &order, &checksum, payload] {
+    for (int i = 0; i < 500; ++i) {
+      sim.schedule(i % 3, [&order, i] { order.push_back(i); });
+      checksum += payload[static_cast<std::size_t>(i) % payload.size()];
+    }
+  });
+  EXPECT_EQ(heap_fallbacks(), fallbacks);  // the closure is in the slab
+  sim.run_until(10);
+  EXPECT_EQ(checksum, 250u * (11 + 22));
+  // Ties fire in scheduling order: every i % 3 == 0 at t=1, then 1, then 2.
+  std::vector<int> expected;
+  for (int r = 0; r < 3; ++r) {
+    for (int i = r; i < 500; i += 3) expected.push_back(i);
+  }
+  EXPECT_EQ(order, expected);
+}
+
+TEST(SimKernel, OversizedCapturesFallBackToTheHeapAndAreCounted) {
+  Simulation sim;
+  std::array<char, Callback::kInlineBytes + 8> big{};
+  big.fill('x');
+  big.back() = 'y';
+  struct alignas(64) OverAligned {
+    int v = 7;
+  };
+  const std::uint64_t before = heap_fallbacks();
+  std::string seen;
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule(i, [&seen, big] { seen.push_back(big.back()); });
+  }
+  sim.schedule(5, [&seen, o = OverAligned{}] {
+    seen.push_back(static_cast<char>('0' + o.v));
+  });
+  // Fits inline: not counted.
+  sim.schedule(6, [&seen] { seen.push_back('z'); });
+  EXPECT_EQ(heap_fallbacks() - before, 4u);
+  sim.run_until(10);
+  EXPECT_EQ(seen, "yyy7z");
+}
+
+TEST(SimKernel, MoveOnlyCapturesRunAndAreDestroyed) {
+  Simulation sim;
+  int sum = 0;
+  auto shared = std::make_shared<int>(5);
+  const std::weak_ptr<int> watch = shared;
+  sim.schedule(1, [&sum, p = std::make_unique<int>(42)] { sum += *p; });
+  // Move-only and oversized: boxed, still moved (never copied).
+  std::array<int, 32> pad{};
+  pad[31] = 100;
+  sim.schedule(2, [&sum, p = std::make_unique<int>(1), pad] {
+    sum += *p + pad[31];
+  });
+  sim.schedule(3, [&sum, s = std::move(shared)] { sum += *s; });
+  sim.run_until(10);
+  EXPECT_EQ(sum, 42 + 101 + 5);
+  EXPECT_TRUE(watch.expired());  // the fired closure released its capture
+}
+
+TEST(SimKernel, NullCompletionsOnCpuAndDisk) {
+  Simulation sim;
+  Node node(sim, small_node());
+  const std::function<void()> empty;
+  node.cpu().submit(10, nullptr);
+  node.cpu().submit(10, empty);
+  node.cpu().submit(10, CpuCategory::kSystem, CpuPriority::kKernel, nullptr);
+  node.disk().submit(100, true, nullptr);
+  node.disk().submit(100, false, empty);
+  sim.run_until(sec(1));
+  EXPECT_EQ(node.cpu().busy_cores(), 0);
+  EXPECT_EQ(node.cpu().busy_user(), 20);
+  EXPECT_EQ(node.cpu().busy_system(), 10);
+  EXPECT_EQ(node.disk().ops_completed(), 2u);
+  EXPECT_FALSE(node.disk().busy());
+  EXPECT_THROW(sim.schedule(1, nullptr), std::invalid_argument);
+  EXPECT_THROW(sim.schedule(1, empty), std::invalid_argument);
+}
+
+TEST(SimKernel, DestroyedWithEventsPendingReleasesEveryCapture) {
+  auto shared = std::make_shared<int>(1);
+  const std::weak_ptr<int> watch = shared;
+  {
+    Simulation sim;
+    std::array<char, 2 * Callback::kInlineBytes> big{};
+    for (int i = 0; i < 100; ++i) {
+      sim.schedule(10 + i, [s = shared, p = std::make_unique<int>(i)] {
+        (void)s;
+        (void)p;
+      });
+      sim.schedule(10 + i, [s = shared, big] {
+        (void)s;
+        (void)big;
+      });
+    }
+    sim.schedule(1, [] {});
+    sim.run_until(5);
+    EXPECT_EQ(sim.pending(), 200u);
+  }
+  shared.reset();
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(SimKernel, TestbedCallbacksAllFitInline) {
+  // A smoke testbed with every monitor on exercises each closure the
+  // simulator schedules on the request path; none may need the heap. Under
+  // ctest this process starts with the counter unregistered; a whole-binary
+  // run may already hold it from the fallback test above, so then the run
+  // must leave its value unchanged.
+  const auto registered = [] {
+    std::optional<std::uint64_t> v;
+    for (const auto& m : obs::Registry::global().snapshot()) {
+      if (m.name == "sim.events.heap_fallbacks")
+        v = static_cast<std::uint64_t>(m.value);
+    }
+    return v;
+  };
+  const std::optional<std::uint64_t> before = registered();
+
+  const test::ScratchDir dir("sim_kernel_inline");
+  core::TestbedConfig cfg;
+  cfg.workload = 400;
+  cfg.duration = sec(10);
+  cfg.nodes_per_tier = {1, 2, 1, 2};
+  cfg.log_dir = dir.path();
+  cfg.event_monitors = true;
+  cfg.resource_monitors = true;
+  cfg.scenario_a = core::ScenarioA{};
+  core::Experiment exp(cfg);
+  exp.run();
+  EXPECT_GT(exp.testbed().simulation().executed(), 10'000u);
+  EXPECT_EQ(registered(), before);
 }
 
 }  // namespace

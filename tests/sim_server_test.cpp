@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/network.h"
 #include "sim/node.h"
 
@@ -96,6 +98,32 @@ TEST(Server, MultipleDownstreamCallsAreSequential) {
 }
 
 SimTime req_start(const RequestPtr& r);  // defined at the bottom
+
+TEST(Server, PooledTasksAreReusedAcrossVisits) {
+  // Ten waves of five concurrent requests, three back-tier calls each: 50
+  // front visits and 150 back visits, but never more than five of either in
+  // flight, so each pool stops at five tasks.
+  Rig rig(/*front_workers=*/8, /*back_workers=*/8);
+  int responded = 0;
+  int peak_front = 0;
+  for (int wave = 0; wave < 10; ++wave) {
+    rig.sim.schedule_at(msec(100) * wave, [&rig, &responded, &peak_front] {
+      for (int i = 0; i < 5; ++i) {
+        rig.front->accept(rig.make_request(200, 300, 3),
+                          [&responded] { ++responded; });
+      }
+      peak_front = std::max(peak_front, rig.front->concurrent());
+    });
+  }
+  rig.sim.run_until(sec(2));
+  EXPECT_EQ(responded, 50);
+  EXPECT_EQ(rig.front->completed(), 50u);
+  EXPECT_EQ(rig.back->completed(), 150u);
+  EXPECT_EQ(peak_front, 5);
+  EXPECT_EQ(rig.front->tasks_allocated(), 5u);
+  EXPECT_LE(rig.back->tasks_allocated(), 5u);
+  EXPECT_GE(rig.back->tasks_allocated(), 1u);
+}
 
 TEST(Server, WorkerLimitQueuesRequests) {
   Rig rig(/*front_workers=*/1);
