@@ -1,5 +1,6 @@
 #include "util/time_format.h"
 
+#include <charconv>
 #include <cstdio>
 
 #include "util/strings.h"
@@ -71,7 +72,16 @@ std::string TimeFormat::mysql(SimTime t) {
 }
 
 std::string TimeFormat::usec_string(SimTime t) {
-  return std::to_string((kEpochUnixSec * kSec) + t);
+  std::string s;
+  append_usec(s, t);
+  return s;
+}
+
+void TimeFormat::append_usec(std::string& out, SimTime t) {
+  char buf[24];
+  const auto end =
+      std::to_chars(buf, buf + sizeof buf, (kEpochUnixSec * kSec) + t).ptr;
+  out.append(buf, end);
 }
 
 std::optional<SimTime> TimeFormat::parse_hms(std::string_view s) {

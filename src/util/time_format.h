@@ -34,6 +34,11 @@ class TimeFormat {
   /// the raw form emitted by the event monitors (paper Fig. 5 timestamps).
   [[nodiscard]] static std::string usec_string(SimTime t);
 
+  /// Appends usec_string(t) to `out` in place. The 16 digits overflow a
+  /// std::string's inline buffer, so building usec_string(t) first would
+  /// allocate once per timestamp.
+  static void append_usec(std::string& out, SimTime t);
+
   /// Parses "HH:MM:SS" or "HH:MM:SS.mmm" back to SimTime.
   [[nodiscard]] static std::optional<SimTime> parse_hms(std::string_view s);
 
