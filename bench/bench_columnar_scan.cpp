@@ -1,9 +1,10 @@
 // Microbenchmarks of the columnar segment store (google-benchmark): SQL
 // predicate scans and un-indexed time ranges over sealed delta+varint /
 // dictionary segments with zone-map skipping, against the identical table
-// kept entirely in the row-major tail (SegmentConfig{.seal = false} — the
-// pre-segment storage layout). Also reports the resident-memory side of the
-// trade: encoded bytes per row at warehouse scale.
+// kept entirely in the store's tail (SegmentConfig{.seal_rows = 0}): typed
+// column arrays with no zone maps to skip by and no dictionary, so a Text
+// predicate builds one per scan. Also reports the resident-memory side of
+// the trade: bytes per row at warehouse scale.
 
 #include <benchmark/benchmark.h>
 
@@ -40,7 +41,7 @@ db::Database& warehouse(std::int64_t rows, bool sealed) {
                                      {"ua_usec", db::DataType::kInt},
                                      {"ud_usec", db::DataType::kInt},
                                      {"duration_usec", db::DataType::kInt}});
-    if (!sealed) t.set_storage_config({.seal = false});
+    if (!sealed) t.set_storage_config({.seal_rows = 0});
     t.reserve(static_cast<std::size_t>(rows));
     util::Rng rng(13);
     for (std::int64_t i = 0; i < rows; ++i) {
@@ -68,7 +69,7 @@ const std::string kUrlEq = "url = '/rubbos/Servlet3'";
 const std::string kTenSeconds = "ua_usec >= 1000000 AND ua_usec < 11000000";
 
 // Equality predicate on a Text column: dictionary probe + code scan per
-// segment vs materializing the tail's cells.
+// segment vs dictionary-encoding the tail's cells first.
 void BM_PredicateScanColumnar(benchmark::State& state) {
   const db::Database& db = warehouse(state.range(0), /*sealed=*/true);
   for (auto _ : state) {
@@ -78,14 +79,14 @@ void BM_PredicateScanColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_PredicateScanColumnar)->Arg(10000)->Arg(100000)->Arg(1000000);
 
-void BM_PredicateScanRowMajor(benchmark::State& state) {
+void BM_PredicateScanTail(benchmark::State& state) {
   const db::Database& db = warehouse(state.range(0), /*sealed=*/false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(count(db, kUrlEq));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_PredicateScanRowMajor)->Arg(10000)->Arg(100000)->Arg(1000000);
+BENCHMARK(BM_PredicateScanTail)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 // 10-second time range: zone maps skip every segment outside the slice, so
 // the columnar scan touches ~1% of the table at 1M rows.
@@ -98,14 +99,14 @@ void BM_TimeRangeScanColumnar(benchmark::State& state) {
 }
 BENCHMARK(BM_TimeRangeScanColumnar)->Arg(10000)->Arg(100000)->Arg(1000000);
 
-void BM_TimeRangeScanRowMajor(benchmark::State& state) {
+void BM_TimeRangeScanTail(benchmark::State& state) {
   const db::Database& db = warehouse(state.range(0), /*sealed=*/false);
   for (auto _ : state) {
     benchmark::DoNotOptimize(count(db, kTenSeconds));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_TimeRangeScanRowMajor)->Arg(10000)->Arg(100000)->Arg(1000000);
+BENCHMARK(BM_TimeRangeScanTail)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 // Full-table sequential materialization through RowCursor: the cost floor
 // of every analysis pass (trace reconstruction, consistency checks).
@@ -141,22 +142,20 @@ std::size_t vm_rss_kb() {
 void report_memory() {
   const std::int64_t rows = 1'000'000;
   const std::size_t rss0 = vm_rss_kb();
-  const std::size_t row_major =
+  const std::size_t tail =
       warehouse(rows, false).get("ev").storage().byte_size();
   const std::size_t rss1 = vm_rss_kb();
   const std::size_t columnar =
       warehouse(rows, true).get("ev").storage().byte_size();
   const std::size_t rss2 = vm_rss_kb();
   std::printf("# storage footprint, %lld rows\n", (long long)rows);
-  std::printf("#   row-major tail: %8.1f MB encoded (%.1f B/row), "
+  std::printf("#   unsealed tail:  %8.1f MB (%.1f B/row), "
               "VmRSS delta %8.1f MB\n",
-              row_major / 1e6, row_major / (double)rows,
-              (rss1 - rss0) / 1e3);
+              tail / 1e6, tail / (double)rows, (rss1 - rss0) / 1e3);
   std::printf("#   sealed columnar: %7.1f MB encoded (%.1f B/row), "
               "VmRSS delta %8.1f MB\n",
               columnar / 1e6, columnar / (double)rows, (rss2 - rss1) / 1e3);
-  std::printf("#   encoded-size ratio: %.2fx\n",
-              row_major / (double)columnar);
+  std::printf("#   size ratio: %.2fx\n", tail / (double)columnar);
 }
 
 }  // namespace

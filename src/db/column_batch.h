@@ -3,23 +3,33 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
-#include "db/table.h"
 #include "db/value.h"
 
 namespace mscope::db {
 
+/// A column definition: name + datatype.
+struct ColumnDef {
+  std::string name;
+  DataType type = DataType::kText;
+
+  friend bool operator==(const ColumnDef&, const ColumnDef&) = default;
+};
+
+using Schema = std::vector<ColumnDef>;
+
 /// A run of rows in column-major form, each column typed once: the unit the
 /// compiled scanners hand the store (Table::append) and the live row
-/// observers. `schema` names and types the columns; `columns[c]` holds
-/// column c's `rows` cells in the one array its type selects, with a
-/// validity flag per row (0 = NULL):
+/// observers, and the layout of the store's own tail. `schema` names and
+/// types the columns; `columns[c]` holds column c's `rows` cells in the one
+/// array its type selects, with a validity flag per row (0 = NULL):
 ///  * kInt: `ints`, kDouble: `doubles`, one value per row (unspecified
 ///    where NULL);
 ///  * kText: `texts`, engaged exactly where the row is valid.
-/// A batch never holds a kNull column (the typing rules finalize an
-/// all-NULL column to Text).
+/// A scanned batch never holds a kNull column (the typing rules finalize an
+/// all-NULL column to Text); the store's tail does, for a kNull column.
 struct ColumnBatch {
   struct Column {
     DataType type = DataType::kText;

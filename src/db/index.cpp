@@ -9,21 +9,9 @@ namespace mscope::db {
 TimeIndex TimeIndex::build(const Table& table, std::size_t col) {
   TimeIndex idx;
   idx.entries_.reserve(table.row_count());
-  // Sealed segments decode the column in one sequential pass; only the
-  // row-major tail goes cell-by-cell.
-  const segment::SegmentStore& store = table.storage();
-  for (const segment::Segment& seg : store.segments()) {
-    const auto base = static_cast<std::uint32_t>(seg.base_row());
-    seg.column(col).for_each_as_int([&](std::size_t i, std::int64_t t) {
-      idx.entries_.push_back({t, base + static_cast<std::uint32_t>(i)});
-    });
-  }
-  const auto tail_base = static_cast<std::uint32_t>(store.sealed_row_count());
-  for (std::size_t i = 0; i < store.tail().size(); ++i) {
-    if (const auto t = as_int(store.tail()[i][col])) {
-      idx.entries_.push_back({*t, tail_base + static_cast<std::uint32_t>(i)});
-    }
-  }
+  table.storage().for_each_as_int(col, [&idx](std::size_t r, std::int64_t t) {
+    idx.entries_.push_back({t, static_cast<std::uint32_t>(r)});
+  });
   std::sort(idx.entries_.begin(), idx.entries_.end());
   return idx;
 }

@@ -19,9 +19,9 @@ class Table;
 /// not indexed — the predicates they would fail are never tested.
 ///
 /// Lifecycle: built lazily by Table::time_index() (one O(n log n) sort),
-/// then maintained incrementally by Table::insert() — an append in time
-/// order (the overwhelmingly common case for monitoring logs) is O(1), an
-/// out-of-order append is a sorted insert. The streaming importer's
+/// then maintained incrementally by Table::insert() and append() — an
+/// append in time order (the overwhelmingly common case for monitoring
+/// logs) is O(1), an out-of-order append is a sorted insert. The streaming importer's
 /// schema-widening rebuild drops the table, which discards the index; the
 /// rebuilt table re-indexes on first use.
 class TimeIndex {

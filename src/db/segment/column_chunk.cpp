@@ -113,19 +113,19 @@ std::int64_t IntChunk::value(std::size_t i) const {
   return cache.vals[i % kBlock];
 }
 
-TextChunk TextChunk::encode(std::span<const Value> cells) {
+TextChunk TextChunk::encode(std::span<const std::optional<TextRef>> cells) {
   std::vector<TextRef> dict;
   std::vector<std::uint32_t> codes;
   codes.reserve(cells.size());
   // Keys view into the dictionary's interned strings, whose heap storage is
   // stable across dict_ reallocation (TextRef owns a shared string).
   std::unordered_map<std::string_view, std::uint32_t> lookup;
-  for (const Value& v : cells) {
-    if (is_null(v)) {
+  for (const std::optional<TextRef>& v : cells) {
+    if (!v) {
       codes.push_back(kNullCode);
       continue;
     }
-    const TextRef& t = std::get<TextRef>(v);
+    const TextRef& t = *v;
     const auto it = lookup.find(std::string_view(t.str()));
     if (it != lookup.end()) {
       codes.push_back(it->second);

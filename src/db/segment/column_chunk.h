@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -38,6 +39,11 @@ class ValidityBitmap {
   /// Rebuilds from serialized words (null count is recomputed).
   static ValidityBitmap from_words(std::vector<std::uint64_t> words,
                                    std::size_t size);
+
+  /// `size` clear bits.
+  static ValidityBitmap nulls(std::size_t size) {
+    return from_words(std::vector<std::uint64_t>((size + 63) / 64, 0), size);
+  }
 
   [[nodiscard]] std::size_t byte_size() const {
     return words_.capacity() * sizeof(std::uint64_t);
@@ -112,7 +118,7 @@ class IntChunk {
            bases_.capacity() * sizeof(std::int64_t) + valid_.byte_size();
   }
 
-  /// Decodes one zigzag varint and advances p. Exposed for cursors.
+  /// Decodes one zigzag varint and advances p.
   static std::int64_t decode_varint(const std::uint8_t*& p) {
     std::uint64_t u = 0;
     int shift = 0;
@@ -128,25 +134,6 @@ class IntChunk {
     std::memcpy(&out, &v, sizeof(out));
     return out;
   }
-
-  /// Stateful sequential decoder (used by Segment::Reader).
-  class Cursor {
-   public:
-    explicit Cursor(const IntChunk& c)
-        : chunk_(&c), p_(c.bytes_.data()) {}
-
-    /// Decodes the next row; returns {valid, value}.
-    std::pair<bool, std::int64_t> next() {
-      prev_ += decode_varint(p_);
-      return {chunk_->valid_.get(i_++), prev_};
-    }
-
-   private:
-    const IntChunk* chunk_;
-    const std::uint8_t* p_;
-    std::int64_t prev_ = 0;
-    std::size_t i_ = 0;
-  };
 
  private:
   void build_directory();
@@ -195,8 +182,8 @@ class TextChunk {
   TextChunk(std::vector<TextRef> dict, std::vector<std::uint32_t> codes)
       : dict_(std::move(dict)), codes_(std::move(codes)) {}
 
-  /// Builds the dictionary from row cells (NULL-aware).
-  static TextChunk encode(std::span<const Value> cells);
+  /// Builds the dictionary from cells in row order (nullopt = NULL).
+  static TextChunk encode(std::span<const std::optional<TextRef>> cells);
 
   [[nodiscard]] std::size_t size() const { return codes_.size(); }
   [[nodiscard]] bool valid(std::size_t i) const {

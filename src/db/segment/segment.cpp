@@ -5,44 +5,6 @@
 
 namespace mscope::db::segment {
 
-ColumnChunk ColumnChunk::encode(DataType type,
-                                const std::vector<std::vector<Value>>& rows,
-                                std::size_t col, std::size_t n) {
-  switch (type) {
-    case DataType::kInt: {
-      std::vector<std::int64_t> cells(n, 0);
-      ValidityBitmap valid;
-      for (std::size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i][col];
-        const bool ok = !is_null(v);
-        if (ok) cells[i] = std::get<std::int64_t>(v);
-        valid.push_back(ok);
-      }
-      return ColumnChunk(Data{IntChunk(cells, std::move(valid))});
-    }
-    case DataType::kDouble: {
-      std::vector<double> cells(n, 0.0);
-      ValidityBitmap valid;
-      for (std::size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i][col];
-        const bool ok = !is_null(v);
-        if (ok) cells[i] = std::get<double>(v);
-        valid.push_back(ok);
-      }
-      return ColumnChunk(Data{DoubleChunk(std::move(cells), std::move(valid))});
-    }
-    case DataType::kText: {
-      std::vector<Value> cells;
-      cells.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) cells.push_back(rows[i][col]);
-      return ColumnChunk(Data{TextChunk::encode(cells)});
-    }
-    case DataType::kNull:
-      return ColumnChunk(Data{NullChunk{n}});
-  }
-  throw std::logic_error("ColumnChunk::encode: bad type");
-}
-
 ColumnChunk::ColumnChunk(Data data) : data_(std::move(data)) {
   compute_zone();
 }
@@ -128,14 +90,14 @@ void ColumnChunk::retype_int_to_double() {
 
 void ColumnChunk::retype_all_null(DataType to) {
   const std::size_t n = size();
-  ValidityBitmap valid;
-  for (std::size_t i = 0; i < n; ++i) valid.push_back(false);
   switch (to) {
     case DataType::kInt:
-      data_ = Data{IntChunk(std::vector<std::int64_t>(n, 0), std::move(valid))};
+      data_ = Data{IntChunk(std::vector<std::int64_t>(n, 0),
+                            ValidityBitmap::nulls(n))};
       break;
     case DataType::kDouble:
-      data_ = Data{DoubleChunk(std::vector<double>(n, 0.0), std::move(valid))};
+      data_ = Data{DoubleChunk(std::vector<double>(n, 0.0),
+                               ValidityBitmap::nulls(n))};
       break;
     case DataType::kText:
       data_ = Data{TextChunk({}, std::vector<std::uint32_t>(
@@ -162,58 +124,6 @@ std::size_t Segment::byte_size() const {
   std::size_t n = sizeof(Segment);
   for (const ColumnChunk& c : cols_) n += c.byte_size();
   return n;
-}
-
-Segment::Reader::Reader(const Segment& seg) : seg_(&seg) {
-  int_cursor_of_.resize(seg.column_count(), 0);
-  for (std::size_t c = 0; c < seg.column_count(); ++c) {
-    if (const auto* ic = std::get_if<IntChunk>(&seg.column(c).data())) {
-      int_cursor_of_[c] = int_cursors_.size();
-      int_cursors_.emplace_back(*ic);
-    }
-  }
-}
-
-bool Segment::Reader::next(std::vector<Value>& out) {
-  if (i_ >= seg_->row_count()) return false;
-  out.clear();
-  for (std::size_t c = 0; c < seg_->column_count(); ++c) {
-    const ColumnChunk::Data& d = seg_->column(c).data();
-    switch (d.index()) {
-      case 0:
-        out.emplace_back();
-        break;
-      case 1: {
-        const auto [valid, v] = int_cursors_[int_cursor_of_[c]].next();
-        if (valid) {
-          out.emplace_back(std::in_place_type<std::int64_t>, v);
-        } else {
-          out.emplace_back();
-        }
-        break;
-      }
-      case 2: {
-        const auto& dc = std::get<DoubleChunk>(d);
-        if (dc.valid(i_)) {
-          out.emplace_back(std::in_place_type<double>, dc.value(i_));
-        } else {
-          out.emplace_back();
-        }
-        break;
-      }
-      default: {
-        const auto& tc = std::get<TextChunk>(d);
-        if (tc.valid(i_)) {
-          out.emplace_back(std::in_place_type<TextRef>, tc.value(i_));
-        } else {
-          out.emplace_back();
-        }
-        break;
-      }
-    }
-  }
-  ++i_;
-  return true;
 }
 
 }  // namespace mscope::db::segment

@@ -19,11 +19,6 @@ class ColumnChunk {
  public:
   using Data = std::variant<NullChunk, IntChunk, DoubleChunk, TextChunk>;
 
-  /// Encodes rows[0..n) of column `col` from row-major storage.
-  static ColumnChunk encode(DataType type,
-                            const std::vector<std::vector<Value>>& rows,
-                            std::size_t col, std::size_t n);
-
   /// Deserialization: wraps an already-decoded chunk, recomputing the zone.
   explicit ColumnChunk(Data data);
 
@@ -70,7 +65,7 @@ class ColumnChunk {
 
 /// An immutable run of rows in columnar form. `base_row` is the table-global
 /// id of local row 0; rows of a table are the concatenation of its segments
-/// followed by the row-major tail.
+/// followed by the store's tail.
 class Segment {
  public:
   Segment(std::size_t base_row, std::size_t rows,
@@ -91,22 +86,6 @@ class Segment {
   void append_column(ColumnChunk c) { cols_.push_back(std::move(c)); }
 
   [[nodiscard]] std::size_t byte_size() const;
-
-  /// Sequential row materializer: decodes every column in one pass. Fills a
-  /// caller-owned row buffer so the hot loop never allocates.
-  class Reader {
-   public:
-    explicit Reader(const Segment& seg);
-
-    /// Fills `out` with the next row's cells; false when exhausted.
-    bool next(std::vector<Value>& out);
-
-   private:
-    const Segment* seg_;
-    std::size_t i_ = 0;
-    std::vector<IntChunk::Cursor> int_cursors_;  ///< one per Int column
-    std::vector<std::size_t> int_cursor_of_;     ///< column -> cursor index
-  };
 
  private:
   std::size_t base_row_;

@@ -1,11 +1,18 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "db/column_batch.h"
 #include "db/segment/segment.h"
 #include "db/value.h"
+
+namespace mscope::db::sqlengine {
+class ColumnVec;
+}
 
 namespace mscope::db::segment {
 
@@ -13,21 +20,22 @@ namespace mscope::db::segment {
 /// per seal, partition boundaries snapped to whole seconds of the anchor
 /// timestamp column.
 struct SegmentConfig {
-  /// Tail size that triggers sealing. 0 disables row-count sealing.
+  /// Tail size that triggers sealing. 0 never seals: every row stays in the
+  /// tail (benchmark baseline / tiny scratch tables).
   std::size_t seal_rows = 4096;
   /// Time-partition width (microseconds) for boundary alignment; <= 0
   /// disables alignment (pure row-count sealing).
   std::int64_t partition_usec = 1'000'000;
-  /// Master switch: false keeps every row in the row-major tail (benchmark
-  /// baseline / tiny scratch tables).
-  bool seal = true;
 };
 
 /// Storage engine behind db::Table: sealed immutable columnar segments plus
-/// one active row-major tail that absorbs inserts. Rows keep table-global
-/// ids (segment base_row + local offset; tail rows follow the last segment),
-/// so indexes and query results are oblivious to where a row physically
-/// lives.
+/// one active tail that absorbs appends. The tail is a ColumnBatch — one
+/// typed array per column plus validity — so an append copies column
+/// ranges and a seal encodes the arrays without boxing a cell. Rows keep
+/// table-global ids (segment base_row + local offset; tail rows follow the
+/// last segment), so indexes and query results are oblivious to where a row
+/// physically lives. Readers walk the store as runs (run()), and see each
+/// run's columns through sqlengine::ColumnVec.
 ///
 /// Seal policy: when the tail reaches `seal_rows`, the store seals the
 /// longest tail prefix whose anchor times fall strictly before the time
@@ -39,32 +47,78 @@ struct SegmentConfig {
 /// even for single-partition or unordered data.
 class SegmentStore {
  public:
-  using Row = std::vector<Value>;
-
   SegmentStore() = default;
   SegmentStore(std::vector<DataType> types, std::optional<std::size_t> anchor,
                SegmentConfig cfg = {});
 
-  /// Appends a pre-validated row (Table::insert does schema checks); may
-  /// seal the tail as a side effect.
-  void append(Row row);
+  /// Appends one pre-validated row (Table::insert checks the schema and
+  /// converts Int cells of Double columns). Returns the number of seals it
+  /// caused (0 or 1).
+  std::size_t append(std::span<const Value> row);
+
+  /// Appends rows [first, end) of `batch`, whose column types Table::append
+  /// has checked: each equals the store's, or is Int into a Double column
+  /// (converted here). Seals land on the same rows as appending the rows
+  /// one at a time; returns how many seals there were.
+  std::size_t append(const ColumnBatch& batch, std::size_t first,
+                     std::size_t end);
 
   [[nodiscard]] std::size_t row_count() const {
-    return sealed_rows_ + tail_.size();
+    return sealed_rows_ + tail_.rows;
   }
   [[nodiscard]] std::size_t sealed_row_count() const { return sealed_rows_; }
   [[nodiscard]] const std::vector<Segment>& segments() const {
     return segments_;
   }
-  /// The active row-major tail; global id of tail[i] is
-  /// sealed_row_count() + i.
-  [[nodiscard]] const std::vector<Row>& tail() const { return tail_; }
+
+  /// One run of consecutive rows: a sealed segment, or the tail (`segment`
+  /// null).
+  struct Run {
+    std::size_t base_row = 0;
+    std::size_t rows = 0;
+    const Segment* segment = nullptr;
+  };
+  /// The store in row order: run k < segments().size() is segment k; the
+  /// tail, when it holds rows, is the last run.
+  [[nodiscard]] std::size_t run_count() const {
+    return segments_.size() + (tail_.rows > 0 ? 1 : 0);
+  }
+  [[nodiscard]] Run run(std::size_t k) const {
+    if (k < segments_.size()) {
+      const Segment& s = segments_[k];
+      return {s.base_row(), s.row_count(), &s};
+    }
+    return {sealed_rows_, tail_.rows, nullptr};
+  }
 
   /// Materializes one cell by global row id (bounds-checked).
   [[nodiscard]] Value cell(std::size_t row, std::size_t col) const;
 
-  /// Seals the whole tail (snapshot writers call this so a saved warehouse
-  /// is fully columnar). No-op when the tail is empty.
+  /// f(std::size_t row, std::int64_t value) for every row whose cell in
+  /// `col` is numeric, through as_int (doubles rounded with llround), in
+  /// row order; each sealed chunk decodes in one pass.
+  template <class F>
+  void for_each_as_int(std::size_t col, F&& f) const {
+    for (const Segment& s : segments_) {
+      const std::size_t base = s.base_row();
+      s.column(col).for_each_as_int(
+          [&](std::size_t i, std::int64_t v) { f(base + i, v); });
+    }
+    for (std::size_t i = 0; i < tail_.rows; ++i) {
+      if (const auto v = tail_as_int(col, i)) f(sealed_rows_ + i, *v);
+    }
+  }
+
+  /// Min/max of column `col` through as_int: the sealed segments' zone maps
+  /// plus the tail's cells.
+  [[nodiscard]] ZoneMap zone(std::size_t col) const;
+
+  /// The tail encoded with the codecs a seal uses, as one chunk-set
+  /// starting at row sealed_row_count() (the snapshot writer's tail). The
+  /// store is unchanged.
+  [[nodiscard]] Segment encode_tail() const;
+
+  /// Seals the whole tail. No-op when the tail is empty.
   void seal_all();
 
   /// Drops all rows and releases segment and tail memory (swap idiom — a
@@ -86,8 +140,8 @@ class SegmentStore {
   /// True when no cell of the column holds a value (sealed or tail).
   [[nodiscard]] bool column_all_null(std::size_t col) const;
 
-  /// Int -> Double: every sealed chunk re-encodes (values are exact), tail
-  /// cells re-box. Caller updates the schema.
+  /// Int -> Double: every sealed chunk re-encodes and the tail's array
+  /// converts (values are exact). Caller updates the schema.
   void retype_int_to_double(std::size_t col);
 
   /// Retypes an all-NULL column (any representation change is exact).
@@ -102,16 +156,40 @@ class SegmentStore {
   /// arrive in order; the tail must still be empty.
   void adopt_segment(Segment seg);
 
- private:
-  void seal_prefix(std::size_t k);
-  void maybe_seal();
+  /// Decodes a snapshot's tail chunk-set (encode_tail's output) into the
+  /// empty tail, after the last adopted segment. Nothing seals: the loaded
+  /// store holds the segments and tail that were saved.
+  void adopt_tail(const Segment& tail);
 
-  std::vector<DataType> types_;
+ private:
+  /// The tail's one reader outside this module (ColumnVec::from_run).
+  friend class sqlengine::ColumnVec;
+
+  [[nodiscard]] std::optional<std::int64_t> tail_as_int(std::size_t col,
+                                                        std::size_t i) const {
+    const ColumnBatch::Column& t = tail_.columns[col];
+    if (t.valid[i] == 0) return std::nullopt;
+    if (t.type == DataType::kInt) return t.ints[i];
+    if (t.type == DataType::kDouble) {
+      return static_cast<std::int64_t>(std::llround(t.doubles[i]));
+    }
+    return std::nullopt;
+  }
+
+  /// Tail rows [0, k) encoded as one chunk per column.
+  [[nodiscard]] std::vector<ColumnChunk> encode_prefix(std::size_t k) const;
+  void seal_prefix(std::size_t k);
+  /// Seals per the policy above once the tail reaches seal_rows; true when
+  /// it sealed.
+  bool maybe_seal();
+
   std::optional<std::size_t> anchor_;
   SegmentConfig cfg_;
   std::vector<Segment> segments_;
-  std::vector<Row> tail_;
   std::size_t sealed_rows_ = 0;
+  /// The tail: row i is global row sealed_rows_ + i. Its schema is unused;
+  /// a column of `rows` NULLs keeps its array at full length (kNull: none).
+  ColumnBatch tail_;
 };
 
 }  // namespace mscope::db::segment

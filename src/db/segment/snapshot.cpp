@@ -273,13 +273,13 @@ Table read_body(Reader& r, bool framed) {
       if (cols.back().size() != tail_rows) {
         r.fail("tail chunk row count mismatch");
       }
+      if (cols.back().data().index() !=
+          static_cast<std::size_t>(schema[c].type)) {
+        r.fail("tail chunk kind does not match the column type");
+      }
     }
-    const Segment tail_set(0, tail_rows, std::move(cols));
-    Segment::Reader reader(tail_set);
-    std::vector<Value> row;
-    while (reader.next(row)) {
-      store.append(std::vector<Value>(row));
-    }
+    store.adopt_tail(
+        Segment(store.sealed_row_count(), tail_rows, std::move(cols)));
   }
   // The adopting Table constructor re-detects the anchor column.
   return Table(std::move(name), std::move(schema), std::move(store));
@@ -323,11 +323,12 @@ void write_table(std::ostream& out, const Table& table, std::uint8_t version) {
   }
   // The active tail travels as one chunk-set, encoded with the same codecs
   // a seal would use but without mutating the (const) table.
-  put_u64(b, store.tail().size());
-  if (!store.tail().empty()) {
-    for (std::size_t c = 0; c < table.schema().size(); ++c) {
-      emit_chunk(ColumnChunk::encode(table.schema()[c].type, store.tail(), c,
-                                     store.tail().size()));
+  const std::size_t tail_rows = store.row_count() - store.sealed_row_count();
+  put_u64(b, tail_rows);
+  if (tail_rows > 0) {
+    const Segment tail = store.encode_tail();
+    for (std::size_t c = 0; c < tail.column_count(); ++c) {
+      emit_chunk(tail.column(c));
     }
   }
   if (version >= 2) {

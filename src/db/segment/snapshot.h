@@ -30,7 +30,8 @@ void write_table(std::ostream& out, const Table& table,
 
 /// Reads a table written by write_table (either version), adopting the
 /// sealed segments without re-parsing or re-encoding (the tail chunk-set is
-/// decoded back into row-major form). For v2 files the footer checksum is
+/// decoded back into the store's tail arrays, and nothing seals, so the
+/// loaded table has the saved layout). For v2 files the footer checksum is
 /// verified before anything is decoded and every chunk is re-checked
 /// against its CRC32C. Throws std::runtime_error on any mismatch; messages
 /// carry the byte offset and, once known, the table name and the

@@ -56,14 +56,14 @@ ScanOp::ScanOp(const Table& table, std::vector<std::size_t> cols,
   }
 }
 
-bool ScanOp::load_segment(const segment::Segment& seg, Batch& out) {
-  out.rows = seg.row_count();
-  out.base_row = seg.base_row();
+bool ScanOp::load_run(const segment::SegmentStore::Run& run, Batch& out) {
+  out.rows = run.rows;
+  out.base_row = run.base_row;
   out.cols.clear();
   out.sel.clear();
   out.has_sel = false;
   for (const std::size_t c : cols_) {
-    out.cols.push_back(ColumnVec::from_chunk(seg.column(c)));
+    out.cols.push_back(ColumnVec::from_run(table_->storage(), run, c));
   }
   // Partial index overlap: restrict the selection to the surviving global
   // row range before the kernels run.
@@ -78,46 +78,13 @@ bool ScanOp::load_segment(const segment::Segment& seg, Batch& out) {
       out.sel.push_back(static_cast<std::uint32_t>(i));
     }
   }
-  apply_kernels(out);
-  return out.active() > 0;
-}
-
-bool ScanOp::load_tail(Batch& out) {
-  const auto& tail = table_->storage().tail();
-  const std::size_t sealed = table_->storage().sealed_row_count();
-  if (tail_i_ >= tail.size()) return false;
-  const std::size_t n = std::min(kTailBatch, tail.size() - tail_i_);
-  out.rows = n;
-  out.base_row = sealed + tail_i_;
-  out.cols.clear();
-  out.sel.clear();
-  out.has_sel = false;
-  const std::span<const Table::Row> rows(tail.data() + tail_i_, n);
-  for (const std::size_t c : cols_) {
-    out.cols.push_back(
-        ColumnVec::from_rows(rows, c, table_->schema()[c].type));
-  }
-  const std::size_t lo =
-      row_lo_ > out.base_row ? row_lo_ - out.base_row : 0;
-  const std::size_t hi = std::min(n - 1, row_hi_ - out.base_row);
-  if (lo > 0 || hi + 1 < n) {
-    out.has_sel = true;
-    for (std::size_t i = lo; i <= hi; ++i) {
-      out.sel.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  tail_i_ += n;
-  apply_kernels(out);
-  return out.active() > 0;
-}
-
-void ScanOp::apply_kernels(Batch& out) {
   std::vector<std::uint8_t> mask;
   for (const auto& k : pushed_) {
-    if (out.active() == 0) return;
+    if (out.active() == 0) break;
     k->eval(out, mask);
     out.apply_mask(mask);
   }
+  return out.active() > 0;
 }
 
 bool ScanOp::next(Batch& out) {
@@ -128,44 +95,25 @@ bool ScanOp::next(Batch& out) {
   static obs::Counter& rows_scanned =
       obs::Registry::global().counter("db.sql.rows_scanned");
   if (done_) return false;
-  const auto& segs = table_->storage().segments();
-  while (seg_i_ < segs.size()) {
-    const segment::Segment& seg = segs[seg_i_++];
-    // Row-range pruning (TimeIndex), then zone-map pruning.
-    if (seg.base_row() + seg.row_count() <= row_lo_ ||
-        seg.base_row() > row_hi_) {
-      ++segs_skipped_;
-      skipped.inc();
-      continue;
-    }
-    bool zone_ok = true;
+  const segment::SegmentStore& store = table_->storage();
+  while (run_i_ < store.run_count()) {
+    const segment::SegmentStore::Run run = store.run(run_i_++);
+    // Row-range pruning (TimeIndex), then zone-map pruning of sealed runs.
+    bool skip = run.base_row + run.rows <= row_lo_ || run.base_row > row_hi_;
     for (const auto& k : pushed_) {
-      if (!k->may_match(seg)) {
-        zone_ok = false;
-        break;
-      }
+      if (skip || run.segment == nullptr) break;
+      skip = !k->may_match(*run.segment);
     }
-    if (!zone_ok) {
-      ++segs_skipped_;
-      skipped.inc();
-      continue;
+    if (run.segment != nullptr) {
+      ++(skip ? segs_skipped_ : segs_scanned_);
+      (skip ? skipped : scanned).inc();
     }
-    ++segs_scanned_;
-    scanned.inc();
-    rows_scanned.add(seg.row_count());
-    if (load_segment(seg, out)) {
+    if (skip) continue;
+    rows_scanned.add(run.rows);
+    if (load_run(run, out)) {
       count_batch(out);
       return true;
     }
-  }
-  while (tail_i_ < table_->storage().tail().size()) {
-    const std::size_t before = tail_i_;
-    if (load_tail(out)) {
-      rows_scanned.add(tail_i_ - before);
-      count_batch(out);
-      return true;
-    }
-    rows_scanned.add(tail_i_ - before);
   }
   done_ = true;
   return false;

@@ -53,15 +53,12 @@ class Operator {
 
 using OpPtr = std::unique_ptr<Operator>;
 
-/// Base-table scan: sealed segments become zero-copy batches, the row-major
-/// tail is materialized in chunks of at most kTailBatch rows. Pushed-down
-/// kernels run inside the scan, where their zone hints skip whole segments
-/// and their TimeIndex hints bound the global row range before any chunk is
-/// touched.
+/// Base-table scan: one batch per storage run — each sealed segment, then
+/// the tail, all through ColumnVec::from_run. Pushed-down kernels run
+/// inside the scan, where their zone hints skip whole segments and their
+/// TimeIndex hints bound the global row range before any chunk is touched.
 class ScanOp final : public Operator {
  public:
-  static constexpr std::size_t kTailBatch = 4096;
-
   /// `cols` are the original table columns the scan outputs (pruned set).
   ScanOp(const Table& table, std::vector<std::size_t> cols,
          std::vector<KernelPtr> pushed);
@@ -73,15 +70,12 @@ class ScanOp final : public Operator {
   [[nodiscard]] std::vector<std::string> detail() const;
 
  private:
-  bool load_segment(const segment::Segment& seg, Batch& out);
-  bool load_tail(Batch& out);
-  void apply_kernels(Batch& out);
+  bool load_run(const segment::SegmentStore::Run& run, Batch& out);
 
   const Table* table_;
   std::vector<std::size_t> cols_;
   std::vector<KernelPtr> pushed_;
-  std::size_t seg_i_ = 0;
-  std::size_t tail_i_ = 0;
+  std::size_t run_i_ = 0;
   bool done_ = false;
 
   // TimeIndex-derived global row bounds [row_lo_, row_hi_] (inclusive).

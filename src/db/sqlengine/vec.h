@@ -1,12 +1,13 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
-#include "db/segment/segment.h"
-#include "db/table.h"
+#include "db/segment/segment_store.h"
 #include "db/value.h"
 
 namespace mscope::db::sqlengine {
@@ -22,10 +23,13 @@ namespace mscope::db::sqlengine {
 ///    into a scratch array owned by the view (one memory-bandwidth pass —
 ///    the same work a chunk's for_each does, but reusable by every operator
 ///    that touches the column);
-///  - tail rows and computed expressions materialize into owned typed
+///  - the store's tail lends its Int and Double arrays and their validity;
+///    its Text column gets a dictionary built for the view;
+///  - computed expressions and boxed rows materialize into owned typed
 ///    arrays.
 ///
-/// Views borrow from the Table's sealed storage, which outlives the query.
+/// Views borrow from the Table's storage, which must outlive them and must
+/// not change while they are in use (an append may move the tail).
 class ColumnVec {
  public:
   [[nodiscard]] DataType type() const { return type_; }
@@ -44,6 +48,7 @@ class ColumnVec {
       case DataType::kNull:
         return false;
       default:
+        if (valid_bytes_ != nullptr) return valid_bytes_[i] != 0;
         return validity_ == nullptr || validity_->get(i);
     }
   }
@@ -58,14 +63,32 @@ class ColumnVec {
                                    : doubles_[i];
   }
 
+  /// db::as_int / db::as_double of get(i), without boxing the cell: nullopt
+  /// where NULL or not numeric, doubles rounded with llround by as_int.
+  [[nodiscard]] std::optional<std::int64_t> as_int(std::size_t i) const {
+    if (type_ == DataType::kInt && valid(i)) return ints_[i];
+    if (type_ == DataType::kDouble && valid(i)) {
+      return static_cast<std::int64_t>(std::llround(doubles_[i]));
+    }
+    return std::nullopt;
+  }
+  [[nodiscard]] std::optional<double> as_double(std::size_t i) const {
+    if ((type_ == DataType::kInt || type_ == DataType::kDouble) && valid(i)) {
+      return num(i);
+    }
+    return std::nullopt;
+  }
+
   // --- builders -------------------------------------------------------------
 
-  /// View over a sealed column chunk (Int columns decode into the view's
-  /// scratch; Double/Text borrow).
-  static ColumnVec from_chunk(const segment::ColumnChunk& chunk);
+  /// View over column `col` of one storage run: a sealed segment's chunk
+  /// or the tail's arrays (see above).
+  static ColumnVec from_run(const segment::SegmentStore& store,
+                            const segment::SegmentStore::Run& run,
+                            std::size_t col);
 
-  /// Materializes column `col` of `rows[begin, end)` (the row-major tail).
-  static ColumnVec from_rows(std::span<const Table::Row> rows,
+  /// Materializes column `col` of boxed rows.
+  static ColumnVec from_rows(std::span<const std::vector<Value>> rows,
                              std::size_t col, DataType type);
 
   /// Materializes a computed column from boxed values (Project outputs).
@@ -85,6 +108,11 @@ class ColumnVec {
     segment::ValidityBitmap validity;
   };
 
+  /// An owned Text view of n cells, dictionary-encoded in first-seen order;
+  /// `text(i)` is cell i's TextRef, or nullptr where it is not Text.
+  template <class Text>
+  static ColumnVec text_view(std::size_t n, Text text);
+
   DataType type_ = DataType::kNull;
   std::size_t rows_ = 0;
   std::span<const std::int64_t> ints_;
@@ -92,6 +120,7 @@ class ColumnVec {
   std::span<const std::uint32_t> codes_;
   std::span<const TextRef> dict_;
   const segment::ValidityBitmap* validity_ = nullptr;  ///< nullptr: all valid
+  const std::uint8_t* valid_bytes_ = nullptr;  ///< the tail's flags, if set
   std::shared_ptr<Backing> backing_;  ///< owns decoded / materialized storage
 };
 

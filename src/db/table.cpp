@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "db/column_batch.h"
-
 #include "obs/metrics.h"
 #include "util/strings.h"
 
@@ -84,7 +82,11 @@ void Table::insert(Row row) {
                                 std::string(to_string(cell)) + ", column " +
                                 std::string(to_string(col)) + ")");
   }
-  put(std::move(row));
+  // Journal after validation/conversion, before the row reaches storage
+  // (WAL-before-apply): replaying the journaled row re-runs the same insert.
+  const std::size_t from = store_.row_count();
+  if (journal_ != nullptr) journal_->on_insert(name_, from, row);
+  landed(from, store_.append(row));
 }
 
 void Table::append(const ColumnBatch& batch, std::size_t first,
@@ -94,13 +96,10 @@ void Table::append(const ColumnBatch& batch, std::size_t first,
                                 std::to_string(batch.columns.size()) +
                                 " vs " + std::to_string(schema_.size()) + ")");
   }
-  std::vector<std::uint8_t> int_to_double(schema_.size(), 0);
   for (std::size_t c = 0; c < schema_.size(); ++c) {
     const DataType cell = batch.columns[c].type;
     const DataType col = schema_[c].type;
-    if (cell == col) continue;
-    if (cell == DataType::kInt && col == DataType::kDouble) {
-      int_to_double[c] = 1;
+    if (cell == col || (cell == DataType::kInt && col == DataType::kDouble)) {
       continue;
     }
     throw std::invalid_argument("Table '" + name_ + "': type mismatch in " +
@@ -108,42 +107,42 @@ void Table::append(const ColumnBatch& batch, std::size_t first,
                                 std::string(to_string(cell)) + ", column " +
                                 std::string(to_string(col)) + ")");
   }
-  for (std::size_t r = first; r < end; ++r) {
-    Row row;
-    row.reserve(schema_.size());
-    for (std::size_t c = 0; c < schema_.size(); ++c) {
-      const ColumnBatch::Column& bc = batch.columns[c];
-      if (int_to_double[c] != 0 && bc.valid[r] != 0) {
-        row.emplace_back(static_cast<double>(bc.ints[r]));
-      } else {
-        row.push_back(batch.cell(r, c));
+  const std::size_t from = store_.row_count();
+  if (journal_ != nullptr) {
+    // The WAL keeps one frame per row, so a journaled append boxes each row
+    // (converted as insert() converts) before any of them lands.
+    Row row(schema_.size());
+    for (std::size_t r = first; r < end; ++r) {
+      for (std::size_t c = 0; c < schema_.size(); ++c) {
+        row[c] = batch.cell(r, c);
+        if (schema_[c].type == DataType::kDouble) {
+          if (const auto* i = std::get_if<std::int64_t>(&row[c])) {
+            row[c] = Value{static_cast<double>(*i)};
+          }
+        }
       }
+      journal_->on_insert(name_, from + (r - first), row);
     }
-    put(std::move(row));
   }
+  landed(from, store_.append(batch, first, end));
 }
 
-void Table::put(Row row) {
-  if (!indexes_.empty()) {
-    // Incremental index maintenance: monitoring logs append mostly in time
-    // order, so this is an O(1) push_back on the hot path. Read the cells
-    // before the row moves into the store (which may seal it away).
-    const auto r = static_cast<std::uint32_t>(store_.row_count());
-    for (auto& [col, idx] : indexes_) {
-      if (const auto t = as_int(row[col])) idx.append(*t, r);
+void Table::landed(std::size_t from, std::size_t seals) {
+  // Incremental index maintenance: monitoring logs append mostly in time
+  // order, so each entry is an O(1) push_back.
+  for (auto& [col, idx] : indexes_) {
+    for (std::size_t r = from; r < store_.row_count(); ++r) {
+      if (const auto t = as_int(store_.cell(r, col))) {
+        idx.append(*t, static_cast<std::uint32_t>(r));
+      }
     }
   }
-  // Journal after validation/conversion, before the row reaches storage
-  // (WAL-before-apply): replaying the journaled row re-runs the same insert.
-  if (journal_ != nullptr) journal_->on_insert(name_, store_.row_count(), row);
   static obs::Counter& inserts =
       obs::Registry::global().counter("db.table.inserts");
-  static obs::Counter& seals =
+  static obs::Counter& seal_count =
       obs::Registry::global().counter("db.table.seals");
-  const std::size_t sealed_before = store_.segments().size();
-  store_.append(std::move(row));
-  inserts.inc();
-  if (store_.segments().size() != sealed_before) seals.inc();
+  inserts.add(store_.row_count() - from);
+  seal_count.add(seals);
 }
 
 Value Table::at(std::size_t row, std::size_t col) const {
@@ -164,20 +163,8 @@ Value Table::at(std::size_t row, std::string_view col) const {
 }
 
 segment::ZoneMap Table::anchor_span() const {
-  segment::ZoneMap span;
   const auto anchor = store_.anchor();
-  if (!anchor) return span;
-  for (const segment::Segment& seg : store_.segments()) {
-    const segment::ZoneMap& z = seg.column(*anchor).zone();
-    if (z.has_value) {
-      span.add(z.min);
-      span.add(z.max);
-    }
-  }
-  for (const Row& row : store_.tail()) {
-    if (const auto t = as_int(row[*anchor])) span.add(*t);
-  }
-  return span;
+  return anchor ? store_.zone(*anchor) : segment::ZoneMap{};
 }
 
 const TimeIndex* Table::time_index(std::string_view col) const {
@@ -249,17 +236,18 @@ bool Table::try_widen(const Schema& wider) {
 bool RowCursor::next() {
   const segment::SegmentStore& store = table_->store_;
   if (next_row_ >= store.row_count()) return false;
-  if (next_row_ < store.sealed_row_count()) {
-    const auto& segs = store.segments();
-    for (;;) {
-      if (!reader_) reader_.emplace(segs[seg_i_]);
-      if (reader_->next(buf_)) break;
-      reader_.reset();
-      ++seg_i_;
+  while (next_row_ >= run_end_) {  // entering the next storage run
+    const segment::SegmentStore::Run run = store.run(run_i_++);
+    cols_.clear();
+    for (std::size_t c = 0; c < table_->column_count(); ++c) {
+      cols_.push_back(sqlengine::ColumnVec::from_run(store, run, c));
     }
-    cur_ = &buf_;
-  } else {
-    cur_ = &store.tail()[next_row_ - store.sealed_row_count()];
+    run_base_ = run.base_row;
+    run_end_ = run.base_row + run.rows;
+  }
+  row_.clear();
+  for (const sqlengine::ColumnVec& v : cols_) {
+    row_.push_back(v.get(next_row_ - run_base_));
   }
   row_id_ = next_row_++;
   return true;

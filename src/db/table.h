@@ -6,24 +6,15 @@
 #include <string_view>
 #include <vector>
 
+#include "db/column_batch.h"
 #include "db/index.h"
 #include "db/segment/segment_store.h"
+#include "db/sqlengine/vec.h"
 #include "db/value.h"
 
 namespace mscope::db {
 
-/// A column definition: name + datatype.
-struct ColumnDef {
-  std::string name;
-  DataType type = DataType::kText;
-
-  friend bool operator==(const ColumnDef&, const ColumnDef&) = default;
-};
-
-using Schema = std::vector<ColumnDef>;
-
 class Table;
-struct ColumnBatch;
 
 /// Observer of warehouse mutations, attached via Database::set_journal —
 /// the seam the write-ahead log hangs off. Callbacks fire *before* the
@@ -45,17 +36,18 @@ class MutationJournal {
 };
 
 /// Forward iterator over a table's rows in insertion order, independent of
-/// physical layout: sealed columnar segments are decoded sequentially (one
-/// pass per column, no per-cell block decodes), the row-major tail is handed
-/// out by reference. The only sanctioned way to walk whole rows — storage
-/// layout is not part of Table's public contract.
+/// physical layout: each storage run (a sealed segment, then the tail) is
+/// read through one sqlengine::ColumnVec per column, so a sealed column
+/// decodes once per segment, not once per cell. The only sanctioned way to
+/// walk whole rows — storage layout is not part of Table's public contract.
+/// The table must not change while a cursor walks it.
 class RowCursor {
  public:
   /// Advances to the next row; false at the end. The reference returned by
   /// row() stays valid until the next call.
   bool next();
 
-  [[nodiscard]] const std::vector<Value>& row() const { return *cur_; }
+  [[nodiscard]] const std::vector<Value>& row() const { return row_; }
   [[nodiscard]] std::size_t row_id() const { return row_id_; }
 
  private:
@@ -65,17 +57,19 @@ class RowCursor {
   const Table* table_;
   std::size_t next_row_ = 0;
   std::size_t row_id_ = 0;
-  std::size_t seg_i_ = 0;
-  std::optional<segment::Segment::Reader> reader_;
-  std::vector<Value> buf_;
-  const std::vector<Value>* cur_ = nullptr;
+  std::size_t run_i_ = 0;  ///< next storage run to enter
+  std::size_t run_base_ = 0;
+  std::size_t run_end_ = 0;  ///< one past the current run's last row
+  std::vector<sqlengine::ColumnVec> cols_;
+  std::vector<Value> row_;
 };
 
 /// A relational table in mScopeDB. Storage is a segment::SegmentStore:
 /// sealed immutable columnar segments (delta+varint Ints, dictionary Text,
-/// validity bitmaps) plus one active row-major tail that absorbs inserts —
-/// a multi-hour run never lives in one allocation, and full-column scans
-/// run at memory bandwidth instead of chasing per-row heap vectors.
+/// validity bitmaps) plus one active tail of typed column arrays that
+/// absorbs appends — a multi-hour run never lives in one allocation, and
+/// full-column scans run at memory bandwidth instead of chasing per-row
+/// heap vectors.
 /// Schemas are created dynamically by the Data Importer from inferred CSV
 /// schemas, so inserts validate arity and type (a cell must be NULL or
 /// match — or be narrower than — its column's declared type).
@@ -105,18 +99,18 @@ class Table {
       std::string_view name) const;
 
   /// Inserts a row; throws std::invalid_argument on arity or type mismatch.
-  /// Int cells are silently accepted into Double columns (widening). May
-  /// seal the tail into a columnar segment as a side effect.
+  /// Int cells are silently accepted into Double columns (widening). A
+  /// one-row append: may seal the tail into a columnar segment.
   void insert(Row row);
 
   /// Appends rows [first, end) of `batch`, whose columns match this table's
   /// by position. Each column's type is checked once: it must equal the
   /// table column's, or be Int into a Double column (converted as insert()
   /// converts). Throws std::invalid_argument naming the table and the
-  /// column on an arity or type mismatch, before any row lands. The rows
-  /// then take insert()'s path one by one — journal, time indexes, store,
-  /// counters — so the WAL frames, index entries and db.table.inserts /
-  /// seals are those of inserting the same rows one at a time.
+  /// column on an arity or type mismatch, before any row lands. The store
+  /// copies the column ranges; the WAL frames (one per row), index entries,
+  /// seals and db.table.inserts / seals are those of inserting the same rows
+  /// one at a time.
   void append(const ColumnBatch& batch, std::size_t first, std::size_t end);
 
   /// Cell accessor (bounds-checked). Returns by value: sealed cells are
@@ -140,8 +134,8 @@ class Table {
   /// choose an index-backed plan only when one is warm.
   [[nodiscard]] const TimeIndex* find_time_index(std::size_t col) const;
 
-  /// Smallest and largest anchor time through as_int, read off the sealed
-  /// segments' zone maps plus the tail. The anchor is the column seals
+  /// Smallest and largest anchor time through as_int (SegmentStore::zone:
+  /// the sealed zone maps plus the tail). The anchor is the column seals
   /// partition on: ts_usec, else ua_usec, else the first *_usec column.
   /// has_value is false (min = max = 0) when there is no anchor column or
   /// it holds no numeric cell.
@@ -159,7 +153,9 @@ class Table {
     store_.set_config(cfg);
   }
 
-  /// Seals the active tail into a columnar segment (snapshot save path).
+  /// Seals the active tail into a columnar segment, for a table that is
+  /// complete once written (flow::Materializer::materialize). Snapshots do
+  /// not need it: write_table saves the tail as its own chunk-set.
   void seal_all() { store_.seal_all(); }
 
   /// In-place schema widening: succeeds when the current schema is a
@@ -190,9 +186,9 @@ class Table {
 
   static std::optional<std::size_t> detect_anchor(const Schema& schema);
 
-  /// The one row sink behind insert() and append(): `row` is validated and
-  /// converted to the schema's types.
-  void put(Row row);
+  /// Bookkeeping once rows [from, row_count()) have landed (by insert() or
+  /// append()) with `seals` seals: time indexes and counters.
+  void landed(std::size_t from, std::size_t seals);
 
   std::string name_;
   Schema schema_;

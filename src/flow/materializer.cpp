@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "db/sqlengine/vec.h"
 #include "db/table.h"
 #include "db/value.h"
 #include "obs/metrics.h"
@@ -52,77 +53,33 @@ bool decode_canonical(const std::string& s, std::uint64_t* out) {
   return true;
 }
 
-/// One numeric column of one segment, decoded in a single sequential pass
-/// (for_each_as_int has exactly as_int's semantics, doubles included).
-struct NumericScratch {
-  std::vector<SimTime> val;
-  std::vector<char> has;
-
-  void load(const db::segment::ColumnChunk& chunk, std::size_t rows) {
-    val.assign(rows, 0);
-    has.assign(rows, 0);
-    chunk.for_each_as_int([&](std::size_t i, std::int64_t v) {
-      val[i] = v;
-      has[i] = 1;
-    });
-  }
-};
-
-/// Emission-time builder shared by the sealed and tail scan loops.
+/// Emission-time builder: one span per event-table row. Absent columns are
+/// empty views, whose cells read as NULL.
 struct Emitter {
   Result* out;
   std::int32_t tier;
   std::int32_t flat;
 
-  void push(std::uint64_t id, const NumericScratch* visit,
-            const NumericScratch* ua, const NumericScratch* ud,
-            const std::vector<NumericScratch>& calls, std::size_t row) {
+  void push(std::uint64_t id, const db::sqlengine::ColumnVec& visit,
+            const db::sqlengine::ColumnVec& ua,
+            const db::sqlengine::ColumnVec& ud,
+            const std::vector<db::sqlengine::ColumnVec>& calls,
+            std::size_t row) {
     SpanRec s;
     s.req_id = id;
     s.tier = tier;
     s.table = flat;
-    if (visit != nullptr && visit->has[row]) {
-      s.visit = static_cast<std::int32_t>(visit->val[row]);
+    if (const auto x = visit.as_int(row)) {
+      s.visit = static_cast<std::int32_t>(*x);
     }
-    if (ua != nullptr && ua->has[row]) s.ua = ua->val[row];
-    if (ud != nullptr && ud->has[row]) s.ud = ud->val[row];
+    if (const auto x = ua.as_int(row)) s.ua = *x;
+    if (const auto x = ud.as_int(row)) s.ud = *x;
     s.calls_begin = static_cast<std::uint32_t>(out->calls.size());
     for (std::size_t c = 0; c + 1 < calls.size(); c += 2) {
-      if (calls[c].has[row] && calls[c + 1].has[row]) {
-        out->calls.emplace_back(calls[c].val[row], calls[c + 1].val[row]);
-      }
-    }
-    finish(s);
-  }
-
-  void push_row(std::uint64_t id, const EventColumns& cols,
-                const std::vector<db::Value>& row) {
-    SpanRec s;
-    s.req_id = id;
-    s.tier = tier;
-    s.table = flat;
-    if (cols.visit) {
-      if (const auto x = db::as_int(row[*cols.visit])) {
-        s.visit = static_cast<std::int32_t>(*x);
-      }
-    }
-    if (cols.ua) {
-      if (const auto x = db::as_int(row[*cols.ua])) s.ua = *x;
-    }
-    if (cols.ud) {
-      if (const auto x = db::as_int(row[*cols.ud])) s.ud = *x;
-    }
-    s.calls_begin = static_cast<std::uint32_t>(out->calls.size());
-    for (const auto& [ds, dr] : cols.calls) {
-      const auto a = db::as_int(row[ds]);
-      const auto b = db::as_int(row[dr]);
+      const auto a = calls[c].as_int(row);
+      const auto b = calls[c + 1].as_int(row);
       if (a && b) out->calls.emplace_back(*a, *b);
     }
-    finish(s);
-  }
-
- private:
-  void finish(SpanRec& s) {
     s.calls_end = static_cast<std::uint32_t>(out->calls.size());
     bool skew = s.ua >= 0 && s.ud >= 0 && s.ud < s.ua;
     for (std::uint32_t c = s.calls_begin; !skew && c < s.calls_end; ++c) {
@@ -223,68 +180,57 @@ void Materializer::scan_table(const db::Table& t, std::int32_t flat,
 
   Emitter emit{&out, out.table_tier[static_cast<std::size_t>(flat)], flat};
 
-  // Sealed segments: columnar path. The req_id dictionary is decoded once
-  // per *distinct* id string, the timestamp columns once per column — this
-  // is where the 50x over per-ID row scans comes from.
-  std::vector<NumericScratch> call_scratch(cols->calls.size() * 2);
-  NumericScratch visit_s, ua_s, ud_s;
+  // One pass per storage run (sealed segments, then the tail), columnar on
+  // both: the req_id dictionary is decoded once per *distinct* id string,
+  // the timestamp columns once per column — this is where the 50x over
+  // per-ID row scans comes from.
+  using db::sqlengine::ColumnVec;
+  const db::segment::SegmentStore& store = t.storage();
+  std::vector<ColumnVec> calls(cols->calls.size() * 2);
+  ColumnVec visit, ua, ud;
   std::vector<std::uint64_t> dict_id;
   std::vector<char> dict_ok;
-  for (const auto& seg : t.storage().segments()) {
-    const std::size_t rows = seg.row_count();
-    if (rows == 0) continue;
-    const auto& rid_chunk = seg.column(cols->req_id);
-
-    if (cols->visit) visit_s.load(seg.column(*cols->visit), rows);
-    if (cols->ua) ua_s.load(seg.column(*cols->ua), rows);
-    if (cols->ud) ud_s.load(seg.column(*cols->ud), rows);
+  for (std::size_t k = 0; k < store.run_count(); ++k) {
+    const db::segment::SegmentStore::Run run = store.run(k);
+    const auto view = [&](std::size_t c) {
+      return ColumnVec::from_run(store, run, c);
+    };
+    if (cols->visit) visit = view(*cols->visit);
+    if (cols->ua) ua = view(*cols->ua);
+    if (cols->ud) ud = view(*cols->ud);
     for (std::size_t c = 0; c < cols->calls.size(); ++c) {
-      call_scratch[2 * c].load(seg.column(cols->calls[c].first), rows);
-      call_scratch[2 * c + 1].load(seg.column(cols->calls[c].second), rows);
+      calls[2 * c] = view(cols->calls[c].first);
+      calls[2 * c + 1] = view(cols->calls[c].second);
     }
-    const NumericScratch* vp = cols->visit ? &visit_s : nullptr;
-    const NumericScratch* uap = cols->ua ? &ua_s : nullptr;
-    const NumericScratch* udp = cols->ud ? &ud_s : nullptr;
-
-    if (const auto* tc =
-            std::get_if<db::segment::TextChunk>(&rid_chunk.data())) {
-      dict_id.assign(tc->dict().size(), 0);
-      dict_ok.assign(tc->dict().size(), 0);
-      for (std::size_t k = 0; k < tc->dict().size(); ++k) {
-        dict_ok[k] =
-            decode_canonical(tc->dict()[k].str(), &dict_id[k]) ? 1 : 0;
+    const ColumnVec rid = view(cols->req_id);
+    if (rid.type() == db::DataType::kText) {
+      const auto dict = rid.dict();
+      dict_id.assign(dict.size(), 0);
+      dict_ok.assign(dict.size(), 0);
+      for (std::size_t d = 0; d < dict.size(); ++d) {
+        dict_ok[d] = decode_canonical(dict[d].str(), &dict_id[d]) ? 1 : 0;
       }
-      const auto& codes = tc->codes();
-      for (std::size_t i = 0; i < rows; ++i) {
+      const auto codes = rid.codes();
+      for (std::size_t i = 0; i < run.rows; ++i) {
         const std::uint32_t code = codes[i];
         if (code == db::segment::TextChunk::kNullCode || !dict_ok[code]) {
           continue;
         }
-        emit.push(dict_id[code], vp, uap, udp, call_scratch, i);
+        emit.push(dict_id[code], visit, ua, ud, calls, i);
       }
     } else {
       // Rare: a req_id column that inferred as numeric (all-digit hex).
       // Per-cell materialization with the same canonical-string guard keeps
       // oracle equivalence; throughput does not matter on this path.
-      for (std::size_t i = 0; i < rows; ++i) {
-        const db::Value v = rid_chunk.cell(i);
+      for (std::size_t i = 0; i < run.rows; ++i) {
+        const db::Value v = rid.get(i);
         std::uint64_t id = 0;
         if (db::is_null(v) || !decode_canonical(db::value_to_string(v), &id)) {
           continue;
         }
-        emit.push(id, vp, uap, udp, call_scratch, i);
+        emit.push(id, visit, ua, ud, calls, i);
       }
     }
-  }
-
-  // Row-major tail (rows since the last seal).
-  for (const auto& row : t.storage().tail()) {
-    const db::Value& v = row[cols->req_id];
-    std::uint64_t id = 0;
-    if (db::is_null(v) || !decode_canonical(db::value_to_string(v), &id)) {
-      continue;
-    }
-    emit.push_row(id, *cols, row);
   }
 }
 

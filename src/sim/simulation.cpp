@@ -4,15 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace mscope::sim {
-
-void detail::count_heap_fallback() {
-  static obs::Counter& fallbacks =
-      obs::Registry::global().counter("sim.events.heap_fallbacks");
-  fallbacks.inc();
-}
 
 void Simulation::schedule(SimTime delay, Callback cb) {
   if (delay < 0) throw std::invalid_argument("Simulation::schedule: delay < 0");

@@ -17,11 +17,6 @@ namespace mscope::sim {
 using util::SimTime;
 
 namespace detail {
-/// Bumps the registry counter `sim.events.heap_fallbacks`. The counter is
-/// registered on its first increment, so a run whose callbacks all fit
-/// inline never shows it.
-void count_heap_fallback();
-
 template <class T>
 inline constexpr bool kIsStdFunction = false;
 template <class R, class... A>
@@ -32,34 +27,36 @@ inline constexpr bool kIsStdFunction<std::function<R(A...)>> = true;
 /// (scheduled events, CPU and disk completions, network deliveries, server
 /// responses).
 ///
-/// A callable of at most kInlineBytes whose move cannot throw lives inside
-/// the Callback itself, so building, moving and firing one allocates
-/// nothing. A larger one is boxed on the heap and counted in
-/// `sim.events.heap_fallbacks`. An empty std::function or null function
-/// pointer yields an empty Callback, as does `nullptr`.
+/// The callable lives inside the Callback itself, so building, moving and
+/// firing one allocates nothing. Only a callable of at most kInlineBytes,
+/// aligned no stricter than std::max_align_t, whose move cannot throw
+/// converts: a larger closure does not compile, and should hold its bulk
+/// behind a pointer. An empty std::function or null function pointer
+/// yields an empty Callback, as does `nullptr`.
 class Callback {
  public:
   static constexpr std::size_t kInlineBytes = 48;
 
+ private:
+  template <class D>
+  static constexpr bool kFitsInline =
+      sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<D>;
+
+ public:
   Callback() noexcept = default;
   Callback(std::nullptr_t) noexcept {}  // NOLINT: implicit, like std::function
 
   template <class F, class D = std::decay_t<F>,
             class = std::enable_if_t<!std::is_same_v<D, Callback> &&
-                                     std::is_invocable_r_v<void, D&>>>
+                                     std::is_invocable_r_v<void, D&> &&
+                                     kFitsInline<D>>>
   Callback(F&& f) {  // NOLINT: implicit, like std::function
     if constexpr (std::is_pointer_v<D> || detail::kIsStdFunction<D>) {
       if (!f) return;
     }
-    if constexpr (kFitsInline<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      detail::count_heap_fallback();
-      D* boxed = new D(std::forward<F>(f));
-      std::memcpy(storage_, &boxed, sizeof boxed);
-      ops_ = &kBoxedOps<D>;
-    }
+    ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+    ops_ = &kInlineOps<D>;
   }
 
   Callback(Callback&& other) noexcept { take(other); }
@@ -92,20 +89,8 @@ class Callback {
   };
 
   template <class D>
-  static constexpr bool kFitsInline =
-      sizeof(D) <= kInlineBytes &&
-      alignof(D) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<D>;
-
-  template <class D>
   static D* inline_ptr(void* storage) {
     return std::launder(static_cast<D*>(storage));
-  }
-  template <class D>
-  static D* boxed_ptr(void* storage) {
-    D* p = nullptr;
-    std::memcpy(&p, storage, sizeof p);
-    return p;
   }
 
   template <class D>
@@ -121,11 +106,6 @@ class Callback {
       std::is_trivially_destructible_v<D>
           ? nullptr
           : +[](void* s) noexcept { inline_ptr<D>(s)->~D(); }};
-
-  template <class D>
-  static constexpr Ops kBoxedOps{
-      [](void* s) { (*boxed_ptr<D>(s))(); }, nullptr,
-      [](void* s) noexcept { delete boxed_ptr<D>(s); }};
 
   void take(Callback& other) noexcept {
     ops_ = other.ops_;

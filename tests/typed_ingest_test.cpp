@@ -118,8 +118,7 @@ Loaded load(db::Database& db, const std::filesystem::path& wal_path,
     db::wal::WalWriter wal(wal_path);
     db.set_journal(&wal);
     db::Table& t = db.create_table("ev_t", kEventSchema);
-    t.set_storage_config({/*seal_rows=*/8, /*partition_usec=*/1'000'000,
-                          /*seal=*/true});
+    t.set_storage_config({/*seal_rows=*/8, /*partition_usec=*/1'000'000});
     (void)t.time_index("ts_usec");
     (void)t.time_index("ua_usec");
     const std::uint64_t inserts0 = counter("db.table.inserts");
