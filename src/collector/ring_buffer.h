@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -33,6 +34,12 @@ enum class OverflowPolicy {
 /// Single-threaded by design: the whole collector runs inside the
 /// discrete-event simulation, so "blocking" is modeled as push-failure that
 /// the producer observes (and retries after the shipper drains).
+///
+/// The ring allocates as it fills: it starts at 16 slots on the first push
+/// and doubles, up to `capacity`, whenever a push finds it full. A channel
+/// that never holds more than a few dozen records (the common case) never
+/// pays for a capacity's worth of Records; the bound, the overflow policies
+/// and the accounting are those of a ring built at full size.
 class RingBuffer {
  public:
   struct Stats {
@@ -49,14 +56,15 @@ class RingBuffer {
   };
 
   RingBuffer(std::size_t capacity, OverflowPolicy policy)
-      : slots_(capacity), policy_(policy) {
+      : capacity_(capacity), policy_(policy) {
     if (capacity == 0) throw std::invalid_argument("RingBuffer: capacity 0");
   }
 
   /// Offers a record. Returns false only under kBlock with a full buffer —
   /// the caller keeps ownership of the data and should retry after a drain.
   bool push(Record r) {
-    if (size_ == slots_.size()) {
+    if (size_ == slots_.size() && size_ < capacity_) grow();
+    if (size_ == capacity_) {
       switch (policy_) {
         case OverflowPolicy::kBlock:
           ++stats_.blocked;
@@ -100,13 +108,26 @@ class RingBuffer {
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t free_slots() const { return capacity() - size_; }
   [[nodiscard]] OverflowPolicy policy() const { return policy_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
-  std::vector<Record> slots_;
+  /// Doubles the ring (16 slots at first, never past capacity_), moving the
+  /// buffered records to its front in FIFO order.
+  void grow() {
+    std::vector<Record> wider(
+        std::min(capacity_, std::max<std::size_t>(16, 2 * slots_.size())));
+    for (std::size_t i = 0; i < size_; ++i) {
+      wider[i] = std::move(slots_[(head_ + i) % slots_.size()]);
+    }
+    slots_.swap(wider);
+    head_ = 0;
+  }
+
+  std::vector<Record> slots_;  ///< the ring allocated so far (<= capacity_)
+  std::size_t capacity_;
   OverflowPolicy policy_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;

@@ -37,6 +37,34 @@ struct ColumnBatch {
     std::vector<std::int64_t> ints;
     std::vector<double> doubles;
     std::vector<std::optional<TextRef>> texts;
+
+    /// Appends one cell: NULL, or a value of this column's type.
+    void push_back(const Value& v) {
+      const bool ok = !is_null(v);
+      valid.push_back(ok ? 1 : 0);
+      switch (type) {
+        case DataType::kInt:
+          ints.push_back(ok ? std::get<std::int64_t>(v) : 0);
+          break;
+        case DataType::kDouble:
+          doubles.push_back(ok ? std::get<double>(v) : 0.0);
+          break;
+        case DataType::kText:
+          texts.push_back(ok ? std::optional<TextRef>(std::get<TextRef>(v))
+                             : std::nullopt);
+          break;
+        case DataType::kNull:
+          break;
+      }
+    }
+
+    /// Drops every cell, keeping the arrays' capacity.
+    void clear() {
+      valid.clear();
+      ints.clear();
+      doubles.clear();
+      texts.clear();
+    }
   };
 
   Schema schema;

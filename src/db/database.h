@@ -53,8 +53,8 @@ class Database : public Catalog {
 
   /// Attaches a mutation journal (the write-ahead log) to the warehouse:
   /// every create_table/drop and — via Table::set_journal on all present and
-  /// future tables — every insert and in-place widening is reported to `j`
-  /// before it is applied. Pass nullptr to detach. Attach *before*
+  /// future tables — every insert, append and in-place widening is reported
+  /// to `j` before it is applied. Pass nullptr to detach. Attach *before*
   /// populating the warehouse: recovery replays the journal against a fresh
   /// Database, so rows inserted while no journal was attached (and tables
   /// installed via adopt_table) are only recoverable from a snapshot.

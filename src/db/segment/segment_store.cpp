@@ -19,26 +19,6 @@ ColumnBatch::Column null_column(DataType type, std::size_t rows) {
   return t;
 }
 
-/// Appends one cell, NULL or of the column's type.
-void push(ColumnBatch::Column& t, const Value& v) {
-  const bool ok = !is_null(v);
-  t.valid.push_back(ok ? 1 : 0);
-  switch (t.type) {
-    case DataType::kInt:
-      t.ints.push_back(ok ? std::get<std::int64_t>(v) : 0);
-      break;
-    case DataType::kDouble:
-      t.doubles.push_back(ok ? std::get<double>(v) : 0.0);
-      break;
-    case DataType::kText:
-      t.texts.push_back(ok ? std::optional<TextRef>(std::get<TextRef>(v))
-                           : std::nullopt);
-      break;
-    case DataType::kNull:
-      break;
-  }
-}
-
 /// Drops the first k cells together with the capacity they needed, so a
 /// tail that just sealed holds only what it kept.
 template <class T>
@@ -60,7 +40,7 @@ SegmentStore::SegmentStore(std::vector<DataType> types,
 
 std::size_t SegmentStore::append(std::span<const Value> row) {
   for (std::size_t c = 0; c < tail_.columns.size(); ++c) {
-    push(tail_.columns[c], row[c]);
+    tail_.columns[c].push_back(row[c]);
   }
   ++tail_.rows;
   return maybe_seal() ? 1 : 0;
@@ -297,7 +277,7 @@ void SegmentStore::adopt_tail(const Segment& tail) {
   // Column by column, so an Int chunk's block cache decodes each block once.
   for (std::size_t c = 0; c < tail_.columns.size(); ++c) {
     for (std::size_t i = 0; i < tail.row_count(); ++i) {
-      push(tail_.columns[c], tail.cell(i, c));
+      tail_.columns[c].push_back(tail.cell(i, c));
     }
   }
   tail_.rows = tail.row_count();

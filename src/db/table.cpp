@@ -85,7 +85,7 @@ void Table::insert(Row row) {
   // Journal after validation/conversion, before the row reaches storage
   // (WAL-before-apply): replaying the journaled row re-runs the same insert.
   const std::size_t from = store_.row_count();
-  if (journal_ != nullptr) journal_->on_insert(name_, from, row);
+  if (journal_ != nullptr) journal_->on_insert(name_, schema_, from, row);
   landed(from, store_.append(row));
 }
 
@@ -108,21 +108,8 @@ void Table::append(const ColumnBatch& batch, std::size_t first,
                                 std::string(to_string(col)) + ")");
   }
   const std::size_t from = store_.row_count();
-  if (journal_ != nullptr) {
-    // The WAL keeps one frame per row, so a journaled append boxes each row
-    // (converted as insert() converts) before any of them lands.
-    Row row(schema_.size());
-    for (std::size_t r = first; r < end; ++r) {
-      for (std::size_t c = 0; c < schema_.size(); ++c) {
-        row[c] = batch.cell(r, c);
-        if (schema_[c].type == DataType::kDouble) {
-          if (const auto* i = std::get_if<std::int64_t>(&row[c])) {
-            row[c] = Value{static_cast<double>(*i)};
-          }
-        }
-      }
-      journal_->on_insert(name_, from + (r - first), row);
-    }
+  if (journal_ != nullptr && first < end) {
+    journal_->on_append(name_, schema_, from, batch, first, end);
   }
   landed(from, store_.append(batch, first, end));
 }

@@ -28,10 +28,19 @@ class MutationJournal {
   virtual void on_create_table(const std::string& name,
                                const Schema& schema) = 0;
   virtual void on_drop_table(const std::string& name) = 0;
-  /// `row` is the validated, conversion-applied row (Int cells already
-  /// widened into Double columns); `row_index` is its table-global id.
-  virtual void on_insert(const std::string& table, std::size_t row_index,
+  /// Table::insert: `row` is the validated, conversion-applied row (Int
+  /// cells already widened into Double columns) of the table whose schema
+  /// is `schema`; `row_index` is its table-global id.
+  virtual void on_insert(const std::string& table, const Schema& schema,
+                         std::size_t row_index,
                          const std::vector<Value>& row) = 0;
+  /// Table::append: rows [first, end) of `batch` are about to land as the
+  /// table's rows row_index, row_index + 1, ... `schema` is the table's;
+  /// the batch's column types have been checked against it (each equal, or
+  /// Int cells into a Double column, which land converted).
+  virtual void on_append(const std::string& table, const Schema& schema,
+                         std::size_t row_index, const ColumnBatch& batch,
+                         std::size_t first, std::size_t end) = 0;
   virtual void on_widen(const std::string& table, const Schema& wider) = 0;
 };
 
@@ -108,9 +117,9 @@ class Table {
   /// table column's, or be Int into a Double column (converted as insert()
   /// converts). Throws std::invalid_argument naming the table and the
   /// column on an arity or type mismatch, before any row lands. The store
-  /// copies the column ranges; the WAL frames (one per row), index entries,
-  /// seals and db.table.inserts / seals are those of inserting the same rows
-  /// one at a time.
+  /// copies the column ranges and the journal takes the range as it is; the
+  /// index entries, seals and db.table.inserts / seals are those of
+  /// inserting the same rows one at a time.
   void append(const ColumnBatch& batch, std::size_t first, std::size_t end);
 
   /// Cell accessor (bounds-checked). Returns by value: sealed cells are

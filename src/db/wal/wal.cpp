@@ -1,9 +1,10 @@
 #include "db/wal/wal.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/log.h"
@@ -23,11 +24,26 @@ enum class RecordType : std::uint8_t {
   kCreateTable = 1,
   kDropTable = 2,
   kWiden = 3,
-  kInsert = 4,
+  kInsert = 4,  ///< version 1 only: one boxed row
   kCommit = 5,
+  kRows = 6,  ///< a column range (see wal.h)
 };
 
 // --- payload encoding (little-endian, append to a string buffer) -----------
+
+void store_u32(char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(v >> (8 * i));
+}
+
+void store_u64(char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<char>(v >> (8 * i));
+}
+
+std::uint64_t bits_of(double d) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
 
 void put_u8(std::string& b, std::uint8_t v) {
   b.push_back(static_cast<char>(v));
@@ -41,7 +57,16 @@ void put_u64(std::string& b, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) b.push_back(static_cast<char>((v >> (8 * i))));
 }
 
-void put_string(std::string& b, const std::string& s) {
+/// Appends n values of 8 bytes each, value(i) for i in [0, n).
+template <class F>
+void put_u64s(std::string& b, std::size_t n, F&& value) {
+  const std::size_t at = b.size();
+  b.resize(at + 8 * n);
+  char* p = b.data() + at;
+  for (std::size_t i = 0; i < n; ++i, p += 8) store_u64(p, value(i));
+}
+
+void put_string(std::string& b, std::string_view s) {
   put_u32(b, static_cast<std::uint32_t>(s.size()));
   b.append(s);
 }
@@ -51,27 +76,6 @@ void put_schema(std::string& b, const Schema& schema) {
   for (const ColumnDef& c : schema) {
     put_string(b, c.name);
     put_u8(b, static_cast<std::uint8_t>(c.type));
-  }
-}
-
-void put_value(std::string& b, const Value& v) {
-  put_u8(b, static_cast<std::uint8_t>(type_of(v)));
-  switch (type_of(v)) {
-    case DataType::kNull:
-      break;
-    case DataType::kInt:
-      put_u64(b, static_cast<std::uint64_t>(std::get<std::int64_t>(v)));
-      break;
-    case DataType::kDouble: {
-      std::uint64_t bits;
-      const double d = std::get<double>(v);
-      std::memcpy(&bits, &d, sizeof(bits));
-      put_u64(b, bits);
-      break;
-    }
-    case DataType::kText:
-      put_string(b, std::get<TextRef>(v).str());
-      break;
   }
 }
 
@@ -103,20 +107,26 @@ struct Cursor {
   }
   std::uint64_t u64() {
     need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data[pos + i]))
-           << (8 * i);
-    }
+    const std::uint64_t v = u64_at(0);
     pos += 8;
     return v;
   }
-  std::string str() {
+  std::string_view view() {
     const std::uint32_t n = u32();
     need(n);
-    std::string s(data + pos, n);
+    const std::string_view s(data + pos, n);
     pos += n;
     return s;
+  }
+  std::string str() { return std::string(view()); }
+  std::uint64_t u64_at(std::size_t i) const {
+    std::uint64_t v = 0;
+    for (int k = 0; k < 8; ++k) {
+      v |= static_cast<std::uint64_t>(
+               static_cast<std::uint8_t>(data[pos + 8 * i + k]))
+           << (8 * k);
+    }
+    return v;
   }
   Schema schema() {
     const std::uint32_t n = u32();
@@ -146,6 +156,67 @@ struct Cursor {
         throw DecodeError{};
     }
   }
+  /// A rows body's columns (`rows` rows each) into `b`, reusing its arrays;
+  /// `dict` is scratch for a Text column's dictionary.
+  void columns(ColumnBatch& b, std::uint32_t rows, std::vector<TextRef>& dict) {
+    const std::uint32_t ncols = u32();
+    need(ncols);  // every column takes at least its type byte
+    b.rows = rows;
+    b.columns.resize(ncols);
+    for (ColumnBatch::Column& col : b.columns) {
+      const std::uint8_t type = u8();
+      if (type > static_cast<std::uint8_t>(DataType::kText)) throw DecodeError{};
+      col.clear();
+      col.type = static_cast<DataType>(type);
+      need((std::size_t{rows} + 7) / 8);
+      col.valid.resize(rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        col.valid[i] = static_cast<std::uint8_t>(
+            (static_cast<std::uint8_t>(data[pos + i / 8]) >> (i % 8)) & 1);
+      }
+      pos += (std::size_t{rows} + 7) / 8;
+      switch (col.type) {
+        case DataType::kInt:
+          need(8 * std::size_t{rows});
+          col.ints.resize(rows);
+          for (std::size_t i = 0; i < rows; ++i) {
+            col.ints[i] = static_cast<std::int64_t>(u64_at(i));
+          }
+          pos += 8 * std::size_t{rows};
+          break;
+        case DataType::kDouble:
+          need(8 * std::size_t{rows});
+          col.doubles.resize(rows);
+          for (std::size_t i = 0; i < rows; ++i) {
+            const std::uint64_t bits = u64_at(i);
+            std::memcpy(&col.doubles[i], &bits, sizeof(bits));
+          }
+          pos += 8 * std::size_t{rows};
+          break;
+        case DataType::kText: {
+          const std::uint32_t n = u32();
+          need(4 * std::size_t{n});  // every entry takes its length prefix
+          dict.clear();
+          dict.reserve(n);
+          // One private string per distinct value of the frame: no pool
+          // lock per cell.
+          for (std::uint32_t k = 0; k < n; ++k) {
+            dict.emplace_back(TextRef::Unpooled{}, view());
+          }
+          col.texts.resize(rows);
+          for (std::size_t i = 0; i < rows; ++i) {
+            const std::uint32_t code = u32();
+            if (col.valid[i] == 0) continue;
+            if (code >= n) throw DecodeError{};
+            col.texts[i] = dict[code];
+          }
+          break;
+        }
+        case DataType::kNull:
+          break;
+      }
+    }
+  }
 };
 
 /// True when `narrow` is a name-preserving prefix of the table's current
@@ -167,6 +238,16 @@ WalWriter::WalWriter(std::filesystem::path path, std::uint64_t base_commit_id,
                      bool append)
     : path_(std::move(path)), commit_id_(base_commit_id) {
   if (append && std::filesystem::exists(path_)) {
+    char header[5] = {};
+    std::ifstream in(path_, std::ios::binary);
+    in.read(header, sizeof(header));
+    if (in.gcount() != sizeof(header) ||
+        std::memcmp(header, kMagic, 4) != 0 ||
+        static_cast<std::uint8_t>(header[4]) != kWalVersion) {
+      throw std::runtime_error("wal: cannot resume " + path_.string() +
+                               ": not a version " +
+                               std::to_string(kWalVersion) + " log");
+    }
     file_.open_append(path_);
   } else {
     file_.open(path_);
@@ -184,74 +265,155 @@ void WalWriter::write_header(util::io::File& f, std::uint64_t base_commit_id) {
   stats_.bytes += h.size();
 }
 
-void WalWriter::write_frame(const std::string& payload) {
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, util::Crc32c::of(payload));
-  frame.append(payload);
+void WalWriter::begin_frame(std::uint8_t type) {
+  buf_.assign(kFrameHeaderBytes, '\0');  // length and CRC, patched at the end
+  put_u8(buf_, type);
+}
+
+void WalWriter::write_frame() {
+  const std::size_t len = buf_.size() - kFrameHeaderBytes;
+  store_u32(buf_.data(), static_cast<std::uint32_t>(len));
+  store_u32(buf_.data() + 4,
+            util::Crc32c::of(buf_.data() + kFrameHeaderBytes, len));
   // One io::File::write per frame: every frame boundary is a crash point
   // the fault-injection matrix can kill at (including mid-frame via a
   // torn-write decision).
-  file_.write(frame);
-  stats_.bytes += frame.size();
+  file_.write(buf_);
+  stats_.bytes += buf_.size();
   static obs::Counter& frames_c =
       obs::Registry::global().counter("db.wal.frames");
   static obs::Counter& bytes_c =
       obs::Registry::global().counter("db.wal.bytes");
   frames_c.inc();
-  bytes_c.add(frame.size());
+  bytes_c.add(buf_.size());
+}
+
+void WalWriter::journal_frame() {
+  write_frame();
+  ++stats_.frames;
+  dirty_ = true;
 }
 
 void WalWriter::on_create_table(const std::string& name, const Schema& schema) {
-  std::string p;
-  put_u8(p, static_cast<std::uint8_t>(RecordType::kCreateTable));
-  put_string(p, name);
-  put_schema(p, schema);
-  write_frame(p);
-  ++stats_.frames;
-  dirty_ = true;
+  begin_frame(static_cast<std::uint8_t>(RecordType::kCreateTable));
+  put_string(buf_, name);
+  put_schema(buf_, schema);
+  journal_frame();
 }
 
 void WalWriter::on_drop_table(const std::string& name) {
-  std::string p;
-  put_u8(p, static_cast<std::uint8_t>(RecordType::kDropTable));
-  put_string(p, name);
-  write_frame(p);
-  ++stats_.frames;
-  dirty_ = true;
+  begin_frame(static_cast<std::uint8_t>(RecordType::kDropTable));
+  put_string(buf_, name);
+  journal_frame();
 }
 
-void WalWriter::on_insert(const std::string& table, std::size_t row_index,
+void WalWriter::on_insert(const std::string& table, const Schema& schema,
+                          std::size_t row_index,
                           const std::vector<Value>& row) {
-  std::string p;
-  put_u8(p, static_cast<std::uint8_t>(RecordType::kInsert));
-  put_string(p, table);
-  put_u64(p, row_index);
-  put_u32(p, static_cast<std::uint32_t>(row.size()));
-  for (const Value& v : row) put_value(p, v);
-  write_frame(p);
-  ++stats_.frames;
-  dirty_ = true;
+  row_.rows = 1;
+  row_.columns.resize(schema.size());
+  for (std::size_t c = 0; c < schema.size(); ++c) {
+    ColumnBatch::Column& col = row_.columns[c];
+    col.clear();
+    col.type = schema[c].type;
+    col.push_back(row[c]);
+  }
+  on_append(table, schema, row_index, row_, 0, 1);
+}
+
+void WalWriter::on_append(const std::string& table, const Schema& schema,
+                          std::size_t row_index, const ColumnBatch& batch,
+                          std::size_t first, std::size_t end) {
+  // Every frame of the range lands before Table::append lets a row land.
+  for (std::size_t r = first; r < end; r += kMaxFrameRows) {
+    const std::size_t stop = std::min(end, r + kMaxFrameRows);
+    begin_frame(static_cast<std::uint8_t>(RecordType::kRows));
+    put_string(buf_, table);
+    put_u64(buf_, row_index + (r - first));
+    put_u32(buf_, static_cast<std::uint32_t>(stop - r));
+    put_u32(buf_, static_cast<std::uint32_t>(schema.size()));
+    for (std::size_t c = 0; c < schema.size(); ++c) {
+      put_column(schema[c].type, batch.columns[c], r, stop);
+    }
+    journal_frame();
+  }
+}
+
+void WalWriter::put_column(DataType type, const ColumnBatch::Column& src,
+                           std::size_t first, std::size_t end) {
+  const std::size_t n = end - first;
+  const auto valid = [&](std::size_t i) {
+    return type != DataType::kNull && src.valid[first + i] != 0;
+  };
+  put_u8(buf_, static_cast<std::uint8_t>(type));
+  const std::size_t at = buf_.size();
+  buf_.resize(at + (n + 7) / 8, '\0');
+  for (std::size_t i = 0; i < n; ++i) {
+    if (valid(i)) buf_[at + i / 8] |= static_cast<char>(1u << (i % 8));
+  }
+  switch (type) {
+    case DataType::kInt:
+      put_u64s(buf_, n, [&](std::size_t i) {
+        return valid(i) ? static_cast<std::uint64_t>(src.ints[first + i])
+                        : std::uint64_t{0};
+      });
+      break;
+    case DataType::kDouble:
+      put_u64s(buf_, n, [&](std::size_t i) {
+        if (!valid(i)) return std::uint64_t{0};
+        return bits_of(src.type == DataType::kInt
+                           ? static_cast<double>(src.ints[first + i])
+                           : src.doubles[first + i]);
+      });
+      break;
+    case DataType::kText: {
+      // The frame's dictionary in first-use order; a cell sharing the
+      // previous cell's string skips the lookup.
+      codes_.assign(n, 0);
+      dict_.clear();
+      lookup_.clear();
+      const TextRef* prev = nullptr;
+      std::uint32_t prev_code = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (!valid(i)) continue;
+        const TextRef& t = *src.texts[first + i];
+        if (prev == nullptr || !t.same_ref(*prev)) {
+          const auto [it, added] = lookup_.try_emplace(
+              std::string_view(t.str()),
+              static_cast<std::uint32_t>(dict_.size()));
+          if (added) dict_.push_back(it->first);
+          prev = &t;
+          prev_code = it->second;
+        }
+        codes_[i] = prev_code;
+      }
+      put_u32(buf_, static_cast<std::uint32_t>(dict_.size()));
+      for (const std::string_view s : dict_) put_string(buf_, s);
+      const std::size_t codes_at = buf_.size();
+      buf_.resize(codes_at + 4 * n);
+      for (std::size_t i = 0; i < n; ++i) {
+        store_u32(buf_.data() + codes_at + 4 * i, codes_[i]);
+      }
+      break;
+    }
+    case DataType::kNull:
+      break;
+  }
 }
 
 void WalWriter::on_widen(const std::string& table, const Schema& wider) {
-  std::string p;
-  put_u8(p, static_cast<std::uint8_t>(RecordType::kWiden));
-  put_string(p, table);
-  put_schema(p, wider);
-  write_frame(p);
-  ++stats_.frames;
-  dirty_ = true;
+  begin_frame(static_cast<std::uint8_t>(RecordType::kWiden));
+  put_string(buf_, table);
+  put_schema(buf_, wider);
+  journal_frame();
 }
 
 std::uint64_t WalWriter::commit() {
   if (!dirty_) return commit_id_;
   ++commit_id_;
-  std::string p;
-  put_u8(p, static_cast<std::uint8_t>(RecordType::kCommit));
-  put_u64(p, commit_id_);
-  write_frame(p);
+  begin_frame(static_cast<std::uint8_t>(RecordType::kCommit));
+  put_u64(buf_, commit_id_);
+  write_frame();
   // The flush is the WAL's durability point — its host-side latency is the
   // "fsync cost" a deployment would pay per commit.
   const auto t0 = std::chrono::steady_clock::now();
@@ -296,14 +458,19 @@ ReplayStats replay(const std::filesystem::path& path, Database& db) {
   };
   std::string buf;
   {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in) return stats;  // no log: nothing since the snapshot
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    buf = ss.str();
+    const std::streamoff size = in.tellg();
+    buf.resize(size > 0 ? static_cast<std::size_t>(size) : 0);
+    in.seekg(0);
+    in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
+    buf.resize(static_cast<std::size_t>(std::max<std::streamsize>(
+        0, in.gcount())));  // a short read bounds the log like a torn tail
   }
+  const std::uint8_t version =
+      buf.size() > 4 ? static_cast<std::uint8_t>(buf[4]) : 0;
   if (buf.size() < kHeaderBytes || std::memcmp(buf.data(), kMagic, 4) != 0 ||
-      static_cast<std::uint8_t>(buf[4]) != kWalVersion) {
+      (version != 1 && version != kWalVersion)) {
     warn("wal: bad or truncated header in " +
                              path.string() + " — log ignored");
     return stats;
@@ -372,6 +539,15 @@ ReplayStats replay(const std::filesystem::path& path, Database& db) {
     }
     return false;
   };
+  const auto resumes_past = [&](const std::string& name, std::size_t first,
+                                std::size_t have) {
+    warn("wal: log resumes at row " + std::to_string(first) + " of '" +
+         name + "' but only " + std::to_string(have) +
+         " rows are present — table skipped");
+    broken.push_back(name);
+  };
+  ColumnBatch batch;  // a rows frame's columns, arrays reused frame to frame
+  std::vector<TextRef> dict;
   for (std::size_t fi = 0; fi < last_commit_end; ++fi) {
     const FrameRef& f = frames[fi];
     Cursor c{buf.data(), buf.size(), f.payload_pos + 1};
@@ -429,16 +605,41 @@ ReplayStats replay(const std::filesystem::path& path, Database& db) {
             break;
           }
           if (row_index > t->row_count()) {
-            warn(
-                "wal: log resumes at row " + std::to_string(row_index) +
-                " of '" + name + "' but only " +
-                std::to_string(t->row_count()) +
-                " rows are present — table skipped");
-            broken.push_back(name);
+            resumes_past(name, row_index, t->row_count());
             break;
           }
           t->insert(std::move(row));
           ++stats.inserts_applied;
+          break;
+        }
+        case RecordType::kRows: {
+          const std::string name = c.str();
+          const auto first = static_cast<std::size_t>(c.u64());
+          const std::uint32_t rows = c.u32();
+          c.columns(batch, rows, dict);
+          if (is_broken(name)) break;
+          Table* t = db.find(name);
+          if (t == nullptr) {
+            warn("wal: append to missing table '" + name +
+                 "' — table skipped");
+            broken.push_back(name);
+            break;
+          }
+          // Idempotent by row index: only the rows from row_count() on are
+          // missing.
+          const std::size_t have = t->row_count();
+          if (first > have) {
+            resumes_past(name, first, have);
+            break;
+          }
+          const std::size_t skip = std::min<std::size_t>(have - first, rows);
+          if (skip == rows) {
+            stats.inserts_skipped += rows;  // already in the snapshot
+            break;
+          }
+          t->append(batch, skip, rows);
+          stats.inserts_skipped += skip;
+          stats.inserts_applied += rows - skip;
           break;
         }
         case RecordType::kCommit:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "db/column_batch.h"
 #include "db/sqlengine/vec.h"
 #include "db/table.h"
 #include "db/value.h"
@@ -97,6 +98,57 @@ std::string node_from_table(const std::string& table) {
   const auto us = table.rfind('_');
   return us == std::string::npos ? table : table.substr(us + 1);
 }
+
+/// Writes one table's rows as column chunks of at most kChunkRows rows
+/// (one WAL frame's worth), each appended through Table::append, so the
+/// store and the journal take column ranges instead of boxed rows. One
+/// batch's arrays are reused from chunk to chunk: the transient memory is
+/// one chunk, not the whole flow result. Every column is Int or Text and no
+/// cell is NULL; a row is its cells in column order, then end_row().
+class ChunkWriter {
+ public:
+  static constexpr std::size_t kChunkRows = 4096;
+
+  explicit ChunkWriter(db::Table& t) : table_(t) {
+    batch_.schema = t.schema();
+    batch_.columns.resize(t.column_count());
+    for (std::size_t c = 0; c < t.column_count(); ++c) {
+      batch_.columns[c].type = t.schema()[c].type;
+    }
+  }
+
+  ChunkWriter& text(const db::TextRef& v) {
+    db::ColumnBatch::Column& col = batch_.columns[next_++];
+    col.valid.push_back(1);
+    col.texts.emplace_back(v);
+    return *this;
+  }
+
+  ChunkWriter& integer(std::int64_t v) {
+    db::ColumnBatch::Column& col = batch_.columns[next_++];
+    col.valid.push_back(1);
+    col.ints.push_back(v);
+    return *this;
+  }
+
+  void end_row() {
+    next_ = 0;
+    if (++batch_.rows == kChunkRows) flush();
+  }
+
+  /// Appends the rows written since the last flush.
+  void flush() {
+    if (batch_.rows == 0) return;
+    table_.append(batch_, 0, batch_.rows);
+    for (db::ColumnBatch::Column& col : batch_.columns) col.clear();
+    batch_.rows = 0;
+  }
+
+ private:
+  db::Table& table_;
+  db::ColumnBatch batch_;
+  std::size_t next_ = 0;  ///< the column the next cell goes to
+};
 
 }  // namespace
 
@@ -364,6 +416,8 @@ void Materializer::materialize(const Result& r, db::Database& out) {
     hexes.emplace_back(util::IdCodec::encode(req.req_id));
   }
 
+  ChunkWriter span_rows(spans);
+  ChunkWriter req_rows(reqs);
   for (std::size_t q = 0; q < r.requests.size(); ++q) {
     const RequestRec& req = r.requests[q];
     const db::TextRef& hex = hexes[q];
@@ -388,30 +442,35 @@ void Materializer::materialize(const Result& r, db::Database& out) {
         const auto& [ds, dr] = r.calls[c];
         if (ds >= 0 && dr >= 0 && dr > ds) wait += dr - ds;
       }
-      spans.insert({hex, std::int64_t{s.tier},
-                    table_service[static_cast<std::size_t>(s.table)],
-                    table_node[static_cast<std::size_t>(s.table)],
-                    std::int64_t{s.visit}, std::int64_t{s.ua},
-                    std::int64_t{s.ud},
-                    std::int64_t{s.calls_end - s.calls_begin},
-                    std::int64_t{wait}, std::int64_t{incl},
-                    std::int64_t{excl}});
+      span_rows.text(hex)
+          .integer(s.tier)
+          .text(table_service[static_cast<std::size_t>(s.table)])
+          .text(table_node[static_cast<std::size_t>(s.table)])
+          .integer(s.visit)
+          .integer(s.ua)
+          .integer(s.ud)
+          .integer(s.calls_end - s.calls_begin)
+          .integer(wait)
+          .integer(incl)
+          .integer(excl)
+          .end_row();
     }
 
-    db::Table::Row row = {hex,
-                          std::int64_t{begin},
-                          std::int64_t{end},
-                          std::int64_t{req.rt},
-                          std::int64_t{req.completed},
-                          std::int64_t{req.span_end - req.span_begin},
-                          static_cast<std::int64_t>(distinct_tiers),
-                          std::int64_t{req.complete ? 1 : 0}};
+    req_rows.text(hex)
+        .integer(begin)
+        .integer(end)
+        .integer(req.rt)
+        .integer(req.completed)
+        .integer(req.span_end - req.span_begin)
+        .integer(static_cast<std::int64_t>(distinct_tiers))
+        .integer(req.complete ? 1 : 0);
     for (std::size_t tier = 0; tier < r.tiers; ++tier) {
-      row.push_back(
-          std::int64_t{r.tier_exclusive(req, static_cast<int>(tier))});
+      req_rows.integer(r.tier_exclusive(req, static_cast<int>(tier)));
     }
-    reqs.insert(std::move(row));
+    req_rows.end_row();
   }
+  span_rows.flush();
+  req_rows.flush();
 
   spans.seal_all();
   reqs.seal_all();

@@ -16,8 +16,8 @@ struct RecoveryStats {
   std::size_t tables_skipped = 0;  ///< corrupt snapshot files skipped
   std::uint64_t wal_frames_applied = 0;
   std::uint64_t wal_frames_discarded = 0;  ///< valid but uncommitted frames
-  std::uint64_t wal_inserts_applied = 0;
-  std::uint64_t wal_inserts_skipped = 0;  ///< idempotent replay skips
+  std::uint64_t wal_inserts_applied = 0;  ///< rows replayed
+  std::uint64_t wal_inserts_skipped = 0;  ///< rows already held (idempotent)
   std::uint64_t wal_torn_bytes = 0;       ///< torn tail truncated off the log
   /// The commit the recovered warehouse corresponds to: every mutation up
   /// to this group commit is present, nothing after it is. 0 = no commit

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
 #include <filesystem>
+#include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -101,6 +106,91 @@ TEST(RingBuffer, DropNewestDiscardsIncomingAndCounts) {
   EXPECT_EQ(buf.pop()->data, "1\n");
   EXPECT_EQ(buf.pop()->data, "2\n");
   EXPECT_EQ(buf.pop()->data, "3\n");
+}
+
+TEST(RingBuffer, GrowsOnDemandLikeABoundedQueue) {
+  // The ring allocates as it fills; against a std::deque bounded by the same
+  // capacity, seeded runs of push / pop / clear must agree on every popped
+  // record, the size, the free slots and every Stats field. Fill phases push
+  // four times in five and drain phases once in four (and clear now and
+  // then), so the ring grows while its head sits mid-array (wrap-around)
+  // and overflows at its capacity.
+  for (const OverflowPolicy policy :
+       {OverflowPolicy::kBlock, OverflowPolicy::kDropOldest,
+        OverflowPolicy::kDropNewest}) {
+    for (const std::size_t capacity : {1, 3, 17, 100, 4096}) {
+      for (const std::uint64_t seed : {1, 2}) {
+        SCOPED_TRACE(std::string(collector::to_string(policy)) +
+                     ", capacity " + std::to_string(capacity) + ", seed " +
+                     std::to_string(seed));
+        RingBuffer ring(capacity, policy);
+        std::deque<Record> model;
+        RingBuffer::Stats want;
+        std::mt19937_64 rng(seed * 1000 + capacity);
+        std::uint64_t next = 0;
+        const std::size_t phase = 2 * capacity + 50;
+        for (std::size_t op = 0; op < 4 * phase; ++op) {
+          const bool filling = (op / phase) % 2 == 0;
+          const std::uint64_t roll = rng() % 100;
+          if (!filling && roll < 2) {
+            ASSERT_EQ(ring.clear(), model.size());
+            model.clear();
+          } else if (roll < (filling ? 80u : 25u)) {
+            Record r;
+            r.file = "f" + std::to_string(next % 3);
+            r.offset = next;
+            r.data = std::string(next % 40, static_cast<char>('a' + next % 26));
+            ++next;
+            bool accepted = true;
+            if (model.size() == capacity) {
+              switch (policy) {
+                case OverflowPolicy::kBlock:
+                  ++want.blocked;
+                  accepted = false;
+                  break;
+                case OverflowPolicy::kDropNewest:
+                  ++want.dropped_newest;
+                  break;
+                case OverflowPolicy::kDropOldest:
+                  ++want.dropped_oldest;
+                  model.pop_front();
+                  model.push_back(r);
+                  ++want.pushed;
+                  break;
+              }
+            } else {
+              model.push_back(r);
+              ++want.pushed;
+            }
+            want.peak_depth = std::max(want.peak_depth, model.size());
+            ASSERT_EQ(ring.push(std::move(r)), accepted);
+          } else {
+            const std::optional<Record> got = ring.pop();
+            ASSERT_EQ(got.has_value(), !model.empty());
+            if (got) {
+              ASSERT_EQ(got->file, model.front().file);
+              ASSERT_EQ(got->offset, model.front().offset);
+              ASSERT_EQ(got->data, model.front().data);
+              model.pop_front();
+              ++want.popped;
+            }
+          }
+          ASSERT_EQ(ring.size(), model.size());
+          ASSERT_EQ(ring.empty(), model.empty());
+          ASSERT_EQ(ring.capacity(), capacity);
+          ASSERT_EQ(ring.free_slots(), capacity - model.size());
+          const RingBuffer::Stats& got = ring.stats();
+          ASSERT_EQ(got.pushed, want.pushed);
+          ASSERT_EQ(got.popped, want.popped);
+          ASSERT_EQ(got.dropped_oldest, want.dropped_oldest);
+          ASSERT_EQ(got.dropped_newest, want.dropped_newest);
+          ASSERT_EQ(got.blocked, want.blocked);
+          ASSERT_EQ(got.peak_depth, want.peak_depth);
+        }
+        EXPECT_EQ(want.peak_depth, capacity) << "the run should fill the ring";
+      }
+    }
+  }
 }
 
 // --- LogTailer: write-observer tailing -------------------------------------

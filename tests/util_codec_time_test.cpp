@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "util/crc32c.h"
 #include "util/id_codec.h"
 #include "util/rng.h"
 #include "util/time_format.h"
@@ -85,6 +89,36 @@ TEST(TimeFormat, MysqlRoundTripMicroseconds) {
 TEST(TimeFormat, UsecStringIsAbsolute) {
   EXPECT_EQ(TimeFormat::usec_string(0),
             std::to_string(TimeFormat::kEpochUnixSec * kSec));
+}
+
+/// CRC32C straight from its definition: one bit at a time.
+std::uint32_t crc32c_bitwise(std::uint32_t crc, const std::string& s) {
+  std::uint32_t c = ~crc;
+  for (const char ch : s) {
+    c ^= static_cast<std::uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (c >> 1) ^ 0x82F63B78u : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(Crc32c, SlicedMatchesTheBitwiseDefinition) {
+  EXPECT_EQ(Crc32c::of("123456789"), 0xE3069283u);  // the standard check
+  EXPECT_EQ(Crc32c::of(""), 0u);
+  std::string bytes;
+  for (int i = 0; i < 80; ++i) bytes.push_back(static_cast<char>(i * 37 + 11));
+  // Every length at every alignment, so the 8-byte loop and the byte tail
+  // both run from every offset; extend() across every split point.
+  for (std::size_t at = 0; at < 8; ++at) {
+    for (std::size_t n = 0; at + n <= bytes.size(); ++n) {
+      const std::string s = bytes.substr(at, n);
+      ASSERT_EQ(Crc32c::of(s), crc32c_bitwise(0, s)) << at << "+" << n;
+    }
+  }
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    const std::uint32_t head = Crc32c::of(bytes.data(), cut);
+    ASSERT_EQ(Crc32c::extend(head, bytes.data() + cut, bytes.size() - cut),
+              Crc32c::of(bytes));
+  }
 }
 
 }  // namespace

@@ -7,20 +7,29 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "catalog_equal.h"
 #include "core/milliscope.h"
 #include "core/online_collection.h"
 #include "crash_at_injector.h"
+#include "db/column_batch.h"
 #include "db/database.h"
 #include "db/wal/wal.h"
+#include "flow/materializer.h"
 #include "scratch_dir.h"
 #include "transform/warehouse_io.h"
+#include "util/crc32c.h"
 #include "util/io_file.h"
 
 namespace mscope {
@@ -68,6 +77,144 @@ db::Schema wide_schema() {
           {"val", db::DataType::kDouble},
           {"tag", db::DataType::kText}};
 }
+
+std::string file_bytes(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void write_file(const fs::path& p, const std::string& bytes) {
+  std::ofstream out(p, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// A batch of `rows` rows in column form: id Int (row index), d Double
+/// (-0.0 every 10th row, one NaN, NULL every 13th), w Int (NULL every 7th;
+/// mixed_schema() stores it as Double), tag Text (three values, NULL every
+/// 11th).
+db::ColumnBatch mixed_batch(std::size_t rows) {
+  db::ColumnBatch b;
+  b.schema = {{"id", db::DataType::kInt},
+              {"d", db::DataType::kDouble},
+              {"w", db::DataType::kInt},
+              {"tag", db::DataType::kText}};
+  b.rows = rows;
+  b.columns.resize(4);
+  for (std::size_t c = 0; c < 4; ++c) b.columns[c].type = b.schema[c].type;
+  const db::TextRef tags[] = {db::TextRef("read"), db::TextRef("write"),
+                              db::TextRef("sync")};
+  for (std::size_t r = 0; r < rows; ++r) {
+    const auto i = static_cast<std::int64_t>(r);
+    b.columns[0].valid.push_back(1);
+    b.columns[0].ints.push_back(i);
+    b.columns[1].valid.push_back(r % 13 == 4 ? 0 : 1);
+    b.columns[1].doubles.push_back(
+        r % 10 == 0 ? -0.0
+        : r == 77   ? std::numeric_limits<double>::quiet_NaN()
+                    : static_cast<double>(i) * 0.25);
+    b.columns[2].valid.push_back(r % 7 == 3 ? 0 : 1);
+    b.columns[2].ints.push_back(i * 1000 + 1);
+    b.columns[3].valid.push_back(r % 11 == 5 ? 0 : 1);
+    b.columns[3].texts.push_back(r % 11 == 5 ? std::nullopt
+                                             : std::optional(tags[r % 3]));
+  }
+  return b;
+}
+
+/// The table mixed_batch() appends into: its w column is Double.
+db::Schema mixed_schema() {
+  return {{"id", db::DataType::kInt},
+          {"d", db::DataType::kDouble},
+          {"w", db::DataType::kDouble},
+          {"tag", db::DataType::kText}};
+}
+
+/// A version-1 log built by hand: the format before column-range frames,
+/// with one boxed row per insert frame.
+class V1Log {
+ public:
+  explicit V1Log(std::uint64_t base_commit_id) {
+    bytes_ = "MWAL";
+    bytes_.push_back(1);
+    u64(bytes_, base_commit_id);
+  }
+
+  void create(const std::string& name, const db::Schema& schema) {
+    std::string p(1, 1);
+    str(p, name);
+    put_schema(p, schema);
+    frame(p);
+  }
+  void drop(const std::string& name) {
+    std::string p(1, 2);
+    str(p, name);
+    frame(p);
+  }
+  void widen(const std::string& name, const db::Schema& wider) {
+    std::string p(1, 3);
+    str(p, name);
+    put_schema(p, wider);
+    frame(p);
+  }
+  void insert(const std::string& name, std::uint64_t row_index,
+              const db::Table::Row& row) {
+    std::string p(1, 4);
+    str(p, name);
+    u64(p, row_index);
+    u32(p, static_cast<std::uint32_t>(row.size()));
+    for (const db::Value& v : row) {
+      p.push_back(static_cast<char>(db::type_of(v)));
+      switch (db::type_of(v)) {
+        case db::DataType::kNull: break;
+        case db::DataType::kInt:
+          u64(p, static_cast<std::uint64_t>(std::get<std::int64_t>(v)));
+          break;
+        case db::DataType::kDouble: {
+          std::uint64_t bits;
+          const double d = std::get<double>(v);
+          std::memcpy(&bits, &d, sizeof(bits));
+          u64(p, bits);
+          break;
+        }
+        case db::DataType::kText: str(p, std::get<db::TextRef>(v).str()); break;
+      }
+    }
+    frame(p);
+  }
+  void commit(std::uint64_t id) {
+    std::string p(1, 5);
+    u64(p, id);
+    frame(p);
+  }
+
+  [[nodiscard]] const std::string& bytes() const { return bytes_; }
+
+ private:
+  static void u32(std::string& b, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) b.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  static void u64(std::string& b, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) b.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  static void str(std::string& b, const std::string& s) {
+    u32(b, static_cast<std::uint32_t>(s.size()));
+    b += s;
+  }
+  static void put_schema(std::string& b, const db::Schema& schema) {
+    u32(b, static_cast<std::uint32_t>(schema.size()));
+    for (const auto& c : schema) {
+      str(b, c.name);
+      b.push_back(static_cast<char>(c.type));
+    }
+  }
+  void frame(const std::string& payload) {
+    u32(bytes_, static_cast<std::uint32_t>(payload.size()));
+    u32(bytes_, util::Crc32c::of(payload));
+    bytes_ += payload;
+  }
+
+  std::string bytes_;
+};
 
 // --- WAL unit tests ---------------------------------------------------------
 
@@ -256,6 +403,134 @@ TEST(Wal, RecoverTruncatesLogSoAppendsCanResume) {
   fs::remove_all(dir);
 }
 
+TEST(Wal, Version1LogStillReplays) {
+  const fs::path dir = test::fresh_scratch_dir("wal_v1");
+  // The same mutations, applied directly and written as a v1 log.
+  db::Database live;
+  V1Log log(0);
+  const auto insert = [&](const std::string& name, db::Table::Row row) {
+    db::Table& t = live.get(name);
+    log.insert(name, t.row_count(), row);
+    t.insert(std::move(row));
+  };
+  live.create_table("ev_t", narrow_schema());
+  log.create("ev_t", narrow_schema());
+  for (std::int64_t i = 0; i < 5; ++i) {
+    insert("ev_t", {db::Value{i}, db::Value{i * 7}});
+  }
+  ASSERT_TRUE(live.get("ev_t").try_widen(wide_schema()));
+  log.widen("ev_t", wide_schema());
+  insert("ev_t", {db::Value{std::int64_t{5}}, db::Value{-0.0},
+                  db::Value{db::TextRef("x")}});
+  insert("ev_t", {db::Value{std::int64_t{6}}, db::Value{}, db::Value{}});
+  insert("ev_t", {db::Value{std::int64_t{7}}, db::Value{2.5},
+                  db::Value{db::TextRef("x")}});
+  live.create_table("doomed", narrow_schema());
+  log.create("doomed", narrow_schema());
+  live.drop("doomed");
+  log.drop("doomed");
+  log.commit(1);
+  // Past the last commit: never replayed.
+  log.insert("ev_t", 8, {db::Value{std::int64_t{8}}, db::Value{1.0},
+                         db::Value{}});
+  write_file(WarehouseIO::wal_path(dir), log.bytes());
+
+  db::Database recovered;
+  const db::wal::ReplayStats rs =
+      db::wal::replay(WarehouseIO::wal_path(dir), recovered);
+  EXPECT_TRUE(rs.warnings.empty());
+  EXPECT_EQ(rs.commits_seen, 1u);
+  EXPECT_EQ(rs.last_commit_id, 1u);
+  EXPECT_EQ(rs.inserts_applied, 8u);
+  EXPECT_EQ(rs.frames_applied, 12u);
+  EXPECT_EQ(rs.frames_discarded, 1u);
+  EXPECT_FALSE(recovered.exists("doomed"));
+  test::expect_identical_catalogs(recovered, live);
+  EXPECT_TRUE(std::signbit(std::get<double>(recovered.get("ev_t").at(5, 1))));
+  fs::remove_all(dir);
+}
+
+TEST(Wal, InsertAndOneRowAppendWriteTheSameBytes) {
+  const fs::path dir = test::fresh_scratch_dir("wal_one_row");
+  const db::ColumnBatch batch = mixed_batch(12);
+  const auto log_of = [&](bool by_insert) {
+    const fs::path path = dir / (by_insert ? "insert.wal" : "append.wal");
+    db::Database db;
+    db::wal::WalWriter wal(path);
+    db.set_journal(&wal);
+    db::Table& t = db.create_table("ev_m", mixed_schema());
+    for (std::size_t r = 0; r < batch.rows; ++r) {
+      if (by_insert) {
+        db::Table::Row row;
+        for (std::size_t c = 0; c < batch.columns.size(); ++c) {
+          row.push_back(batch.cell(r, c));
+        }
+        t.insert(std::move(row));
+      } else {
+        t.append(batch, r, r + 1);
+      }
+    }
+    wal.commit();
+    db.set_journal(nullptr);
+    return file_bytes(path);
+  };
+  const std::string inserted = log_of(true);
+  EXPECT_GT(inserted.size(), 100u);
+  EXPECT_EQ(inserted, log_of(false));
+  fs::remove_all(dir);
+}
+
+TEST(Wal, LargeAppendOverlappingSnapshotReplaysOnlyMissingRows) {
+  const fs::path dir = test::fresh_scratch_dir("wal_large_append");
+  const db::ColumnBatch batch = mixed_batch(10'000);
+  db::Database live;
+  {
+    db::wal::WalWriter wal(WarehouseIO::wal_path(dir));
+    live.set_journal(&wal);
+    live.create_table("ev_m", mixed_schema()).append(batch, 0, batch.rows);
+    // create + three frames of at most kMaxFrameRows rows
+    EXPECT_EQ(wal.stats().frames, 4u);
+    wal.commit();
+    live.set_journal(nullptr);
+  }
+  // A snapshot holding rows [0, 6000): its boundary falls inside the second
+  // frame (rows [4096, 8192)).
+  {
+    db::Database older;
+    older.create_table("ev_m", mixed_schema()).append(batch, 0, 6000);
+    WarehouseIO::save_snapshot(older, dir);
+  }
+  db::Database recovered;
+  const RecoveryStats rs = WarehouseIO::recover(recovered, dir);
+  EXPECT_TRUE(rs.warnings.empty());
+  EXPECT_EQ(rs.last_commit_id, 1u);
+  EXPECT_EQ(rs.wal_inserts_skipped, 6000u);
+  EXPECT_EQ(rs.wal_inserts_applied, 4000u);
+  test::expect_identical_catalogs(recovered, live);
+  fs::remove_all(dir);
+}
+
+TEST(Wal, ResumeRefusesAnOlderLog) {
+  const fs::path dir = test::fresh_scratch_dir("wal_resume_v1");
+  const fs::path path = WarehouseIO::wal_path(dir);
+  V1Log log(3);
+  log.create("ev_t", narrow_schema());
+  log.insert("ev_t", 0, {db::Value{std::int64_t{1}}, db::Value{std::int64_t{2}}});
+  log.commit(4);
+  write_file(path, log.bytes());
+  EXPECT_THROW(db::wal::WalWriter(path, 4, /*append=*/true),
+               std::runtime_error);
+  EXPECT_EQ(file_bytes(path), log.bytes());  // left as it was
+  // Not a log at all: refused too.
+  write_file(path, "MW");
+  EXPECT_THROW(db::wal::WalWriter(path, 4, /*append=*/true),
+               std::runtime_error);
+  // A version-2 log resumes.
+  { db::wal::WalWriter fresh(path, 4); }
+  EXPECT_NO_THROW(db::wal::WalWriter(path, 4, /*append=*/true));
+  fs::remove_all(dir);
+}
+
 // --- crash-point matrix -----------------------------------------------------
 
 /// Counts the durability layer's physical operations without failing any —
@@ -269,8 +544,8 @@ struct CountingInjector final : FaultInjector {
 };
 
 /// The deterministic mutation driver: every kind of journaled mutation
-/// (create, insert, widen, drop + recreate, static-table rows), group
-/// commits, and two mid-run checkpoints. Records the rendered warehouse at
+/// (create, insert, a multi-frame append, widen, drop + recreate,
+/// static-table rows), group commits, and two mid-run checkpoints. Records the rendered warehouse at
 /// every commit id so a crashed run can be checked for exactness. Returns
 /// normally or via CrashError.
 std::map<std::uint64_t, DbState> run_driver(const fs::path& dir) {
@@ -306,6 +581,15 @@ std::map<std::uint64_t, DbState> run_driver(const fs::path& dir) {
   db.create_table("ev_b", wide_schema());
   db.get("ev_b").insert(
       {db::Value{std::int64_t{2}}, db::Value{0.5}, db::Value{db::TextRef("y")}});
+  commit_and_record();
+
+  // One append of two frames (NULLs, -0.0, NaN, Int cells into a Double
+  // column, text), so kills and torn writes land inside batch frames.
+  db::Table& t3 = db.create_table("ev_c", mixed_schema());
+  const db::ColumnBatch batch = mixed_batch(db::wal::kMaxFrameRows + 300);
+  t3.append(batch, 0, batch.rows);
+  t3.insert({db::Value{std::int64_t{-1}}, db::Value{-0.0},
+             db::Value{std::int64_t{3}}, db::Value{}});
   commit_and_record();
 
   WarehouseIO::checkpoint(db, dir, wal);
@@ -395,6 +679,46 @@ TEST(DurableCollection, FinishedRunRecoversIdentically) {
   const RecoveryStats rs = WarehouseIO::recover(recovered, dur_dir);
   EXPECT_TRUE(rs.warnings.empty());
   EXPECT_EQ(db_state(recovered), db_state(live));
+  fs::remove_all(dur_dir);
+}
+
+TEST(DurableCollection, FlowTablesRecoverIdentically) {
+  // mScopeBench's online_durable check: after finish() checkpoints, the flow
+  // tables land through the WAL alone, are committed, and recover.
+  core::TestbedConfig cfg;
+  cfg.workload = 1200;
+  cfg.duration = util::sec(5);
+  cfg.log_dir = test::scratch_dir("durable_flow_logs");
+  cfg.capture_messages = false;
+
+  const fs::path dur_dir = test::fresh_scratch_dir("wal_collection_flow");
+  core::Experiment exp(cfg);
+  db::Database live;
+  core::OnlineCollection::Config oc;
+  oc.durability = core::OnlineCollection::Config::Durability{
+      .dir = dur_dir, .commit_interval = 500 * util::kMsec,
+      .checkpoint_every = 4};
+  const auto online = exp.start_online(live, nullptr, oc);
+  exp.run();
+  online->finish();
+  fs::remove_all(cfg.log_dir);
+
+  const flow::Result flows =
+      flow::Materializer(live, flow::Deployment::from(
+                                   exp.tables(), core::Testbed::services()))
+          .run();
+  ASSERT_GT(flows.spans.size(), db::wal::kMaxFrameRows)
+      << "the spans table should take more than one chunk";
+  flow::Materializer::materialize(flows, live);
+  online->wal()->commit();
+
+  db::Database recovered;
+  const RecoveryStats rs = WarehouseIO::recover(recovered, dur_dir);
+  EXPECT_TRUE(rs.warnings.empty());
+  EXPECT_EQ(rs.last_commit_id, online->wal()->last_commit_id());
+  EXPECT_EQ(rs.wal_inserts_applied,
+            flows.spans.size() + flows.requests.size());
+  test::expect_identical_catalogs(recovered, live);
   fs::remove_all(dur_dir);
 }
 
