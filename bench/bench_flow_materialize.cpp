@@ -1,6 +1,6 @@
 // mScopeFlow bulk materializer throughput: reconstructs every request's
 // causal path in one columnar pass and races it against the per-ID
-// TraceReconstructor oracle over the same warehouse. The tentpole claim:
+// TraceReconstructor oracle (tests/oracle/) over the same warehouse. The tentpole claim:
 // cell-identical output at >= 50x the oracle's throughput on a 50k-request
 // run. The oracle is O(ids x rows) — running it over all 50k ids would take
 // minutes — so it is timed over a deterministic sample of ids, verified
@@ -20,10 +20,10 @@
 #include <cstring>
 #include <random>
 
-#include "core/trace.h"
 #include "db/database.h"
 #include "flow/attribution.h"
 #include "flow/materializer.h"
+#include "oracle/trace_reconstructor.h"
 #include "util/id_codec.h"
 
 using namespace mscope;

@@ -201,19 +201,16 @@ void load_archive(db::Database& db, const std::string& dir) {
 void print_report(const db::Database& db, util::SimTime horizon) {
   std::vector<std::string> services;
   const core::Diagnoser::Tables tables = discover_tables(db, &services);
-  std::vector<std::string> flat_events;
-  for (const auto& group : tables.event_tables) {
-    flat_events.push_back(group.front());
-  }
   core::Diagnoser diagnoser(db, tables);
   const auto pit = diagnoser.pit(horizon);
   const auto diagnoses = diagnoser.diagnose(horizon);
-  const auto contributions =
-      core::tier_contributions(db, flat_events, services);
+  const auto contributions = flow::tier_contributions(
+      flow::Materializer(db, flow::Deployment::from(tables, services)).run());
   std::printf("%s", core::render_report(diagnoses, pit, contributions).c_str());
 
   // Which pages suffer: per-interaction breakdown with VLRT share.
-  const auto breakdown = core::interaction_breakdown(db, flat_events.front());
+  const auto breakdown =
+      core::interaction_breakdown(db, tables.event_tables.front().front());
   if (!breakdown.empty()) {
     std::printf("\ntop interactions (count / mean ms / max ms / VLRTs):\n");
     for (std::size_t i = 0; i < breakdown.size() && i < 8; ++i) {
@@ -429,7 +426,8 @@ void print_meta_tables(const db::Database& db) {
 }
 
 /// Renders one request's Fig. 5 happens-before diagram from an archived
-/// warehouse (previously only reachable via the trace_anatomy example).
+/// warehouse, read off the bulk flow result (which materializes every
+/// request's spans: linear time, memory growing with the span count).
 int cmd_trace(const Args& a) {
   if (a.archive.empty() || a.sql.empty()) {
     usage();
@@ -450,22 +448,21 @@ int cmd_trace(const Args& a) {
   load_archive(db, a.archive);
   std::vector<std::string> services;
   const core::Diagnoser::Tables tables = discover_tables(db, &services);
-  const auto recon =
-      core::TraceReconstructor::for_groups(db, tables.event_tables, services);
-  const auto trace = recon.reconstruct(*id);
-  if (!trace) {
+  const flow::Result result =
+      flow::Materializer(db, flow::Deployment::from(tables, services)).run();
+  const flow::RequestRec* req = result.find(*id);
+  if (req == nullptr) {
     std::fprintf(stderr, "request %s not found in %s\n",
                  util::IdCodec::encode(*id).c_str(), a.archive.c_str());
     return 1;
   }
-  std::printf("%s", core::TraceReconstructor::render(*trace).c_str());
+  const core::Trace trace = result.trace(*req);
+  std::printf("%s", core::render(trace).c_str());
   std::printf("response time %.3f ms; per-tier exclusive:",
-              util::to_msec(trace->response_time()));
+              util::to_msec(trace.response_time()));
   for (std::size_t tier = 0; tier < services.size(); ++tier) {
-    util::SimTime excl = 0;
-    for (const auto& s : trace->spans) {
-      if (s.tier == static_cast<int>(tier)) excl += s.exclusive_time();
-    }
+    const util::SimTime excl =
+        result.tier_exclusive(*req, static_cast<int>(tier));
     std::printf(" %s %.3f ms%s", services[tier].c_str(), util::to_msec(excl),
                 tier + 1 < services.size() ? " |" : "\n");
   }
@@ -511,9 +508,7 @@ int cmd_flow(const Args& a) {
                 util::to_msec(worst->begin), worst->slowest.size());
     for (const std::uint32_t idx : worst->slowest) {
       std::printf("%s",
-                  core::TraceReconstructor::render(
-                      result.trace(result.requests[idx]))
-                      .c_str());
+                  core::render(result.trace(result.requests[idx])).c_str());
     }
   }
   return 0;

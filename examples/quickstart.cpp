@@ -8,6 +8,8 @@
 #include <cstdio>
 
 #include "core/milliscope.h"
+#include "core/trace.h"
+#include "flow/materializer.h"
 
 using namespace mscope;
 
@@ -62,14 +64,16 @@ int main() {
     }
   }
 
-  // 5. Reconstruct one request's causal path (paper Fig. 5).
-  auto tr = exp.traces(db);
-  const auto ids = tr.request_ids();
-  if (!ids.empty()) {
-    if (const auto trace = tr.reconstruct(ids[ids.size() / 2])) {
-      std::printf("\nexample causal path:\n%s",
-                  core::TraceReconstructor::render(*trace).c_str());
-    }
+  // 5. Reconstruct every request's causal path (paper Fig. 5) by joining
+  //    the event tables on the propagated request ID; show one.
+  const flow::Result flows =
+      flow::Materializer(
+          db, flow::Deployment::from(exp.tables(), core::Testbed::services()))
+          .run();
+  if (!flows.requests.empty()) {
+    const flow::RequestRec& req = flows.requests[flows.requests.size() / 2];
+    std::printf("\nexample causal path:\n%s",
+                core::render(flows.trace(req)).c_str());
   }
   return 0;
 }

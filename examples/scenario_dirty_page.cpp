@@ -8,6 +8,8 @@
 
 #include "core/milliscope.h"
 #include "core/report.h"
+#include "flow/attribution.h"
+#include "flow/materializer.h"
 
 using namespace mscope;
 
@@ -73,9 +75,10 @@ int main() {
 
   // Step 4: the automated verdict.
   const auto diagnoses = exp.diagnoser(db).diagnose(cfg.duration);
-  const auto contributions = core::tier_contributions(
-      db, exp.event_tables(),
-      {core::Testbed::services().begin(), core::Testbed::services().end()});
+  const auto contributions = flow::tier_contributions(
+      flow::Materializer(
+          db, flow::Deployment::from(exp.tables(), core::Testbed::services()))
+          .run());
   std::printf("\n%s", core::render_report(diagnoses, pit, contributions).c_str());
   return 0;
 }

@@ -7,7 +7,9 @@
 #include <cstdio>
 
 #include "core/milliscope.h"
-#include "core/report.h"
+#include "core/trace.h"
+#include "flow/attribution.h"
+#include "flow/materializer.h"
 #include "util/id_codec.h"
 #include "workload/rubbos.h"
 
@@ -49,26 +51,27 @@ int main() {
     return 1;
   }
 
-  auto tr = exp.traces(db);
-  const auto trace = tr.reconstruct((*slowest)->id);
-  if (!trace) {
+  const flow::Result flows =
+      flow::Materializer(
+          db, flow::Deployment::from(exp.tables(), core::Testbed::services()))
+          .run();
+  const flow::RequestRec* rec = flows.find((*slowest)->id);
+  if (rec == nullptr) {
     std::printf("trace not found in warehouse\n");
     return 1;
   }
+  const core::Trace trace = flows.trace(*rec);
   std::printf("\nslowest request (%.2f ms), reconstructed from the event "
               "tables by joining on the request ID:\n\n%s",
               util::to_msec((*slowest)->response_time()),
-              core::TraceReconstructor::render(*trace).c_str());
+              core::render(trace).c_str());
 
-  const int mismatches =
-      core::TraceReconstructor::compare_with_truth(*trace, **slowest);
+  const int mismatches = core::compare_with_truth(trace, **slowest);
   std::printf("\ntimestamps vs simulator ground truth: %d mismatches\n",
               mismatches);
 
   // Aggregate: which tier contributes the most latency?
-  const auto contributions = core::tier_contributions(
-      db, exp.event_tables(),
-      {core::Testbed::services().begin(), core::Testbed::services().end()});
+  const auto contributions = flow::tier_contributions(flows);
   std::printf("\nper-tier mean exclusive time (all requests):\n");
   for (const auto& c : contributions) {
     std::printf("  %-8s %7.3f ms  (%4.1f%% of path)\n", c.service.c_str(),

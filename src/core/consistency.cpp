@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "core/trace.h"
 
 namespace mscope::core {
 
@@ -22,24 +23,13 @@ std::string WarehouseValidator::Report::summary() const {
 
 namespace {
 
-/// All (ds, dr) downstream windows of one event row (ds_usec/dr_usec or the
-/// Tomcat monitor's dsN/drN columns).
+/// All (ds, dr) downstream windows of one event row.
 std::vector<std::pair<std::int64_t, std::int64_t>> downstream_windows(
-    const db::Table& t, const std::vector<db::Value>& row) {
+    const EventColumns& cols, const std::vector<db::Value>& row) {
   std::vector<std::pair<std::int64_t, std::int64_t>> out;
-  const auto ds = t.column_index("ds_usec");
-  const auto dr = t.column_index("dr_usec");
-  if (ds && dr) {
-    const auto a = db::as_int(row[*ds]);
-    const auto b = db::as_int(row[*dr]);
-    if (a && b) out.emplace_back(*a, *b);
-  }
-  for (int call = 0; call < 64; ++call) {
-    const auto dn = t.column_index("ds" + std::to_string(call) + "_usec");
-    const auto rn = t.column_index("dr" + std::to_string(call) + "_usec");
-    if (!dn || !rn) break;
-    const auto a = db::as_int(row[*dn]);
-    const auto b = db::as_int(row[*rn]);
+  for (const auto& [ds, dr] : cols.calls) {
+    const auto a = db::as_int(row[ds]);
+    const auto b = db::as_int(row[dr]);
     if (a && b) out.emplace_back(*a, *b);
   }
   return out;
@@ -55,9 +45,8 @@ void WarehouseValidator::check_row_order(const db::Catalog& db,
     report.violations.push_back({table, 0, "table missing"});
     return;
   }
-  const auto ua = t->column_index("ua_usec");
-  const auto ud = t->column_index("ud_usec");
-  if (!ua || !ud) {
+  const EventColumns cols = event_columns(*t);
+  if (!cols.ua || !cols.ud) {
     report.violations.push_back({table, 0, "no ua/ud columns"});
     return;
   }
@@ -65,14 +54,14 @@ void WarehouseValidator::check_row_order(const db::Catalog& db,
     if (full(report)) return;
     ++report.rows_checked;
     const std::size_t r = cur.row_id();
-    const auto a = db::as_int(cur.row()[*ua]);
-    const auto d = db::as_int(cur.row()[*ud]);
+    const auto a = db::as_int(cur.row()[*cols.ua]);
+    const auto d = db::as_int(cur.row()[*cols.ud]);
     if (!a || !d) continue;  // baseline rows carry no event timestamps
     if (*a > *d) {
       report.violations.push_back({table, r, "ua > ud"});
       continue;
     }
-    for (const auto& [s, e] : downstream_windows(*t, cur.row())) {
+    for (const auto& [s, e] : downstream_windows(cols, cur.row())) {
       if (s < *a) report.violations.push_back({table, r, "ds < ua"});
       if (e < s) report.violations.push_back({table, r, "dr < ds"});
       if (*d < e) report.violations.push_back({table, r, "ud < dr"});
@@ -91,13 +80,13 @@ void WarehouseValidator::check_nesting(
     const db::Table* p = db.find(pt);
     if (p == nullptr) continue;
     parent_name = pt;
-    const auto rid = p->column_index("req_id");
-    if (!rid) continue;
+    const EventColumns cols = event_columns(*p);
+    if (!cols.req_id) continue;
     for (db::RowCursor cur = p->scan(); cur.next();) {
-      const db::Value& id = cur.row()[*rid];
+      const db::Value& id = cur.row()[*cols.req_id];
       if (db::is_null(id)) continue;
       auto& w = windows[db::value_to_string(id)];
-      for (const auto& win : downstream_windows(*p, cur.row())) {
+      for (const auto& win : downstream_windows(cols, cur.row())) {
         w.push_back(win);
       }
     }
@@ -106,16 +95,14 @@ void WarehouseValidator::check_nesting(
   for (const auto& ct : children) {
     const db::Table* c = db.find(ct);
     if (c == nullptr) continue;
-    const auto rid = c->column_index("req_id");
-    const auto ua = c->column_index("ua_usec");
-    const auto ud = c->column_index("ud_usec");
-    if (!rid || !ua || !ud) continue;
+    const EventColumns cols = event_columns(*c);
+    if (!cols.req_id || !cols.ua || !cols.ud) continue;
     for (db::RowCursor cur = c->scan(); cur.next();) {
       if (full(report)) return;
       const std::size_t r = cur.row_id();
-      const db::Value& id = cur.row()[*rid];
-      const auto a = db::as_int(cur.row()[*ua]);
-      const auto d = db::as_int(cur.row()[*ud]);
+      const db::Value& id = cur.row()[*cols.req_id];
+      const auto a = db::as_int(cur.row()[*cols.ua]);
+      const auto d = db::as_int(cur.row()[*cols.ud]);
       if (db::is_null(id) || !a || !d) continue;
       const auto it = windows.find(db::value_to_string(id));
       if (it == windows.end()) {

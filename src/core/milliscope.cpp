@@ -99,12 +99,6 @@ Diagnoser Experiment::diagnoser(const db::Catalog& db) const {
   return Diagnoser(db, tables());
 }
 
-TraceReconstructor Experiment::traces(const db::Catalog& db) const {
-  std::vector<std::string> services(Testbed::services().begin(),
-                                    Testbed::services().end());
-  return TraceReconstructor(db, event_tables(), services);
-}
-
 sysviz::Reconstructor::Result Experiment::sysviz_reconstruct(
     util::SimTime quantum) const {
   sysviz::Reconstructor::Config rc;

@@ -8,7 +8,6 @@
 #include "core/online_collection.h"
 #include "core/online_detector.h"
 #include "core/testbed.h"
-#include "core/trace.h"
 #include "db/database.h"
 #include "sysviz/reconstructor.h"
 #include "transform/pipeline.h"
@@ -67,9 +66,6 @@ class Experiment {
 
   /// A diagnosis engine bound to this deployment's tables.
   [[nodiscard]] Diagnoser diagnoser(const db::Catalog& db) const;
-
-  /// A trace reconstructor bound to this deployment's tables.
-  [[nodiscard]] TraceReconstructor traces(const db::Catalog& db) const;
 
   /// Runs the SysViz stand-in over the passive capture (paper Fig. 9).
   [[nodiscard]] sysviz::Reconstructor::Result sysviz_reconstruct(

@@ -6,77 +6,6 @@
 
 namespace mscope::core {
 
-std::vector<TierContribution> tier_contributions(
-    const db::Catalog& db, const std::vector<std::string>& event_tables,
-    const std::vector<std::string>& services, util::SimTime t0,
-    util::SimTime t1) {
-  std::vector<TierContribution> out;
-  double total_exclusive = 0.0;
-
-  for (std::size_t tier = 0; tier < event_tables.size(); ++tier) {
-    TierContribution c;
-    c.service = tier < services.size() ? services[tier] : "?";
-    const db::Table* table = db.find(event_tables[tier]);
-    if (table == nullptr) {
-      out.push_back(c);
-      continue;
-    }
-    const auto ua = table->column_index("ua_usec");
-    const auto ud = table->column_index("ud_usec");
-    if (!ua || !ud) {
-      out.push_back(c);
-      continue;
-    }
-    const auto ds = table->column_index("ds_usec");
-    const auto dr = table->column_index("dr_usec");
-    // Tomcat's variable-width columns.
-    std::vector<std::pair<std::size_t, std::size_t>> call_cols;
-    for (int call = 0; call < 64; ++call) {
-      const auto a =
-          table->column_index("ds" + std::to_string(call) + "_usec");
-      const auto b =
-          table->column_index("dr" + std::to_string(call) + "_usec");
-      if (!a || !b) break;
-      call_cols.emplace_back(*a, *b);
-    }
-
-    double sum_excl = 0.0, sum_incl = 0.0;
-    std::size_t n = 0;
-    for (db::RowCursor cur = table->scan(); cur.next();) {
-      const auto a = db::as_int(cur.row()[*ua]);
-      const auto d = db::as_int(cur.row()[*ud]);
-      if (!a || !d) continue;
-      if (t1 > t0 && (*d < t0 || *d >= t1)) continue;
-      const double incl = static_cast<double>(*d - *a);
-      double wait = 0.0;
-      if (ds && dr) {
-        const auto s = db::as_int(cur.row()[*ds]);
-        const auto e = db::as_int(cur.row()[*dr]);
-        if (s && e && *e >= *s) wait += static_cast<double>(*e - *s);
-      }
-      for (const auto& [ci, cj] : call_cols) {
-        const auto s = db::as_int(cur.row()[ci]);
-        const auto e = db::as_int(cur.row()[cj]);
-        if (s && e && *e >= *s) wait += static_cast<double>(*e - *s);
-      }
-      sum_incl += incl;
-      sum_excl += std::max(0.0, incl - wait);
-      ++n;
-    }
-    if (n > 0) {
-      c.mean_exclusive_ms = sum_excl / static_cast<double>(n) / 1000.0;
-      c.mean_inclusive_ms = sum_incl / static_cast<double>(n) / 1000.0;
-      c.visits = n;
-    }
-    total_exclusive += c.mean_exclusive_ms;
-    out.push_back(c);
-  }
-  if (total_exclusive > 0) {
-    for (auto& c : out) c.share = c.mean_exclusive_ms / total_exclusive;
-  }
-  return out;
-}
-
 std::string render_report(const std::vector<Diagnosis>& diagnoses,
                           const PitSeries& pit,
                           const std::vector<TierContribution>& contributions) {

@@ -4,17 +4,16 @@
 #include <vector>
 
 #include "core/analysis.h"
-#include "core/trace.h"
-#include "db/database.h"
 
 namespace mscope::core {
 
-/// Per-tier latency contribution, computed from the event tables: how much
-/// of the end-to-end response time each server spends *exclusively* (its
-/// inclusive visit time minus the time it waits on downstream tiers). The
-/// paper motivates this directly: "to identify the server causing VLRT
-/// requests ... we need to know the contribution of each server to the
-/// response time of each request" (Section IV-A).
+/// Per-tier latency contribution (computed from the request spans by
+/// flow::tier_contributions): how much of the end-to-end response time each
+/// server spends *exclusively* (its inclusive visit time minus the time it
+/// waits on downstream tiers). The paper motivates this directly: "to
+/// identify the server causing VLRT requests ... we need to know the
+/// contribution of each server to the response time of each request"
+/// (Section IV-A).
 struct TierContribution {
   std::string service;
   double mean_exclusive_ms = 0.0;
@@ -22,13 +21,6 @@ struct TierContribution {
   double share = 0.0;  ///< fraction of summed exclusive time
   std::size_t visits = 0;
 };
-
-/// Computes contributions over every record in the event tables, or only
-/// over visits whose upstream departure lies in [t0, t1) when t1 > t0.
-[[nodiscard]] std::vector<TierContribution> tier_contributions(
-    const db::Catalog& db, const std::vector<std::string>& event_tables,
-    const std::vector<std::string>& services, util::SimTime t0 = 0,
-    util::SimTime t1 = 0);
 
 /// Renders a human-readable report of a diagnosis run — the narrative the
 /// paper's Section V case studies walk through: the PIT anomaly, the VSB

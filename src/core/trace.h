@@ -1,18 +1,62 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "db/database.h"
+#include "db/table.h"
 #include "sim/request.h"
 #include "util/simtime.h"
 
 namespace mscope::core {
 
 using util::SimTime;
+
+/// One downstream call of a tier visit: (ds, dr), -1 when absent.
+using Call = std::pair<SimTime, SimTime>;
+
+/// The duration rule every request-level view shares (header-inline so no
+/// hot loop pays a call). A timestamp below 0 is absent. Durations clamp at
+/// 0: under injected clock skew (mScopeChaos) cross-tier timestamps can run
+/// backwards, and a negative duration would poison every aggregate
+/// downstream. span_skewed() flags such spans instead.
+[[nodiscard]] inline SimTime span_inclusive(SimTime ua, SimTime ud) {
+  return (ua >= 0 && ud >= 0) ? std::max<SimTime>(ud - ua, 0) : 0;
+}
+
+/// Time spent waiting on downstream calls; a skewed call (dr < ds) waits 0,
+/// so it cannot *inflate* the exclusive time.
+[[nodiscard]] inline SimTime span_wait(std::span<const Call> calls) {
+  SimTime wait = 0;
+  for (const auto& [ds, dr] : calls) {
+    if (ds >= 0 && dr >= 0 && dr > ds) wait += dr - ds;
+  }
+  return wait;
+}
+
+/// Time spent at a tier excluding downstream waits (the paper's
+/// "contribution of each server to the response time").
+[[nodiscard]] inline SimTime span_exclusive(SimTime ua, SimTime ud,
+                                            std::span<const Call> calls) {
+  return std::max<SimTime>(span_inclusive(ua, ud) - span_wait(calls), 0);
+}
+
+/// True when any timestamp pair runs backwards (ud < ua, or a downstream
+/// return before its send) — the signature of corrupted or clock-skewed
+/// records.
+[[nodiscard]] inline bool span_skewed(SimTime ua, SimTime ud,
+                                      std::span<const Call> calls) {
+  if (ua >= 0 && ud >= 0 && ud < ua) return true;
+  for (const auto& [ds, dr] : calls) {
+    if (ds >= 0 && dr >= 0 && dr < ds) return true;
+  }
+  return false;
+}
 
 /// One tier visit inside a reconstructed trace (the paper's Fig. 5 data).
 struct TraceSpan {
@@ -21,21 +65,16 @@ struct TraceSpan {
   int visit = 0;
   SimTime ua = -1;  ///< Upstream Arrival
   SimTime ud = -1;  ///< Upstream Departure
-  std::vector<std::pair<SimTime, SimTime>> calls;  ///< (ds, dr) pairs
+  std::vector<Call> calls;  ///< (ds, dr) pairs
 
-  /// Time spent at this tier excluding downstream waits (the paper's
-  /// "contribution of each server to the response time").
-  [[nodiscard]] SimTime exclusive_time() const;
-  /// Clamped at 0: under injected clock skew (mScopeChaos) cross-tier
-  /// timestamps can run backwards, and a negative duration would poison
-  /// every aggregate downstream. skewed() flags such spans instead.
-  [[nodiscard]] SimTime inclusive_time() const {
-    return (ua >= 0 && ud >= 0) ? std::max<SimTime>(ud - ua, 0) : 0;
+  // The shared duration rule above, applied to this span.
+  [[nodiscard]] SimTime exclusive_time() const {
+    return span_exclusive(ua, ud, calls);
   }
-  /// True when any timestamp pair of this span runs backwards (ud < ua, or
-  /// a downstream return before its send) — the signature of corrupted or
-  /// clock-skewed records.
-  [[nodiscard]] bool skewed() const;
+  [[nodiscard]] SimTime inclusive_time() const {
+    return span_inclusive(ua, ud);
+  }
+  [[nodiscard]] bool skewed() const { return span_skewed(ua, ud, calls); }
 };
 
 /// A request's full causal path, reconstructed by joining the event tables
@@ -49,43 +88,25 @@ struct Trace {
   [[nodiscard]] SimTime response_time() const;
 };
 
-/// Reconstructs traces from mScopeDB event tables.
-class TraceReconstructor {
- public:
-  /// `event_tables` front-to-back, `services` the matching service names.
-  TraceReconstructor(const db::Catalog& db,
-                     std::vector<std::string> event_tables,
-                     std::vector<std::string> services);
-
-  /// Replica-aware form: `tier_tables[t]` lists every replica's event table
-  /// of tier t (a request visits exactly one replica per tier, so scanning
-  /// the whole group finds its records wherever they landed). The flat
-  /// constructor above is the single-replica special case. A named factory
-  /// rather than an overload: brace-initialized table lists would otherwise
-  /// be ambiguous between the two vector shapes.
-  [[nodiscard]] static TraceReconstructor for_groups(
-      const db::Catalog& db, std::vector<std::vector<std::string>> tier_tables,
-      std::vector<std::string> services);
-
-  /// Reconstructs one request's trace; nullopt if the ID appears nowhere.
-  [[nodiscard]] std::optional<Trace> reconstruct(std::uint64_t req_id) const;
-
-  /// All request IDs present in the front tier's table(s), in row order
-  /// (completion-ordered for a single front replica).
-  [[nodiscard]] std::vector<std::uint64_t> request_ids() const;
-
-  /// Renders a Fig. 5-style happens-before diagram.
-  [[nodiscard]] static std::string render(const Trace& t);
-
-  /// Validates a reconstructed trace against simulator ground truth;
-  /// returns the number of mismatched timestamps (0 = perfect).
-  [[nodiscard]] static int compare_with_truth(const Trace& t,
-                                              const sim::Request& truth);
-
- private:
-  const db::Catalog& db_;
-  std::vector<std::vector<std::string>> tier_tables_;
-  std::vector<std::string> services_;
+/// Column positions of one event table in the layout the event monitors'
+/// transformers write: req_id, visit, ua_usec/ud_usec, and the downstream
+/// calls as one ds_usec/dr_usec pair (Apache, CJDBC) or the Tomcat
+/// monitor's variable-width ds<N>_usec/dr<N>_usec run. Any column may be
+/// absent; callers decide which ones they need.
+struct EventColumns {
+  std::optional<std::size_t> req_id, visit, ua, ud;
+  /// (ds, dr) column pairs in record order.
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
 };
+
+/// Resolves `t`'s event columns once per table.
+[[nodiscard]] EventColumns event_columns(const db::Table& t);
+
+/// Renders a Fig. 5-style happens-before diagram.
+[[nodiscard]] std::string render(const Trace& t);
+
+/// Validates a reconstructed trace against simulator ground truth; returns
+/// the number of mismatched timestamps (0 = perfect).
+[[nodiscard]] int compare_with_truth(const Trace& t, const sim::Request& truth);
 
 }  // namespace mscope::core

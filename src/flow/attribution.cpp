@@ -11,20 +11,6 @@
 namespace mscope::flow {
 namespace {
 
-std::vector<std::string> tier_labels(const Result& r) {
-  std::vector<std::string> labels(r.tiers);
-  for (std::size_t tier = 0; tier < r.tiers; ++tier) {
-    labels[tier] = "t" + std::to_string(tier);
-    for (std::size_t t = 0; t < r.table_tier.size(); ++t) {
-      if (r.table_tier[t] == static_cast<int>(tier)) {
-        labels[tier] = r.table_service[t];
-        break;
-      }
-    }
-  }
-  return labels;
-}
-
 /// Keeps `slowest` as the top-k request indexes by response time, slowest
 /// first (k is tiny, insertion sort is the right tool).
 void keep_slowest(std::vector<std::uint32_t>& slowest, std::size_t k,
@@ -44,7 +30,7 @@ Attribution attribute(const Result& r, SimTime bucket_usec,
                       std::size_t top_k) {
   Attribution a;
   a.bucket_usec = bucket_usec > 0 ? bucket_usec : 1;
-  a.tier_service = tier_labels(r);
+  a.tier_service = r.tier_services();
   if (r.requests.empty()) return a;
 
   SimTime lo = -1;
@@ -96,12 +82,47 @@ Attribution attribute(const Result& r, SimTime bucket_usec,
   return a;
 }
 
+std::vector<core::TierContribution> tier_contributions(const Result& r,
+                                                       SimTime t0,
+                                                       SimTime t1) {
+  const std::vector<std::string> services = r.tier_services();
+  std::vector<SimTime> sum_incl(r.tiers, 0);
+  std::vector<SimTime> sum_excl(r.tiers, 0);
+  std::vector<std::size_t> visits(r.tiers, 0);
+  for (const SpanRec& s : r.spans) {
+    if (s.ua < 0 || s.ud < 0) continue;
+    if (t1 > t0 && (s.ud < t0 || s.ud >= t1)) continue;
+    const auto tier = static_cast<std::size_t>(s.tier);
+    sum_incl[tier] += core::span_inclusive(s.ua, s.ud);
+    sum_excl[tier] += core::span_exclusive(s.ua, s.ud, r.calls_of(s));
+    ++visits[tier];
+  }
+
+  std::vector<core::TierContribution> out(r.tiers);
+  double total_exclusive = 0.0;
+  for (std::size_t tier = 0; tier < r.tiers; ++tier) {
+    core::TierContribution& c = out[tier];
+    c.service = services[tier];
+    if (visits[tier] > 0) {
+      const auto n = static_cast<double>(visits[tier]);
+      c.mean_exclusive_ms = static_cast<double>(sum_excl[tier]) / n / 1000.0;
+      c.mean_inclusive_ms = static_cast<double>(sum_incl[tier]) / n / 1000.0;
+      c.visits = visits[tier];
+    }
+    total_exclusive += c.mean_exclusive_ms;
+  }
+  if (total_exclusive > 0) {
+    for (auto& c : out) c.share = c.mean_exclusive_ms / total_exclusive;
+  }
+  return out;
+}
+
 DrillDown drill_down(const Result& r, SimTime begin, SimTime end,
                      std::size_t exemplars) {
   DrillDown d;
   d.begin = begin;
   d.end = end;
-  d.tier_service = tier_labels(r);
+  d.tier_service = r.tier_services();
   d.tier_inflation_ms.assign(r.tiers, 0);
 
   std::vector<double> in_sum(r.tiers, 0);
@@ -215,7 +236,7 @@ std::string render(const Result& r, const DrillDown& d) {
       out += buf;
     }
     out += "]\n";
-    out += core::TraceReconstructor::render(r.trace(req));
+    out += core::render(r.trace(req));
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/report.h"
 #include "flow/materializer.h"
 
 namespace mscope::flow {
@@ -35,6 +36,15 @@ struct Attribution {
 /// requests are kept per bucket as exemplars.
 [[nodiscard]] Attribution attribute(const Result& r, SimTime bucket_usec,
                                     std::size_t top_k = 3);
+
+/// Per-tier latency contribution read off the spans (paper Section IV-A:
+/// "we need to know the contribution of each server to the response time
+/// of each request"): for each tier, the per-visit mean inclusive and
+/// exclusive time over every span that has both ua and ud — every replica
+/// of the tier counts — or only over spans whose ud lies in [t0, t1) when
+/// t1 > t0. `share` is each tier's fraction of the summed means.
+[[nodiscard]] std::vector<core::TierContribution> tier_contributions(
+    const Result& r, SimTime t0 = 0, SimTime t1 = 0);
 
 /// The anomaly drill-down verdict: which tier's exclusive time inflated
 /// inside an anomaly window relative to the rest of the run, on which node,

@@ -13,36 +13,6 @@
 namespace mscope::flow {
 namespace {
 
-/// Column handles of one event table, resolved once per table instead of
-/// once per row (the per-ID oracle re-resolves them for every span).
-struct EventColumns {
-  std::size_t req_id = 0;
-  std::optional<std::size_t> visit, ua, ud;
-  /// Downstream call pairs in oracle order: the single ds/dr pair
-  /// (Apache, CJDBC) or the Tomcat monitor's variable-width dsN/drN run.
-  std::vector<std::pair<std::size_t, std::size_t>> calls;
-};
-
-std::optional<EventColumns> resolve(const db::Table& t) {
-  const auto rid = t.column_index("req_id");
-  if (!rid) return std::nullopt;
-  EventColumns c;
-  c.req_id = *rid;
-  c.visit = t.column_index("visit");
-  c.ua = t.column_index("ua_usec");
-  c.ud = t.column_index("ud_usec");
-  const auto ds = t.column_index("ds_usec");
-  const auto dr = t.column_index("dr_usec");
-  if (ds && dr) c.calls.emplace_back(*ds, *dr);
-  for (int call = 0; call < 64; ++call) {
-    const auto dsn = t.column_index("ds" + std::to_string(call) + "_usec");
-    const auto drn = t.column_index("dr" + std::to_string(call) + "_usec");
-    if (!dsn || !drn) break;
-    c.calls.emplace_back(*dsn, *drn);
-  }
-  return c;
-}
-
 /// Decodes a request-id cell string exactly the way the per-ID oracle
 /// matches it: the oracle compares against IdCodec::encode(id) (12
 /// uppercase hex), so only strings that round-trip to themselves count —
@@ -82,12 +52,7 @@ struct Emitter {
       if (a && b) out->calls.emplace_back(*a, *b);
     }
     s.calls_end = static_cast<std::uint32_t>(out->calls.size());
-    bool skew = s.ua >= 0 && s.ud >= 0 && s.ud < s.ua;
-    for (std::uint32_t c = s.calls_begin; !skew && c < s.calls_end; ++c) {
-      const auto& [ds, dr] = out->calls[c];
-      skew = ds >= 0 && dr >= 0 && dr < ds;
-    }
-    if (skew) ++out->skewed_spans;
+    if (core::span_skewed(s.ua, s.ud, out->calls_of(s))) ++out->skewed_spans;
     out->spans.push_back(s);
   }
 };
@@ -161,6 +126,20 @@ Deployment Deployment::from(const core::Diagnoser::Tables& t,
   return d;
 }
 
+std::vector<std::string> Result::tier_services() const {
+  std::vector<std::string> labels(tiers);
+  for (std::size_t tier = 0; tier < tiers; ++tier) {
+    labels[tier] = "t" + std::to_string(tier);
+    for (std::size_t t = 0; t < table_tier.size(); ++t) {
+      if (table_tier[t] == static_cast<int>(tier)) {
+        labels[tier] = table_service[t];
+        break;
+      }
+    }
+  }
+  return labels;
+}
+
 core::TraceSpan Result::span(const SpanRec& s) const {
   core::TraceSpan out;
   out.tier = s.tier;
@@ -169,7 +148,8 @@ core::TraceSpan Result::span(const SpanRec& s) const {
   out.visit = s.visit;
   out.ua = s.ua;
   out.ud = s.ud;
-  out.calls.assign(calls.begin() + s.calls_begin, calls.begin() + s.calls_end);
+  const auto c = calls_of(s);
+  out.calls.assign(c.begin(), c.end());
   return out;
 }
 
@@ -194,7 +174,8 @@ const RequestRec* Result::find(std::uint64_t req_id) const {
 SimTime Result::tier_exclusive(const RequestRec& r, int tier) const {
   SimTime sum = 0;
   for (std::uint32_t i = r.span_begin; i < r.span_end; ++i) {
-    if (spans[i].tier == tier) sum += span_exclusive(*this, spans[i]);
+    const SpanRec& s = spans[i];
+    if (s.tier == tier) sum += core::span_exclusive(s.ua, s.ud, calls_of(s));
   }
   return sum;
 }
@@ -209,26 +190,13 @@ const std::string& Result::node_of(const RequestRec& r, int tier) const {
   return kEmpty;
 }
 
-SimTime span_inclusive(const SpanRec& s) {
-  return (s.ua >= 0 && s.ud >= 0) ? std::max<SimTime>(s.ud - s.ua, 0) : 0;
-}
-
-SimTime span_exclusive(const Result& r, const SpanRec& s) {
-  SimTime t = span_inclusive(s);
-  for (std::uint32_t c = s.calls_begin; c < s.calls_end; ++c) {
-    const auto& [ds, dr] = r.calls[c];
-    if (ds >= 0 && dr >= 0 && dr > ds) t -= (dr - ds);
-  }
-  return std::max<SimTime>(t, 0);
-}
-
 Materializer::Materializer(const db::Catalog& db, Deployment dep)
     : db_(db), dep_(std::move(dep)) {}
 
 void Materializer::scan_table(const db::Table& t, std::int32_t flat,
                               Result& out) {
-  const auto cols = resolve(t);
-  if (!cols) return;
+  const core::EventColumns cols = core::event_columns(t);
+  if (!cols.req_id) return;
 
   Emitter emit{&out, out.table_tier[static_cast<std::size_t>(flat)], flat};
 
@@ -238,7 +206,7 @@ void Materializer::scan_table(const db::Table& t, std::int32_t flat,
   // per-ID row scans comes from.
   using db::sqlengine::ColumnVec;
   const db::segment::SegmentStore& store = t.storage();
-  std::vector<ColumnVec> calls(cols->calls.size() * 2);
+  std::vector<ColumnVec> calls(cols.calls.size() * 2);
   ColumnVec visit, ua, ud;
   std::vector<std::uint64_t> dict_id;
   std::vector<char> dict_ok;
@@ -247,14 +215,14 @@ void Materializer::scan_table(const db::Table& t, std::int32_t flat,
     const auto view = [&](std::size_t c) {
       return ColumnVec::from_run(store, run, c);
     };
-    if (cols->visit) visit = view(*cols->visit);
-    if (cols->ua) ua = view(*cols->ua);
-    if (cols->ud) ud = view(*cols->ud);
-    for (std::size_t c = 0; c < cols->calls.size(); ++c) {
-      calls[2 * c] = view(cols->calls[c].first);
-      calls[2 * c + 1] = view(cols->calls[c].second);
+    if (cols.visit) visit = view(*cols.visit);
+    if (cols.ua) ua = view(*cols.ua);
+    if (cols.ud) ud = view(*cols.ud);
+    for (std::size_t c = 0; c < cols.calls.size(); ++c) {
+      calls[2 * c] = view(cols.calls[c].first);
+      calls[2 * c + 1] = view(cols.calls[c].second);
     }
-    const ColumnVec rid = view(cols->req_id);
+    const ColumnVec rid = view(*cols.req_id);
     if (rid.type() == db::DataType::kText) {
       const auto dict = rid.dict();
       dict_id.assign(dict.size(), 0);
@@ -312,7 +280,7 @@ Result Materializer::run() const {
   // Sort-merge on req_id. stable_sort preserves the (tier, table, row)
   // emission order inside each request, and the second per-request pass is
   // the oracle's own (tier, visit) stable sort — so trace(r) comes out
-  // cell-identical to TraceReconstructor::reconstruct(r.req_id).
+  // cell-identical to the per-ID reconstruction of r.req_id.
   std::stable_sort(out.spans.begin(), out.spans.end(),
                    [](const SpanRec& a, const SpanRec& b) {
                      return a.req_id < b.req_id;
@@ -347,7 +315,7 @@ Result Materializer::run() const {
     }
     const SpanRec& front = out.spans[begin];
     if (front.tier == 0) {
-      r.rt = span_inclusive(front);
+      r.rt = core::span_inclusive(front.ua, front.ud);
       r.completed = front.ud >= 0 ? front.ud : max_ud;
     } else {
       r.completed = max_ud;
@@ -389,15 +357,8 @@ void Materializer::materialize(const Result& r, db::Database& out) {
                            {"spans", db::DataType::kInt},
                            {"tiers", db::DataType::kInt},
                            {"complete", db::DataType::kInt}};
-  for (std::size_t tier = 0; tier < r.tiers; ++tier) {
-    // Per-tier exclusive contribution column, named by the tier's service.
-    std::string service = "t" + std::to_string(tier);
-    for (std::size_t t = 0; t < r.table_tier.size(); ++t) {
-      if (r.table_tier[t] == static_cast<int>(tier)) {
-        service = r.table_service[t];
-        break;
-      }
-    }
+  // Per-tier exclusive contribution columns, named by the tier's service.
+  for (const std::string& service : r.tier_services()) {
     req_schema.push_back({"excl_" + service + "_usec", db::DataType::kInt});
   }
   db::Table& reqs = out.create_table(kRequestsTable, std::move(req_schema));
@@ -435,13 +396,10 @@ void Materializer::materialize(const Result& r, db::Database& out) {
         ++distinct_tiers;
       }
 
-      const SimTime incl = span_inclusive(s);
-      const SimTime excl = span_exclusive(r, s);
-      SimTime wait = 0;
-      for (std::uint32_t c = s.calls_begin; c < s.calls_end; ++c) {
-        const auto& [ds, dr] = r.calls[c];
-        if (ds >= 0 && dr >= 0 && dr > ds) wait += dr - ds;
-      }
+      const auto calls = r.calls_of(s);
+      const SimTime incl = core::span_inclusive(s.ua, s.ud);
+      const SimTime excl = core::span_exclusive(s.ua, s.ud, calls);
+      const SimTime wait = core::span_wait(calls);
       span_rows.text(hex)
           .integer(s.tier)
           .text(table_service[static_cast<std::size_t>(s.table)])

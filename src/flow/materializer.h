@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,9 +45,9 @@ struct SpanRec {
   std::uint32_t calls_end = 0;
 };
 
-/// One request: a range of spans (ordered exactly as the per-ID
-/// TraceReconstructor orders them) plus the whole-run aggregates the
-/// attribution layer reads.
+/// One request: a range of spans (ordered exactly as the per-ID oracle in
+/// tests/oracle/ orders them) plus the whole-run aggregates the attribution
+/// layer reads.
 struct RequestRec {
   std::uint64_t req_id = 0;
   std::uint32_t span_begin = 0;  ///< into Result::spans
@@ -57,14 +57,16 @@ struct RequestRec {
   bool complete = false;   ///< every tier contributed at least one span
 };
 
-/// The whole run's causal paths, reconstructed in one pass. Requests are
-/// sorted by req_id; spans are grouped per request, within a request in the
-/// oracle's (tier, visit, row) order, so `trace(r)` is cell-identical to
-/// `TraceReconstructor::reconstruct(r.req_id)`.
+/// The whole run's causal paths, reconstructed in one pass: the one request
+/// model every request-level view (Fig. 5 traces, per-tier contributions,
+/// attribution, drill-down) reads. Requests are sorted by req_id; spans are
+/// grouped per request, within a request in (tier, visit, row) order, so
+/// `trace(r)` is cell-identical to what the per-ID reference reconstructor
+/// (the test oracle) builds for r.req_id.
 class Result {
  public:
   std::vector<SpanRec> spans;
-  std::vector<std::pair<SimTime, SimTime>> calls;  ///< pooled (ds, dr)
+  std::vector<core::Call> calls;  ///< pooled (ds, dr)
   std::vector<RequestRec> requests;
 
   // Flat source-table metadata, indexed by SpanRec::table.
@@ -74,14 +76,24 @@ class Result {
   std::size_t tiers = 0;
 
   /// Spans whose timestamps ran backwards (ud < ua or dr < ds) — clamped to
-  /// zero duration by TraceSpan, counted here and in `flow.skewed_spans`.
+  /// zero duration by the core::span_* rule, counted here and in
+  /// `flow.skewed_spans`.
   std::uint64_t skewed_spans = 0;
+
+  /// `s`'s (ds, dr) calls in the shared pool.
+  [[nodiscard]] std::span<const core::Call> calls_of(const SpanRec& s) const {
+    return std::span<const core::Call>(calls).subspan(
+        s.calls_begin, s.calls_end - s.calls_begin);
+  }
+
+  /// Label per tier: the service of its first table ("t<N>" for a tier with
+  /// no table).
+  [[nodiscard]] std::vector<std::string> tier_services() const;
 
   /// Materializes one span in core::TraceSpan form (calls copied out).
   [[nodiscard]] core::TraceSpan span(const SpanRec& s) const;
 
-  /// Materializes one request's full core::Trace — cell-identical to the
-  /// per-ID TraceReconstructor oracle.
+  /// Materializes one request's full core::Trace (Fig. 5).
   [[nodiscard]] core::Trace trace(const RequestRec& r) const;
 
   /// Binary-searches a request by id; nullptr if absent.
@@ -99,9 +111,9 @@ class Result {
 /// causal path in one columnar pass over the event tables — sealed segments
 /// are decoded column-at-a-time (request-id dictionaries decoded once per
 /// distinct entry, timestamp columns once per column), span records are
-/// sort-merged on the propagated req_id across tiers — instead of the
-/// per-ID point lookups TraceReconstructor does (which re-scan every table
-/// for every id). Same cells, orders of magnitude less work at fleet scale.
+/// sort-merged on the propagated req_id across tiers — instead of per-ID
+/// point lookups that re-scan every table for every id. Same cells, orders
+/// of magnitude less work at fleet scale.
 class Materializer {
  public:
   static constexpr const char* kSpansTable = "mscope_flow_spans";
@@ -132,10 +144,5 @@ class Materializer {
   const db::Catalog& db_;
   Deployment dep_;
 };
-
-/// Exclusive/inclusive time of a pooled span without materializing a
-/// core::TraceSpan (same clamping semantics as TraceSpan).
-[[nodiscard]] SimTime span_inclusive(const SpanRec& s);
-[[nodiscard]] SimTime span_exclusive(const Result& r, const SpanRec& s);
 
 }  // namespace mscope::flow

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "db/database.h"
+#include "flow/attribution.h"
+#include "flow/materializer.h"
 #include "util/id_codec.h"
 
 namespace mscope::core {
@@ -28,19 +30,34 @@ db::Schema event_schema(bool with_calls) {
   return s;
 }
 
+/// Materializes `tables` ([tier][replica]) and reads the per-tier
+/// contributions off the spans.
+std::vector<TierContribution> contributions(
+    const db::Database& db, std::vector<std::vector<std::string>> tables,
+    std::vector<std::string> services, util::SimTime t0 = 0,
+    util::SimTime t1 = 0) {
+  flow::Deployment dep;
+  dep.event_tables = std::move(tables);
+  dep.services = std::move(services);
+  return flow::tier_contributions(flow::Materializer(db, std::move(dep)).run(),
+                                  t0, t1);
+}
+
+db::Value id(std::uint64_t n) { return db::Value{util::IdCodec::encode(n)}; }
+
 TEST(TierContributions, ExclusiveSubtractsDownstreamWaits) {
   db::Database db;
   auto& front = db.create_table("ev_front", event_schema(false));
   // inclusive 10 ms, waits 7 ms -> exclusive 3 ms.
-  front.insert({db::Value{std::string("A")}, db::Value{msec(0)},
-                db::Value{msec(10)}, db::Value{msec(1)}, db::Value{msec(8)}});
+  front.insert({id(1), db::Value{msec(0)}, db::Value{msec(10)},
+                db::Value{msec(1)}, db::Value{msec(8)}});
   auto& back = db.create_table("ev_back", event_schema(false));
   // leaf: no ds/dr values -> exclusive == inclusive (7 ms).
-  back.insert({db::Value{std::string("A")}, db::Value{msec(1)},
-               db::Value{msec(8)}, db::Value{}, db::Value{}});
+  back.insert({id(1), db::Value{msec(1)}, db::Value{msec(8)}, db::Value{},
+               db::Value{}});
 
-  const auto c = tier_contributions(db, {"ev_front", "ev_back"},
-                                    {"front", "back"});
+  const auto c =
+      contributions(db, {{"ev_front"}, {"ev_back"}}, {"front", "back"});
   ASSERT_EQ(c.size(), 2u);
   EXPECT_DOUBLE_EQ(c[0].mean_inclusive_ms, 10.0);
   EXPECT_DOUBLE_EQ(c[0].mean_exclusive_ms, 3.0);
@@ -54,10 +71,10 @@ TEST(TierContributions, VariableWidthCallColumns) {
   db::Database db;
   auto& t = db.create_table("ev_mid", event_schema(true));
   // inclusive 20 ms; two calls totaling 12 ms -> exclusive 8 ms.
-  t.insert({db::Value{std::string("A")}, db::Value{msec(0)},
-            db::Value{msec(20)}, db::Value{msec(2)}, db::Value{msec(8)},
-            db::Value{msec(10)}, db::Value{msec(16)}});
-  const auto c = tier_contributions(db, {"ev_mid"}, {"mid"});
+  t.insert({id(1), db::Value{msec(0)}, db::Value{msec(20)},
+            db::Value{msec(2)}, db::Value{msec(8)}, db::Value{msec(10)},
+            db::Value{msec(16)}});
+  const auto c = contributions(db, {{"ev_mid"}}, {"mid"});
   ASSERT_EQ(c.size(), 1u);
   EXPECT_DOUBLE_EQ(c[0].mean_exclusive_ms, 8.0);
 }
@@ -65,24 +82,54 @@ TEST(TierContributions, VariableWidthCallColumns) {
 TEST(TierContributions, TimeWindowFilters) {
   db::Database db;
   auto& t = db.create_table("ev_x", event_schema(false));
-  t.insert({db::Value{std::string("A")}, db::Value{msec(0)},
-            db::Value{msec(10)}, db::Value{}, db::Value{}});
-  t.insert({db::Value{std::string("B")}, db::Value{msec(100)},
-            db::Value{msec(140)}, db::Value{}, db::Value{}});
-  const auto all = tier_contributions(db, {"ev_x"}, {"x"});
+  t.insert({id(1), db::Value{msec(0)}, db::Value{msec(10)}, db::Value{},
+            db::Value{}});
+  t.insert({id(2), db::Value{msec(100)}, db::Value{msec(140)}, db::Value{},
+            db::Value{}});
+  const auto all = contributions(db, {{"ev_x"}}, {"x"});
   EXPECT_DOUBLE_EQ(all[0].mean_inclusive_ms, 25.0);
-  const auto late = tier_contributions(db, {"ev_x"}, {"x"}, msec(50),
-                                       msec(200));
+  const auto late = contributions(db, {{"ev_x"}}, {"x"}, msec(50), msec(200));
   EXPECT_DOUBLE_EQ(late[0].mean_inclusive_ms, 40.0);
   EXPECT_EQ(late[0].visits, 1u);
 }
 
 TEST(TierContributions, MissingTableYieldsEmptyEntry) {
   db::Database db;
-  const auto c = tier_contributions(db, {"nope"}, {"ghost"});
+  const auto c = contributions(db, {{"nope"}}, {"ghost"});
   ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c[0].service, "ghost");
   EXPECT_EQ(c[0].visits, 0u);
   EXPECT_DOUBLE_EQ(c[0].mean_exclusive_ms, 0.0);
+}
+
+TEST(TierContributions, EveryReplicaOfATierCounts) {
+  db::Database db;
+  auto& db1 = db.create_table("ev_db1", event_schema(false));
+  auto& db2 = db.create_table("ev_db2", event_schema(false));
+  db1.insert({id(1), db::Value{msec(0)}, db::Value{msec(2)}, db::Value{},
+              db::Value{}});
+  db2.insert({id(2), db::Value{msec(0)}, db::Value{msec(6)}, db::Value{},
+              db::Value{}});
+  const auto c = contributions(db, {{"ev_db1", "ev_db2"}}, {"mysql"});
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c[0].visits, 2u);
+  EXPECT_DOUBLE_EQ(c[0].mean_inclusive_ms, 4.0);
+}
+
+TEST(TierContributions, NonCanonicalIdDoesNotCount) {
+  // Only the canonical 12-uppercase-hex request id joins: a lowercase
+  // spelling or a NULL id is not a request the flow layer can attribute.
+  db::Database db;
+  auto& t = db.create_table("ev_x", event_schema(false));
+  t.insert({id(1), db::Value{msec(0)}, db::Value{msec(10)}, db::Value{},
+            db::Value{}});
+  t.insert({db::Value{std::string("00000000002a")}, db::Value{msec(0)},
+            db::Value{msec(90)}, db::Value{}, db::Value{}});
+  t.insert({db::Value{}, db::Value{msec(0)}, db::Value{msec(90)}, db::Value{},
+            db::Value{}});
+  const auto c = contributions(db, {{"ev_x"}}, {"x"});
+  EXPECT_EQ(c[0].visits, 1u);
+  EXPECT_DOUBLE_EQ(c[0].mean_inclusive_ms, 10.0);
 }
 
 TEST(RenderReport, ContainsVerdictAndEvidence) {

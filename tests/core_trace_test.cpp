@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "db/database.h"
+#include "flow/materializer.h"
 #include "util/id_codec.h"
 
 namespace mscope::core {
@@ -10,7 +11,9 @@ namespace {
 
 using util::msec;
 
-/// Builds a two-tier warehouse holding one request's records.
+/// Builds a two-tier warehouse holding one request's records and
+/// materializes it through the flow layer, the product path every
+/// request-level view reads.
 class TraceFixture : public ::testing::Test {
  protected:
   TraceFixture() {
@@ -35,55 +38,73 @@ class TraceFixture : public ::testing::Test {
                    db::Value{msec(1)}, db::Value{msec(9)},
                    db::Value{msec(2)}, db::Value{msec(4)},
                    db::Value{msec(5)}, db::Value{msec(8)}});
+
+    flow::Deployment dep;
+    dep.event_tables = {{"ev_apache_web1"}, {"ev_tomcat_app1"}};
+    dep.services = {"apache", "tomcat"};
+    result_ = flow::Materializer(db_, std::move(dep)).run();
+  }
+
+  /// Request 7's trace; empty, with a failure recorded, if it is missing.
+  [[nodiscard]] Trace trace7() const {
+    const flow::RequestRec* r = result_.find(7);
+    if (r == nullptr) {
+      ADD_FAILURE() << "request 7 not materialized";
+      return Trace{};
+    }
+    return result_.trace(*r);
   }
 
   db::Database db_;
-  TraceReconstructor tr_{db_,
-                         {"ev_apache_web1", "ev_tomcat_app1"},
-                         {"apache", "tomcat"}};
+  flow::Result result_;
 };
 
 TEST_F(TraceFixture, ReconstructJoinsTiersOnId) {
-  const auto trace = tr_.reconstruct(7);
-  ASSERT_TRUE(trace.has_value());
-  ASSERT_EQ(trace->spans.size(), 2u);
-  EXPECT_EQ(trace->spans[0].service, "apache");
-  EXPECT_EQ(trace->spans[0].ua, msec(0));
-  EXPECT_EQ(trace->spans[0].ud, msec(10));
-  ASSERT_EQ(trace->spans[0].calls.size(), 1u);
-  EXPECT_EQ(trace->spans[1].service, "tomcat");
-  ASSERT_EQ(trace->spans[1].calls.size(), 2u);
-  EXPECT_EQ(trace->spans[1].calls[1].second, msec(8));
-  EXPECT_EQ(trace->response_time(), msec(10));
+  ASSERT_NE(result_.find(7), nullptr);
+  const Trace trace = trace7();
+  ASSERT_EQ(trace.spans.size(), 2u);
+  EXPECT_EQ(trace.req_id, 7u);
+  EXPECT_EQ(trace.spans[0].service, "apache");
+  EXPECT_EQ(trace.spans[0].ua, msec(0));
+  EXPECT_EQ(trace.spans[0].ud, msec(10));
+  ASSERT_EQ(trace.spans[0].calls.size(), 1u);
+  EXPECT_EQ(trace.spans[1].service, "tomcat");
+  ASSERT_EQ(trace.spans[1].calls.size(), 2u);
+  EXPECT_EQ(trace.spans[1].calls[1].second, msec(8));
+  EXPECT_EQ(trace.response_time(), msec(10));
 }
 
 TEST_F(TraceFixture, ExclusiveTimeSubtractsCalls) {
-  const auto trace = tr_.reconstruct(7);
+  const Trace trace = trace7();
+  ASSERT_EQ(trace.spans.size(), 2u);
   // apache: 10 - (9-1) = 2 ms; tomcat: 8 - (2 + 3) = 3 ms.
-  EXPECT_EQ(trace->spans[0].exclusive_time(), msec(2));
-  EXPECT_EQ(trace->spans[1].exclusive_time(), msec(3));
+  EXPECT_EQ(trace.spans[0].exclusive_time(), msec(2));
+  EXPECT_EQ(trace.spans[1].exclusive_time(), msec(3));
 }
 
 TEST_F(TraceFixture, UnknownIdGivesNullopt) {
-  EXPECT_FALSE(tr_.reconstruct(999).has_value());
+  EXPECT_EQ(result_.find(999), nullptr);
 }
 
 TEST_F(TraceFixture, RequestIdsListsFrontTier) {
-  const auto ids = tr_.request_ids();
-  ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(ids[0], 7u);
+  // One request, joined across both tiers, its front span first.
+  ASSERT_EQ(result_.requests.size(), 1u);
+  const flow::RequestRec& r = result_.requests[0];
+  EXPECT_EQ(r.req_id, 7u);
+  EXPECT_TRUE(r.complete);
+  ASSERT_EQ(r.span_end - r.span_begin, 2u);
+  EXPECT_EQ(result_.spans[r.span_begin].tier, 0);
 }
 
 TEST_F(TraceFixture, RenderMentionsEveryTier) {
-  const auto trace = tr_.reconstruct(7);
-  const std::string text = TraceReconstructor::render(*trace);
+  const std::string text = render(trace7());
   EXPECT_NE(text.find("apache"), std::string::npos);
   EXPECT_NE(text.find("tomcat"), std::string::npos);
   EXPECT_NE(text.find("ID=000000000007"), std::string::npos);
 }
 
 TEST_F(TraceFixture, CompareWithTruthCountsMismatches) {
-  const auto trace = tr_.reconstruct(7);
+  const Trace trace = trace7();
   sim::Request truth;
   truth.id = 7;
   truth.records.resize(2);
@@ -91,15 +112,15 @@ TEST_F(TraceFixture, CompareWithTruthCountsMismatches) {
       {msec(0), msec(10), {{msec(1), msec(9)}}});
   truth.records[1].visits.push_back(
       {msec(1), msec(9), {{msec(2), msec(4)}, {msec(5), msec(8)}}});
-  EXPECT_EQ(TraceReconstructor::compare_with_truth(*trace, truth), 0);
+  EXPECT_EQ(compare_with_truth(trace, truth), 0);
 
   // Perturb one timestamp.
   truth.records[1].visits[0].downstream[1].second = msec(7);
-  EXPECT_EQ(TraceReconstructor::compare_with_truth(*trace, truth), 1);
+  EXPECT_EQ(compare_with_truth(trace, truth), 1);
 
   // Remove a visit entirely.
   truth.records[1].visits.clear();
-  EXPECT_GT(TraceReconstructor::compare_with_truth(*trace, truth), 0);
+  EXPECT_GT(compare_with_truth(trace, truth), 0);
 }
 
 }  // namespace

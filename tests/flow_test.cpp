@@ -8,12 +8,12 @@
 #include <sstream>
 
 #include "chaos/fault_plan.h"
-#include "core/trace.h"
 #include "db/database.h"
 #include "fleet/sharded_warehouse.h"
 #include "flow/attribution.h"
 #include "flow/waterfall.h"
 #include "obs/metrics.h"
+#include "oracle/trace_reconstructor.h"
 #include "scratch_dir.h"
 #include "util/id_codec.h"
 
@@ -229,8 +229,10 @@ TEST_F(FlowFixture, FlowMaterializedTablesMatchResult) {
     EXPECT_EQ(db::as_int(cur.row()[tier_c]), s.tier);
     EXPECT_EQ(db::as_int(cur.row()[visit_c]), s.visit);
     EXPECT_EQ(db::as_int(cur.row()[ua_c]), s.ua);
-    EXPECT_EQ(db::as_int(cur.row()[incl_c]), span_inclusive(s));
-    EXPECT_EQ(db::as_int(cur.row()[excl_c]), span_exclusive(result, s));
+    EXPECT_EQ(db::as_int(cur.row()[incl_c]),
+              core::span_inclusive(s.ua, s.ud));
+    EXPECT_EQ(db::as_int(cur.row()[excl_c]),
+              core::span_exclusive(s.ua, s.ud, result.calls_of(s)));
   }
 
   // Per-tier exclusive columns agree with the in-memory accessor.

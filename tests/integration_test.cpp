@@ -10,6 +10,8 @@
 #include <filesystem>
 
 #include "core/milliscope.h"
+#include "core/trace.h"
+#include "flow/materializer.h"
 #include "scratch_dir.h"
 #include "util/id_codec.h"
 
@@ -103,21 +105,37 @@ TEST_F(ScenarioAFixture, DiskUtilCorrelatesWithFrontQueue) {
 }
 
 TEST_F(ScenarioAFixture, TracesMatchGroundTruthExactly) {
-  auto tr = exp_->traces(*db_);
+  // Paper Fig. 5, for every completed request: the causal path joined from
+  // the event tables on the request ID holds one span per visit the
+  // simulator recorded, with exactly its timestamps.
+  const flow::Result result =
+      flow::Materializer(*db_, flow::Deployment::from(exp_->tables(),
+                                                      Testbed::services()))
+          .run();
   const auto& completed = exp_->testbed().clients().completed();
   ASSERT_FALSE(completed.empty());
-  int checked = 0;
-  for (std::size_t i = 0; i < completed.size(); i += 97) {
-    const auto& req = completed[i];
-    const auto trace = tr.reconstruct(req->id);
-    ASSERT_TRUE(trace.has_value()) << "req " << req->id;
-    EXPECT_EQ(TraceReconstructor::compare_with_truth(*trace, *req), 0);
-    EXPECT_EQ(trace->response_time(),
-              req->records[0].visits[0].upstream_departure -
-                  req->records[0].visits[0].upstream_arrival);
-    ++checked;
+  std::size_t missing = 0, wrong_spans = 0, mismatched = 0, wrong_rt = 0;
+  for (const auto& req : completed) {
+    const flow::RequestRec* rec = result.find(req->id);
+    if (rec == nullptr) {
+      ++missing;
+      continue;
+    }
+    const Trace trace = result.trace(*rec);
+    std::size_t visits = 0;
+    for (const auto& record : req->records) visits += record.visits.size();
+    if (trace.spans.size() != visits) ++wrong_spans;
+    if (compare_with_truth(trace, *req) != 0) ++mismatched;
+    if (trace.response_time() !=
+        req->records[0].visits[0].upstream_departure -
+            req->records[0].visits[0].upstream_arrival) {
+      ++wrong_rt;
+    }
   }
-  EXPECT_GT(checked, 10);
+  EXPECT_EQ(missing, 0u);
+  EXPECT_EQ(wrong_spans, 0u);
+  EXPECT_EQ(mismatched, 0u);
+  EXPECT_EQ(wrong_rt, 0u);
 }
 
 TEST_F(ScenarioAFixture, SysVizQueueLengthsMatchEventMonitors) {

@@ -9,6 +9,7 @@
 #include <filesystem>
 
 #include "core/milliscope.h"
+#include "flow/materializer.h"
 #include "scratch_dir.h"
 
 namespace mscope::core {
@@ -107,30 +108,26 @@ TEST_F(MultiNodeFixture, InnocentReplicaStaysCalm) {
 }
 
 TEST_F(MultiNodeFixture, TracesSpanReplicas) {
-  // A request's queries round-robin over the MySQL backends; reconstruct a
-  // trace that touches both, from both replicas' tables.
-  auto services = std::vector<std::string>{"apache", "tomcat", "tomcat",
-                                           "cjdbc", "mysql", "mysql"};
-  TraceReconstructor tr(*db_,
-                        {"ev_apache_web1", "ev_tomcat_app1", "ev_tomcat_app2",
-                         "ev_cjdbc_mid1", "ev_mysql_db1", "ev_mysql_db2"},
-                        services);
-  const auto& completed = exp_->testbed().clients().completed();
-  int multi_backend_traces = 0;
-  for (std::size_t i = 0; i < completed.size() && i < 400; ++i) {
-    const auto& req = completed[i];
-    if (req->records[3].visits.size() < 2) continue;  // needs 2+ queries
-    const auto trace = tr.reconstruct(req->id);
-    if (!trace) continue;
-    // Count how many spans landed in each mysql table (tiers 4 and 5 of the
-    // reconstructor's flattened table list).
-    int visits = 0;
-    for (const auto& span : trace->spans) {
-      if (span.service == "mysql") ++visits;
+  // A request's queries round-robin over the MySQL backends, so one trace
+  // joins spans from both replicas' tables.
+  const flow::Result result =
+      flow::Materializer(*db_, flow::Deployment::from(exp_->tables(),
+                                                      Testbed::services()))
+          .run();
+  int both_backends = 0;
+  for (const flow::RequestRec& r : result.requests) {
+    bool db1 = false, db2 = false;
+    for (std::uint32_t i = r.span_begin; i < r.span_end; ++i) {
+      const flow::SpanRec& s = result.spans[i];
+      if (s.tier != 3) continue;
+      const std::string& node =
+          result.table_node[static_cast<std::size_t>(s.table)];
+      db1 = db1 || node == "db1";
+      db2 = db2 || node == "db2";
     }
-    if (visits >= 2) ++multi_backend_traces;
+    if (db1 && db2) ++both_backends;
   }
-  EXPECT_GT(multi_backend_traces, 10);
+  EXPECT_GT(both_backends, 10);
 }
 
 TEST_F(MultiNodeFixture, SysVizHandlesReplicatedTiers) {
