@@ -1,7 +1,8 @@
-// mScopeSQL (google-benchmark): four analyses — full-column scan aggregate,
-// selective filter, time-bucketed group-by, and a cross-tier hash join —
-// through the vectorized pipeline, plus parse+plan overhead in isolation.
-// Every iteration carries lexing, parsing and planning.
+// mScopeSQL (google-benchmark): seven analyses — full-column scan aggregate,
+// selective filter, time-bucketed group-by, a cross-tier hash join, a top-k
+// ORDER BY, a time-alignment (ALIGN) join and a top-k over a join's Text
+// column — through the vectorized pipeline, plus parse+plan overhead in
+// isolation. Every iteration carries lexing, parsing and planning.
 
 #include <benchmark/benchmark.h>
 
@@ -113,6 +114,55 @@ void BM_HashJoinSql(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_HashJoinSql)->Arg(100000)->Arg(1000000);
+
+// --- top-k: a full sort of one table, the first ten rows kept ---------------
+
+void BM_OrderBySql(benchmark::State& state) {
+  db::Database& db = warehouse(state.range(0));
+  for (auto _ : state) {
+    const db::Table r = db::Sql::execute(
+        db,
+        "SELECT req_id, duration_usec FROM ev ORDER BY duration_usec DESC "
+        "LIMIT 10");
+    benchmark::DoNotOptimize(r.at(0, 0));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_OrderBySql)->Arg(100000)->Arg(1000000);
+
+// --- align: each mysql visit paired with the requests within 500 usec --------
+
+void BM_AlignJoinSql(benchmark::State& state) {
+  db::Database& db = warehouse(state.range(0));
+  for (auto _ : state) {
+    const db::Table r = db::Sql::execute(
+        db,
+        "SELECT COUNT(*) FROM ev AS e JOIN my AS m "
+        "ON ALIGN(e.ua_usec, m.ts_usec, 500)");
+    benchmark::DoNotOptimize(r.at(0, 0));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_AlignJoinSql)->Arg(100000)->Arg(1000000);
+
+// --- join, residual filter and top-k over a build-side Text column ----------
+// Each join output batch shares the build side's whole req_id dictionary
+// (one entry per mysql row): the residual filter and the sort's drain must
+// cost each batch's rows, not that dictionary's size.
+
+void BM_JoinOrderBySql(benchmark::State& state) {
+  db::Database& db = warehouse(state.range(0));
+  for (auto _ : state) {
+    const db::Table r = db::Sql::execute(
+        db,
+        "SELECT m.req_id, e.duration_usec FROM ev AS e JOIN my AS m "
+        "ON e.req_id = m.req_id WHERE m.req_id != 'ID3' OR e.tier = 1 "
+        "ORDER BY m.req_id DESC LIMIT 10");
+    benchmark::DoNotOptimize(r.at(0, 0));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_JoinOrderBySql)->Arg(100000)->Arg(1000000);
 
 // --- parse + plan overhead in isolation --------------------------------------
 

@@ -38,14 +38,6 @@ SegmentStore::SegmentStore(std::vector<DataType> types,
   for (const DataType t : types) tail_.columns.push_back(null_column(t, 0));
 }
 
-std::size_t SegmentStore::append(std::span<const Value> row) {
-  for (std::size_t c = 0; c < tail_.columns.size(); ++c) {
-    tail_.columns[c].push_back(row[c]);
-  }
-  ++tail_.rows;
-  return maybe_seal() ? 1 : 0;
-}
-
 std::size_t SegmentStore::append(const ColumnBatch& batch, std::size_t first,
                                  std::size_t end) {
   std::size_t seals = 0;
@@ -58,27 +50,30 @@ std::size_t SegmentStore::append(const ColumnBatch& batch, std::size_t first,
                                        1, cfg_.seal_rows - std::min(
                                               cfg_.seal_rows, tail_.rows)));
     }
-    const auto range = [first, stop](const auto& v) {
-      return std::span(v).subspan(first, stop - first);
+    // A one-row range (Table::insert) is one push_back per array: the
+    // range insert's out-of-line bookkeeping made each insert ~27 ns slower
+    // (bench_wal_append BM_InsertBare, EXPERIMENTS.md).
+    const auto copy = [first, stop](auto& to, const auto& from) {
+      if (stop - first == 1) {
+        to.push_back(from[first]);
+      } else {
+        to.insert(to.end(), from.begin() + first, from.begin() + stop);
+      }
     };
     for (std::size_t c = 0; c < tail_.columns.size(); ++c) {
       ColumnBatch::Column& t = tail_.columns[c];
       const ColumnBatch::Column& src = batch.columns[c];
-      const auto valid = range(src.valid);
-      t.valid.insert(t.valid.end(), valid.begin(), valid.end());
+      copy(t.valid, src.valid);
       if (t.type == DataType::kInt) {
-        const auto ints = range(src.ints);
-        t.ints.insert(t.ints.end(), ints.begin(), ints.end());
+        copy(t.ints, src.ints);
       } else if (t.type == DataType::kDouble && src.type == DataType::kInt) {
         for (std::size_t r = first; r < stop; ++r) {
           t.doubles.push_back(static_cast<double>(src.ints[r]));
         }
       } else if (t.type == DataType::kDouble) {
-        const auto doubles = range(src.doubles);
-        t.doubles.insert(t.doubles.end(), doubles.begin(), doubles.end());
+        copy(t.doubles, src.doubles);
       } else if (t.type == DataType::kText) {
-        const auto texts = range(src.texts);
-        t.texts.insert(t.texts.end(), texts.begin(), texts.end());
+        copy(t.texts, src.texts);
       }
     }
     tail_.rows += stop - first;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "db/column_batch.h"
@@ -50,11 +49,6 @@ class SegmentStore {
   SegmentStore() = default;
   SegmentStore(std::vector<DataType> types, std::optional<std::size_t> anchor,
                SegmentConfig cfg = {});
-
-  /// Appends one pre-validated row (Table::insert checks the schema and
-  /// converts Int cells of Double columns). Returns the number of seals it
-  /// caused (0 or 1).
-  std::size_t append(std::span<const Value> row);
 
   /// Appends rows [first, end) of `batch`, whose column types Table::append
   /// has checked: each equals the store's, or is Int into a Double column

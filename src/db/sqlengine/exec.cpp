@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "db/sqlengine/expr_eval.h"
 #include "obs/metrics.h"
@@ -163,33 +164,47 @@ std::string FilterOp::describe() const {
   return "Filter " + kernel_->describe();
 }
 
-// ------------------------------ RowEmitter -----------------------------------
-
-Batch RowEmitter::make_batch(const std::vector<Table::Row>& rows,
-                             std::size_t from, std::size_t n,
-                             const std::vector<DataType>& types) {
-  Batch b;
-  b.rows = n;
-  const std::span<const Table::Row> slice(rows.data() + from, n);
-  for (std::size_t c = 0; c < types.size(); ++c) {
-    b.cols.push_back(ColumnVec::from_rows(slice, c, types[c]));
-  }
-  return b;
-}
-
 namespace {
 
-/// Drains an operator into a join's flat build side.
-void materialize(Operator& op, BuildRows& out) {
-  out.width = op.out_types.size();
-  Batch b;
-  while (op.next(b)) {
-    for (std::size_t k = 0; k < b.active(); ++k) {
-      const std::uint32_t r = b.row_at(k);
-      for (const auto& c : b.cols) out.cells.push_back(c.get(r));
-      ++out.rows;
+/// Most rows a sort or an aggregate emits per batch.
+constexpr std::size_t kBatchRows = 4096;
+
+/// The active rows of `b` as local row ids: its selection, or every row
+/// (written to `all`).
+std::span<const std::uint32_t> active_rows(const Batch& b,
+                                           std::vector<std::uint32_t>& all) {
+  if (b.has_sel) return b.sel;
+  all.resize(b.rows);
+  std::iota(all.begin(), all.end(), std::uint32_t{0});
+  return all;
+}
+
+/// Drains `op` into one compact batch: each column built by one
+/// ColumnVec::Builder of the operator's output type, rows in the order `op`
+/// produced them. A join's build side and a sort's input.
+Batch drain(Operator& op) {
+  std::vector<ColumnVec::Builder> cols;
+  for (const DataType t : op.out_types) cols.emplace_back(t);
+  Batch out;
+  Batch in;
+  std::vector<std::uint32_t> all;
+  while (op.next(in)) {
+    const auto rows = active_rows(in, all);
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      cols[c].append(in.cols[c], rows);
     }
+    out.rows += rows.size();
   }
+  for (ColumnVec::Builder& c : cols) out.cols.push_back(c.finish());
+  return out;
+}
+
+/// Appends to `out` the gathers of `rows` of each of `from`'s columns (a
+/// sort's output; a join's, left batch then build side).
+void gather_into(Batch& out, const Batch& from,
+                 std::span<const std::uint32_t> rows) {
+  out.rows = rows.size();
+  for (const ColumnVec& c : from.cols) out.cols.push_back(c.gather(rows));
 }
 
 }  // namespace
@@ -209,11 +224,11 @@ HashJoinOp::HashJoinOp(OpPtr left, OpPtr right, int left_key, int right_key,
 }
 
 void HashJoinOp::build() {
-  materialize(*right_, build_rows_);
-  index_.reserve(build_rows_.rows);
-  for (std::size_t i = 0; i < build_rows_.rows; ++i) {
-    const Value& key =
-        build_rows_.row(i)[static_cast<std::size_t>(right_key_)];
+  build_ = drain(*right_);
+  const ColumnVec& keys = build_.cols[static_cast<std::size_t>(right_key_)];
+  index_.reserve(build_.rows);
+  for (std::size_t i = 0; i < build_.rows; ++i) {
+    const Value key = keys.get(i);
     if (is_null(key)) continue;
     index_[value_to_string(key)].push_back(static_cast<std::uint32_t>(i));
   }
@@ -225,27 +240,25 @@ bool HashJoinOp::next(Batch& out) {
       obs::Registry::global().counter("db.sql.join_probes");
   if (!built_) build();
   Batch in;
-  std::vector<Table::Row> matched;
+  std::vector<std::uint32_t> left_rows, build_rows;
   while (left_->next(in)) {
-    const std::size_t key_col = static_cast<std::size_t>(left_key_);
+    const ColumnVec& keys = in.cols[static_cast<std::size_t>(left_key_)];
     for (std::size_t k = 0; k < in.active(); ++k) {
       const std::uint32_t r = in.row_at(k);
-      const Value key = in.cols[key_col].get(r);
+      const Value key = keys.get(r);
       if (is_null(key)) continue;
       probes.inc();
       const auto it = index_.find(value_to_string(key));
       if (it == index_.end()) continue;
       for (const std::uint32_t bi : it->second) {
-        Table::Row row;
-        row.reserve(out_types.size());
-        for (const auto& c : in.cols) row.push_back(c.get(r));
-        const Value* br = build_rows_.row(bi);
-        row.insert(row.end(), br, br + build_rows_.width);
-        matched.push_back(std::move(row));
+        left_rows.push_back(r);
+        build_rows.push_back(bi);
       }
     }
-    if (!matched.empty()) {
-      out = RowEmitter::make_batch(matched, 0, matched.size(), out_types);
+    if (!left_rows.empty()) {
+      out = Batch{};
+      gather_into(out, in, left_rows);
+      gather_into(out, build_, build_rows);
       count_batch(out);
       return true;
     }
@@ -254,8 +267,8 @@ bool HashJoinOp::next(Batch& out) {
 }
 
 std::string HashJoinOp::describe() const {
-  return "HashJoin " + key_desc_ + " [build=" +
-         std::to_string(build_rows_.rows) + " rows]";
+  return "HashJoin " + key_desc_ + " [build=" + std::to_string(build_.rows) +
+         " rows]";
 }
 
 // ----------------------------- AlignJoinOp -----------------------------------
@@ -275,11 +288,11 @@ AlignJoinOp::AlignJoinOp(OpPtr left, OpPtr right, int left_time,
 }
 
 void AlignJoinOp::build() {
-  materialize(*right_, build_rows_);
-  times_.reserve(build_rows_.rows);
-  for (std::size_t i = 0; i < build_rows_.rows; ++i) {
-    const auto t =
-        as_int(build_rows_.row(i)[static_cast<std::size_t>(right_time_)]);
+  build_ = drain(*right_);
+  const ColumnVec& times = build_.cols[static_cast<std::size_t>(right_time_)];
+  times_.reserve(build_.rows);
+  for (std::size_t i = 0; i < build_.rows; ++i) {
+    const auto t = times.as_int(i);
     if (!t) continue;
     times_.emplace_back(*t, static_cast<std::uint32_t>(i));
   }
@@ -290,13 +303,13 @@ void AlignJoinOp::build() {
 bool AlignJoinOp::next(Batch& out) {
   if (!built_) build();
   Batch in;
-  std::vector<Table::Row> matched;
+  std::vector<std::uint32_t> left_rows, build_rows;
   std::vector<std::uint32_t> band;
   while (left_->next(in)) {
-    const std::size_t tcol = static_cast<std::size_t>(left_time_);
+    const ColumnVec& times = in.cols[static_cast<std::size_t>(left_time_)];
     for (std::size_t k = 0; k < in.active(); ++k) {
       const std::uint32_t r = in.row_at(k);
-      const auto t = as_int(in.cols[tcol].get(r));
+      const auto t = times.as_int(r);
       if (!t) continue;
       const auto lo = std::lower_bound(
           times_.begin(), times_.end(),
@@ -310,17 +323,13 @@ bool AlignJoinOp::next(Batch& out) {
       band.clear();
       for (auto it = lo; it != hi; ++it) band.push_back(it->second);
       std::sort(band.begin(), band.end());
-      for (const std::uint32_t bi : band) {
-        Table::Row row;
-        row.reserve(out_types.size());
-        for (const auto& c : in.cols) row.push_back(c.get(r));
-        const Value* br = build_rows_.row(bi);
-        row.insert(row.end(), br, br + build_rows_.width);
-        matched.push_back(std::move(row));
-      }
+      left_rows.insert(left_rows.end(), band.size(), r);
+      build_rows.insert(build_rows.end(), band.begin(), band.end());
     }
-    if (!matched.empty()) {
-      out = RowEmitter::make_batch(matched, 0, matched.size(), out_types);
+    if (!left_rows.empty()) {
+      out = Batch{};
+      gather_into(out, in, left_rows);
+      gather_into(out, build_, build_rows);
       count_batch(out);
       return true;
     }
@@ -329,8 +338,8 @@ bool AlignJoinOp::next(Batch& out) {
 }
 
 std::string AlignJoinOp::describe() const {
-  return "AlignJoin " + key_desc_ + " [build=" +
-         std::to_string(build_rows_.rows) + " rows]";
+  return "AlignJoin " + key_desc_ + " [build=" + std::to_string(build_.rows) +
+         " rows]";
 }
 
 // ------------------------------ HashAggOp ------------------------------------
@@ -408,28 +417,28 @@ void HashAggOp::drain() {
 bool HashAggOp::next(Batch& out) {
   if (!drained_) drain();
   if (emit_it_ == groups_.end()) return false;
-  std::vector<Table::Row> rows;
-  const std::size_t cap = RowEmitter::kBatch;
-  while (emit_it_ != groups_.end() && rows.size() < cap) {
-    Table::Row row;
-    row.reserve(out_types.size());
-    for (const auto& v : emit_it_->first) row.push_back(v);
+  std::vector<ColumnVec::Builder> cols;
+  for (const DataType t : out_types) cols.emplace_back(t);
+  const std::size_t nkeys = keys_.size();
+  out = Batch{};
+  for (; emit_it_ != groups_.end() && out.rows < kBatchRows; ++emit_it_) {
+    for (std::size_t i = 0; i < nkeys; ++i) cols[i].push(emit_it_->first[i]);
     for (std::size_t i = 0; i < aggs_.size(); ++i) {
       const AggState& s = emit_it_->second[i];
+      ColumnVec::Builder& col = cols[nkeys + i];
       switch (fns_[i]) {
         case Fn::kCount:
-          row.push_back(Value{static_cast<std::int64_t>(s.count)});
+          col.push(Value{static_cast<std::int64_t>(s.count)});
           break;
-        case Fn::kMin: row.push_back(Value{s.stats.min()}); break;
-        case Fn::kMax: row.push_back(Value{s.stats.max()}); break;
-        case Fn::kAvg: row.push_back(Value{s.stats.mean()}); break;
-        case Fn::kSum: row.push_back(Value{s.stats.sum()}); break;
+        case Fn::kMin: col.push(Value{s.stats.min()}); break;
+        case Fn::kMax: col.push(Value{s.stats.max()}); break;
+        case Fn::kAvg: col.push(Value{s.stats.mean()}); break;
+        case Fn::kSum: col.push(Value{s.stats.sum()}); break;
       }
     }
-    rows.push_back(std::move(row));
-    ++emit_it_;
+    ++out.rows;
   }
-  out = RowEmitter::make_batch(rows, 0, rows.size(), out_types);
+  for (ColumnVec::Builder& c : cols) out.cols.push_back(c.finish());
   count_batch(out);
   return true;
 }
@@ -464,44 +473,34 @@ SortOp::SortOp(OpPtr child, std::vector<const Expr*> keys,
 
 bool SortOp::next(Batch& out) {
   if (!sorted_) {
-    // Materialize rows plus their key tuples, then one stable sort.
-    std::vector<std::vector<Value>> sort_keys;
-    Batch in;
-    while (child_->next(in)) {
-      for (std::size_t k = 0; k < in.active(); ++k) {
-        const std::uint32_t r = in.row_at(k);
-        Table::Row row;
-        row.reserve(in.cols.size());
-        for (const auto& c : in.cols) row.push_back(c.get(r));
-        rows_.push_back(std::move(row));
-        std::vector<Value> kv;
-        kv.reserve(keys_.size());
-        for (const Expr* e : keys_) kv.push_back(eval_value(*e, in, r));
-        sort_keys.push_back(std::move(kv));
+    // Drain, evaluate every key tuple once (row r's keys are
+    // sort_keys[r * nk, (r + 1) * nk)), then one stable sort of row ids.
+    rows_ = drain(*child_);
+    const std::size_t nk = keys_.size();
+    std::vector<Value> sort_keys(rows_.rows * nk);
+    for (std::size_t r = 0; r < rows_.rows; ++r) {
+      for (std::size_t i = 0; i < nk; ++i) {
+        sort_keys[r * nk + i] = eval_value(*keys_[i], rows_, r);
       }
     }
-    std::vector<std::uint32_t> order(rows_.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<std::uint32_t>(i);
-    }
-    std::stable_sort(order.begin(), order.end(),
+    order_.resize(rows_.rows);
+    std::iota(order_.begin(), order_.end(), std::uint32_t{0});
+    std::stable_sort(order_.begin(), order_.end(),
                      [&](std::uint32_t a, std::uint32_t b) {
-                       for (std::size_t i = 0; i < keys_.size(); ++i) {
-                         const int c =
-                             compare(sort_keys[a][i], sort_keys[b][i]);
+                       for (std::size_t i = 0; i < nk; ++i) {
+                         const int c = compare(sort_keys[a * nk + i],
+                                               sort_keys[b * nk + i]);
                          if (c != 0) return asc_[i] ? c < 0 : c > 0;
                        }
                        return false;
                      });
-    std::vector<Table::Row> sorted;
-    sorted.reserve(rows_.size());
-    for (const std::uint32_t i : order) sorted.push_back(std::move(rows_[i]));
-    rows_ = std::move(sorted);
     sorted_ = true;
   }
-  if (emit_ >= rows_.size()) return false;
-  const std::size_t n = std::min(RowEmitter::kBatch, rows_.size() - emit_);
-  out = RowEmitter::make_batch(rows_, emit_, n, out_types);
+  if (emit_ >= order_.size()) return false;
+  const std::size_t n = std::min(kBatchRows, order_.size() - emit_);
+  out = Batch{};
+  gather_into(out, rows_,
+              std::span<const std::uint32_t>(order_).subspan(emit_, n));
   emit_ += n;
   count_batch(out);
   return true;
@@ -559,7 +558,6 @@ bool ProjectOp::next(Batch& out) {
   out.cols.clear();
   out.sel.clear();
   out.has_sel = false;
-  std::vector<Value> scratch;
   for (const Item& item : items_) {
     if (item.col >= 0) {
       const ColumnVec& src = in.cols[static_cast<std::size_t>(item.col)];
@@ -569,12 +567,11 @@ bool ProjectOp::next(Batch& out) {
         out.cols.push_back(src.gather(in.sel));
       }
     } else {
-      scratch.clear();
-      scratch.reserve(in.active());
+      ColumnVec::Builder col(item.type);
       for (std::size_t k = 0; k < in.active(); ++k) {
-        scratch.push_back(eval_value(*item.expr, in, in.row_at(k)));
+        col.push(eval_value(*item.expr, in, in.row_at(k)));
       }
-      out.cols.push_back(ColumnVec::from_values(scratch, item.type));
+      out.cols.push_back(col.finish());
     }
   }
   count_batch(out);

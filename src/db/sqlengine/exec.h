@@ -107,24 +107,11 @@ class FilterOp final : public Operator {
   std::vector<std::uint8_t> mask_;
 };
 
-/// A join's build side drained into one flat array: row i is cells
-/// [i * width, (i + 1) * width). One growing allocation for the whole side,
-/// not one per row, so building it costs the same wherever the allocator's
-/// free chunks happen to lie.
-struct BuildRows {
-  std::size_t width = 0;
-  std::size_t rows = 0;
-  std::vector<Value> cells;
-
-  [[nodiscard]] const Value* row(std::size_t i) const {
-    return cells.data() + i * width;
-  }
-};
-
-/// Hash join (equality). Builds on the right child (materialized), probes
-/// with the left child's batches in order; matches of one probe row emit in
-/// build insertion order. Keys hash by value_to_string so Int 7 and Double
-/// 7.0 join, NULL keys never match.
+/// Hash join (equality). Builds on the right child (drained), probes with
+/// the left child's batches in order; matches of one probe row emit in
+/// build insertion order, and each left batch with a match emits one batch
+/// of typed gathers of both sides. Keys hash by value_to_string so Int 7
+/// and Double 7.0 join, NULL keys never match.
 class HashJoinOp final : public Operator {
  public:
   HashJoinOp(OpPtr left, OpPtr right, int left_key, int right_key,
@@ -144,7 +131,7 @@ class HashJoinOp final : public Operator {
   int left_key_, right_key_;
   std::string key_desc_;
   bool built_ = false;
-  BuildRows build_rows_;
+  Batch build_;
   std::unordered_map<std::string, std::vector<std::uint32_t>> index_;
 };
 
@@ -172,7 +159,7 @@ class AlignJoinOp final : public Operator {
   std::int64_t tol_;
   std::string key_desc_;
   bool built_ = false;
-  BuildRows build_rows_;
+  Batch build_;
   /// (time, build row) sorted — band lookups are two binary searches.
   std::vector<std::pair<std::int64_t, std::uint32_t>> times_;
 };
@@ -231,9 +218,10 @@ class HashAggOp final : public Operator {
   GroupMap::iterator emit_it_;
 };
 
-/// Full materialize + stable multi-key sort (NULL < numbers < text, ties
-/// keep input order). Runs pre-projection so ORDER BY can reference columns
-/// the SELECT list drops.
+/// Drains the child, evaluates each row's key tuple once, and stable-sorts
+/// a row permutation (NULL < numbers < text, ties keep input order); emits
+/// typed gathers of the drained batch in sorted order. Runs pre-projection
+/// so ORDER BY can reference columns the SELECT list drops.
 class SortOp final : public Operator {
  public:
   SortOp(OpPtr child, std::vector<const Expr*> keys, std::vector<bool> asc,
@@ -252,7 +240,8 @@ class SortOp final : public Operator {
   std::vector<bool> asc_;
   std::string desc_;
   bool sorted_ = false;
-  std::vector<Table::Row> rows_;
+  Batch rows_;                        ///< the drained child
+  std::vector<std::uint32_t> order_;  ///< rows_ in sorted order
   std::size_t emit_ = 0;
 };
 
@@ -274,8 +263,9 @@ class LimitOp final : public Operator {
 
 /// Final projection. Bare-column items pass the child's ColumnVec through
 /// (zero copy when the batch has no selection, typed gather otherwise);
-/// computed items evaluate per selected row. Output batches are compact
-/// (no selection vector) so the result materializer reads them linearly.
+/// computed items evaluate per selected row into a ColumnVec::Builder.
+/// Output batches are compact (no selection vector) so the result
+/// materializer reads them linearly.
 class ProjectOp final : public Operator {
  public:
   /// Each item is either a pass-through child column (col >= 0) or a
@@ -298,17 +288,6 @@ class ProjectOp final : public Operator {
  private:
   OpPtr child_;
   std::vector<Item> items_;
-};
-
-/// Materializes rows into batches (join/sort/aggregate outputs).
-class RowEmitter {
- public:
-  static constexpr std::size_t kBatch = 4096;
-
-  /// Emits rows [from, from+n) of `rows` as one compact batch.
-  static Batch make_batch(const std::vector<Table::Row>& rows,
-                          std::size_t from, std::size_t n,
-                          const std::vector<DataType>& types);
 };
 
 }  // namespace mscope::db::sqlengine

@@ -1,5 +1,6 @@
 #include "db/sqlengine/kernel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -42,6 +43,34 @@ bool cmp_apply(Cmp c, int sign) {
     case Cmp::kGe: return sign >= 0;
   }
   return false;
+}
+
+/// mask[i] = hit(row i's string) over a Text column's `rows` rows; NULL
+/// rows get `null_hit`. A dictionary no larger than the batch is tested
+/// once per entry and the rows scan 4-byte codes; a larger one (an owned
+/// column that shares a join's whole build-side dictionary) is tested once
+/// per row. Either way a batch costs at most its rows in tests.
+template <class Hit>
+void text_mask(const ColumnVec& c, std::size_t rows, bool null_hit,
+               const Hit& hit, std::vector<std::uint8_t>& mask) {
+  constexpr std::uint32_t kNull = segment::TextChunk::kNullCode;
+  const auto dict = c.dict();
+  const auto codes = c.codes();
+  if (dict.size() > rows) {
+    for (std::size_t i = 0; i < rows; ++i) {
+      mask[i] = static_cast<std::uint8_t>(
+          codes[i] == kNull ? null_hit : hit(dict[codes[i]].str()));
+    }
+    return;
+  }
+  std::vector<std::uint8_t> dm(dict.size());
+  for (std::size_t k = 0; k < dict.size(); ++k) {
+    dm[k] = static_cast<std::uint8_t>(hit(dict[k].str()));
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    mask[i] = codes[i] == kNull ? static_cast<std::uint8_t>(null_hit)
+                                : dm[codes[i]];
+  }
 }
 
 /// `column CMP literal` — the workhorse. Dispatches once per batch on
@@ -116,45 +145,47 @@ class CmpKernel final : public Kernel {
     const std::string& ls = as_text(lit_);
     switch (c.type()) {
       case DataType::kText: {
-        // Probe the dictionary once, then scan 4-byte codes.
+        // Equality: where at most one dictionary entry equals the literal
+        // (always in a sealed chunk; an owned column's dictionary may
+        // repeat a string), the rows are one integer compare each. The
+        // search stops at a second match, and runs only where text_mask
+        // would test every entry anyway. kNullCode never equals a real
+        // code, so `=` excludes NULLs; `!=` excludes them explicitly
+        // (dialect: NULLs never match).
         const auto dict = c.dict();
-        const auto codes = c.codes();
-        if (cmp_ == Cmp::kEq || cmp_ == Cmp::kNe) {
-          // Equality: at most one dictionary code matches — the scan is one
-          // integer compare per row, no lookup table. kNullCode never
-          // equals a real code, so `=` naturally excludes NULLs; `!=` must
-          // exclude them explicitly (dialect: NULLs never match).
-          std::uint32_t target = std::numeric_limits<std::uint32_t>::max();
-          for (std::size_t k = 0; k < dict.size(); ++k) {
+        if ((cmp_ == Cmp::kEq || cmp_ == Cmp::kNe) && dict.size() <= b.rows) {
+          constexpr std::uint32_t kNull = segment::TextChunk::kNullCode;
+          std::uint32_t target = kNull;
+          std::size_t equal = 0;
+          for (std::size_t k = 0; k < dict.size() && equal < 2; ++k) {
             if (dict[k].str() == ls) {
               target = static_cast<std::uint32_t>(k);
-              break;
+              ++equal;
             }
           }
-          if (cmp_ == Cmp::kEq) {
-            if (target == std::numeric_limits<std::uint32_t>::max()) return;
-            for (std::size_t i = 0; i < b.rows; ++i) {
-              mask[i] = static_cast<std::uint8_t>(codes[i] == target);
+          if (equal < 2) {
+            const auto codes = c.codes();
+            if (cmp_ == Cmp::kEq) {
+              if (equal == 0) return;
+              for (std::size_t i = 0; i < b.rows; ++i) {
+                mask[i] = static_cast<std::uint8_t>(codes[i] == target);
+              }
+            } else {
+              for (std::size_t i = 0; i < b.rows; ++i) {
+                mask[i] = static_cast<std::uint8_t>(codes[i] != kNull &&
+                                                    codes[i] != target);
+              }
             }
-          } else {
-            for (std::size_t i = 0; i < b.rows; ++i) {
-              mask[i] = static_cast<std::uint8_t>(
-                  codes[i] != segment::TextChunk::kNullCode &&
-                  codes[i] != target);
-            }
+            return;
           }
-          return;
         }
-        std::vector<std::uint8_t> dm(dict.size(), 0);
-        for (std::size_t k = 0; k < dict.size(); ++k) {
-          const int cmp3 = dict[k].str().compare(ls);
-          dm[k] = static_cast<std::uint8_t>(
-              cmp_apply(cmp_, cmp3 < 0 ? -1 : (cmp3 > 0 ? 1 : 0)));
-        }
-        for (std::size_t i = 0; i < b.rows; ++i) {
-          mask[i] = static_cast<std::uint8_t>(
-              codes[i] != segment::TextChunk::kNullCode && dm[codes[i]]);
-        }
+        text_mask(
+            c, b.rows, false,
+            [&](const std::string& s) {
+              const int cmp3 = s.compare(ls);
+              return cmp_apply(cmp_, cmp3 < 0 ? -1 : (cmp3 > 0 ? 1 : 0));
+            },
+            mask);
         return;
       }
       case DataType::kInt:
@@ -332,7 +363,7 @@ class BetweenKernel final : public Kernel {
 };
 
 /// `column [NOT] LIKE 'pattern'` on a Text column: the pattern runs once
-/// per distinct dictionary entry, then the rows scan 4-byte codes.
+/// per dictionary entry or once per row (text_mask).
 class LikeKernel final : public Kernel {
  public:
   LikeKernel(int col, std::string pattern, bool negated, std::string col_name)
@@ -351,17 +382,12 @@ class LikeKernel final : public Kernel {
       }
       return;
     }
-    const auto dict = c.dict();
-    std::vector<std::uint8_t> dm(dict.size(), 0);
-    for (std::size_t k = 0; k < dict.size(); ++k) {
-      const bool ok = like_match(dict[k].str(), pattern_);
-      dm[k] = static_cast<std::uint8_t>(negated_ ? !ok : ok);
-    }
-    const auto codes = c.codes();
-    for (std::size_t i = 0; i < b.rows; ++i) {
-      mask[i] = static_cast<std::uint8_t>(
-          codes[i] != segment::TextChunk::kNullCode && dm[codes[i]]);
-    }
+    text_mask(
+        c, b.rows, false,
+        [&](const std::string& s) {
+          return like_match(s, pattern_) != negated_;
+        },
+        mask);
   }
 
   std::string describe() const override {
@@ -424,23 +450,15 @@ class InKernel final : public Kernel {
         return;
       }
       case DataType::kText: {
-        const auto dict = c.dict();
-        std::vector<std::uint8_t> dm(dict.size(), 0);
-        for (std::size_t k = 0; k < dict.size(); ++k) {
-          for (const std::string* s : texts) {
-            if (dict[k].str() == *s) {
-              dm[k] = 1;
-              break;
-            }
-          }
-        }
-        const auto codes = c.codes();
-        for (std::size_t i = 0; i < b.rows; ++i) {
-          const bool hit = codes[i] == segment::TextChunk::kNullCode
-                               ? null_in_list
-                               : dm[codes[i]] != 0;
-          mask[i] = static_cast<std::uint8_t>(negated_ ? !hit : hit);
-        }
+        text_mask(
+            c, b.rows, null_in_list != negated_,
+            [&](const std::string& s) {
+              const bool hit = std::any_of(
+                  texts.begin(), texts.end(),
+                  [&](const std::string* t) { return *t == s; });
+              return hit != negated_;
+            },
+            mask);
         return;
       }
       default: {

@@ -24,9 +24,14 @@ namespace mscope::db::sqlengine {
 ///    the same work a chunk's for_each does, but reusable by every operator
 ///    that touches the column);
 ///  - the store's tail lends its Int and Double arrays and their validity;
-///    its Text column gets a dictionary built for the view;
-///  - computed expressions and boxed rows materialize into owned typed
-///    arrays.
+///    its Text column is dictionary-encoded for the view (TextChunk::encode,
+///    as a seal would encode it);
+///  - operators that materialize rows (sorts, joins, aggregates, computed
+///    projections) build owned typed arrays through a Builder, or gather().
+///
+/// An owned Text column's dictionary may repeat a string (a Builder adds it
+/// once per append that uses it, and once per pushed cell), so readers
+/// compare dictionary entries by value and never assume one code per string.
 ///
 /// Views borrow from the Table's storage, which must outlive them and must
 /// not change while they are in use (an append may move the tail).
@@ -87,31 +92,16 @@ class ColumnVec {
                             const segment::SegmentStore::Run& run,
                             std::size_t col);
 
-  /// Materializes column `col` of boxed rows.
-  static ColumnVec from_rows(std::span<const std::vector<Value>> rows,
-                             std::size_t col, DataType type);
-
-  /// Materializes a computed column from boxed values (Project outputs).
-  static ColumnVec from_values(std::span<const Value> vals, DataType type);
-
   /// Compacts the selected rows into an owned column of the same type
-  /// (typed copy — no boxing; the dictionary of a Text column is copied,
-  /// codes are gathered).
+  /// (typed copy — no boxing). A Text column copies only its codes and
+  /// shares this view's dictionary, keeping whatever owns it alive.
   [[nodiscard]] ColumnVec gather(std::span<const std::uint32_t> rows) const;
 
- private:
-  struct Backing {
-    std::vector<std::int64_t> ints;
-    std::vector<double> doubles;
-    std::vector<std::uint32_t> codes;
-    std::vector<TextRef> dict;
-    segment::ValidityBitmap validity;
-  };
+  /// Builds one owned column (below).
+  class Builder;
 
-  /// An owned Text view of n cells, dictionary-encoded in first-seen order;
-  /// `text(i)` is cell i's TextRef, or nullptr where it is not Text.
-  template <class Text>
-  static ColumnVec text_view(std::size_t n, Text text);
+ private:
+  struct Backing;  ///< an owned column's arrays (vec.cpp)
 
   DataType type_ = DataType::kNull;
   std::size_t rows_ = 0;
@@ -121,7 +111,38 @@ class ColumnVec {
   std::span<const TextRef> dict_;
   const segment::ValidityBitmap* validity_ = nullptr;  ///< nullptr: all valid
   const std::uint8_t* valid_bytes_ = nullptr;  ///< the tail's flags, if set
-  std::shared_ptr<Backing> backing_;  ///< owns decoded / materialized storage
+  /// Owns the arrays the spans view, unless they are the store's.
+  std::shared_ptr<const void> owner_;
+};
+
+/// Builds one owned column of `type`, row after row: typed copies of other
+/// views' rows, and boxed cells (computed values, aggregate outputs). The
+/// one way an operator materializes a column.
+class ColumnVec::Builder {
+ public:
+  explicit Builder(DataType type);
+
+  /// Copies rows `rows` of `src`, which must have this builder's type.
+  /// Text maps the source's codes through a table indexed by source code:
+  /// one new entry per distinct code used, no hashing, and work bounded by
+  /// `rows` however large the source's dictionary (the table grows to the
+  /// largest one once per builder).
+  void append(const ColumnVec& src, std::span<const std::uint32_t> rows);
+
+  /// Appends one cell: NULL where `v` is NULL or not of this type (Int and
+  /// Double convert into each other through as_int / as_double). A Text
+  /// cell adds its own dictionary entry.
+  void push(const Value& v);
+
+  /// The column built; call once.
+  [[nodiscard]] ColumnVec finish();
+
+ private:
+  DataType type_;
+  std::size_t rows_ = 0;
+  std::shared_ptr<Backing> b_;
+  /// Source code -> built code; all kNullCode between appends.
+  std::vector<std::uint32_t> remap_;
 };
 
 /// A batch of rows flowing between operators: one ColumnVec per output

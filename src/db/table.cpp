@@ -68,25 +68,44 @@ void Table::insert(Row row) {
                                 std::to_string(row.size()) + " vs " +
                                 std::to_string(schema_.size()) + ")");
   }
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    const DataType cell = type_of(row[i]);
-    if (cell == DataType::kNull) continue;
-    const DataType col = schema_[i].type;
-    if (cell == col) continue;
-    if (cell == DataType::kInt && col == DataType::kDouble) {
-      row[i] = Value{static_cast<double>(std::get<std::int64_t>(row[i]))};
-      continue;
+  // A one-row append of row_, whose columns keep one slot each that the
+  // row's cells overwrite: no allocation per insert once the slots exist.
+  row_.rows = 1;
+  row_.columns.resize(schema_.size());
+  for (std::size_t c = 0; c < schema_.size(); ++c) {
+    const DataType col = schema_[c].type;
+    const DataType cell = type_of(row[c]);
+    const bool null = cell == DataType::kNull;
+    if (!null && cell != col &&
+        !(cell == DataType::kInt && col == DataType::kDouble)) {
+      throw std::invalid_argument("Table '" + name_ + "': type mismatch in " +
+                                  schema_[c].name + " (cell " +
+                                  std::string(to_string(cell)) + ", column " +
+                                  std::string(to_string(col)) + ")");
     }
-    throw std::invalid_argument("Table '" + name_ + "': type mismatch in " +
-                                schema_[i].name + " (cell " +
-                                std::string(to_string(cell)) + ", column " +
-                                std::string(to_string(col)) + ")");
+    ColumnBatch::Column& slot = row_.columns[c];
+    if (slot.valid.empty() || slot.type != col) {
+      slot.clear();
+      slot.type = col;
+      slot.push_back(Value{});
+    }
+    slot.valid[0] = null ? 0 : 1;
+    switch (col) {
+      case DataType::kInt:
+        slot.ints[0] = null ? 0 : std::get<std::int64_t>(row[c]);
+        break;
+      case DataType::kDouble:  // Int cells widen here
+        slot.doubles[0] = null ? 0.0 : *as_double(row[c]);
+        break;
+      case DataType::kText:
+        slot.texts[0].reset();
+        if (!null) slot.texts[0] = std::move(std::get<TextRef>(row[c]));
+        break;
+      case DataType::kNull:
+        break;
+    }
   }
-  // Journal after validation/conversion, before the row reaches storage
-  // (WAL-before-apply): replaying the journaled row re-runs the same insert.
-  const std::size_t from = store_.row_count();
-  if (journal_ != nullptr) journal_->on_insert(name_, schema_, from, row);
-  landed(from, store_.append(row));
+  append(row_, 0, 1);
 }
 
 void Table::append(const ColumnBatch& batch, std::size_t first,

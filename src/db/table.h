@@ -28,16 +28,11 @@ class MutationJournal {
   virtual void on_create_table(const std::string& name,
                                const Schema& schema) = 0;
   virtual void on_drop_table(const std::string& name) = 0;
-  /// Table::insert: `row` is the validated, conversion-applied row (Int
-  /// cells already widened into Double columns) of the table whose schema
-  /// is `schema`; `row_index` is its table-global id.
-  virtual void on_insert(const std::string& table, const Schema& schema,
-                         std::size_t row_index,
-                         const std::vector<Value>& row) = 0;
-  /// Table::append: rows [first, end) of `batch` are about to land as the
-  /// table's rows row_index, row_index + 1, ... `schema` is the table's;
-  /// the batch's column types have been checked against it (each equal, or
-  /// Int cells into a Double column, which land converted).
+  /// Table::append (and Table::insert, a one-row append): rows [first, end)
+  /// of `batch` are about to land as the table's rows row_index,
+  /// row_index + 1, ... `schema` is the table's; the batch's column types
+  /// have been checked against it (each equal, or Int cells into a Double
+  /// column, which land converted).
   virtual void on_append(const std::string& table, const Schema& schema,
                          std::size_t row_index, const ColumnBatch& batch,
                          std::size_t first, std::size_t end) = 0;
@@ -109,7 +104,8 @@ class Table {
 
   /// Inserts a row; throws std::invalid_argument on arity or type mismatch.
   /// Int cells are silently accepted into Double columns (widening). A
-  /// one-row append: may seal the tail into a columnar segment.
+  /// one-row append() through a batch the table reuses: may seal the tail
+  /// into a columnar segment.
   void insert(Row row);
 
   /// Appends rows [first, end) of `batch`, whose columns match this table's
@@ -203,6 +199,7 @@ class Table {
   Schema schema_;
   MutationJournal* journal_ = nullptr;
   segment::SegmentStore store_;
+  ColumnBatch row_;  ///< insert()'s row as a one-row batch, reused
   /// Lazily built per-column time indexes; mutable so read-only queries can
   /// warm them (logically const: they cache a derived view of the storage).
   mutable std::map<std::size_t, TimeIndex> indexes_;

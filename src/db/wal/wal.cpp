@@ -307,20 +307,6 @@ void WalWriter::on_drop_table(const std::string& name) {
   journal_frame();
 }
 
-void WalWriter::on_insert(const std::string& table, const Schema& schema,
-                          std::size_t row_index,
-                          const std::vector<Value>& row) {
-  row_.rows = 1;
-  row_.columns.resize(schema.size());
-  for (std::size_t c = 0; c < schema.size(); ++c) {
-    ColumnBatch::Column& col = row_.columns[c];
-    col.clear();
-    col.type = schema[c].type;
-    col.push_back(row[c]);
-  }
-  on_append(table, schema, row_index, row_, 0, 1);
-}
-
 void WalWriter::on_append(const std::string& table, const Schema& schema,
                           std::size_t row_index, const ColumnBatch& batch,
                           std::size_t first, std::size_t end) {

@@ -33,9 +33,8 @@ inline constexpr std::size_t kMaxFrameRows = 4096;
 ///
 /// Rows travel as column ranges, the store's own layout: Table::append
 /// journals its range as frames of at most kMaxFrameRows rows, all written
-/// before any row lands, and Table::insert journals a one-row frame — the
-/// same bytes as a one-row append of that row. Frame layout (all
-/// little-endian):
+/// before any row lands; Table::insert is a one-row append, so it journals
+/// a one-row frame. Frame layout (all little-endian):
 ///   u32 payload_len | u32 crc32c(payload) | payload
 ///   payload = u8 record_type | body
 ///   rows body = str table | u64 first_row | u32 rows | u32 columns
@@ -89,11 +88,6 @@ class WalWriter final : public MutationJournal {
   // --- MutationJournal (frames are written immediately, unflushed) ---------
   void on_create_table(const std::string& name, const Schema& schema) override;
   void on_drop_table(const std::string& name) override;
-  /// A one-row frame: the bytes on_append writes for a one-row append of
-  /// the same row.
-  void on_insert(const std::string& table, const Schema& schema,
-                 std::size_t row_index,
-                 const std::vector<Value>& row) override;
   void on_append(const std::string& table, const Schema& schema,
                  std::size_t row_index, const ColumnBatch& batch,
                  std::size_t first, std::size_t end) override;
@@ -132,11 +126,9 @@ class WalWriter final : public MutationJournal {
 
   std::filesystem::path path_;
   util::io::File file_;
-  /// The frame being built, an insert's row as a one-row batch, and a Text
-  /// column's codes and dictionary (views into the batch being journaled);
-  /// all reused from frame to frame.
+  /// The frame being built, and a Text column's codes and dictionary
+  /// (views into the batch being journaled); all reused from frame to frame.
   std::string buf_;
-  ColumnBatch row_;
   std::vector<std::uint32_t> codes_;
   std::vector<std::string_view> dict_;
   std::unordered_map<std::string_view, std::uint32_t> lookup_;

@@ -117,38 +117,37 @@ double correlate_series(const Series& a, const Series& b, SimTime bucket) {
 
 Series rebucket(const Series& in, SimTime bucket, BucketOp op) {
   if (bucket <= 0) throw std::invalid_argument("rebucket: bucket <= 0");
+  const auto bucket_of = [bucket](SimTime t) {
+    SimTime b = t / bucket;
+    if (t < 0 && t % bucket != 0) --b;
+    return b;
+  };
+  // A time-ordered series holds each bucket's samples consecutively: one
+  // pass folds them in input order.
   Series out;
-  std::map<SimTime, std::vector<double>> buckets;
-  for (const auto& p : in) {
-    SimTime b = p.time / bucket;
-    if (p.time < 0 && p.time % bucket != 0) --b;
-    buckets[b].push_back(p.value);
-  }
-  out.reserve(buckets.size());
-  for (const auto& [b, vals] : buckets) {
+  std::size_t i = 0;
+  while (i < in.size()) {
+    const SimTime b = bucket_of(in[i].time);
+    if (!out.empty() && b * bucket < out.back().time) {
+      throw std::invalid_argument("rebucket: series not ordered by time");
+    }
+    double sum = 0.0, lo = in[i].value, hi = lo, last = lo;
+    std::size_t n = 0;
+    for (; i < in.size() && bucket_of(in[i].time) == b; ++i, ++n) {
+      const double x = in[i].value;
+      sum += x;
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+      last = x;
+    }
     double v = 0.0;
     switch (op) {
-      case BucketOp::kMean: {
-        for (double x : vals) v += x;
-        v /= static_cast<double>(vals.size());
-        break;
-      }
-      case BucketOp::kMax:
-        v = *std::max_element(vals.begin(), vals.end());
-        break;
-      case BucketOp::kMin:
-        v = *std::min_element(vals.begin(), vals.end());
-        break;
-      case BucketOp::kLast:
-        v = vals.back();
-        break;
-      case BucketOp::kSum: {
-        for (double x : vals) v += x;
-        break;
-      }
-      case BucketOp::kCount:
-        v = static_cast<double>(vals.size());
-        break;
+      case BucketOp::kMean: v = sum / static_cast<double>(n); break;
+      case BucketOp::kMax: v = hi; break;
+      case BucketOp::kMin: v = lo; break;
+      case BucketOp::kLast: v = last; break;
+      case BucketOp::kSum: v = sum; break;
+      case BucketOp::kCount: v = static_cast<double>(n); break;
     }
     out.push_back({b * bucket, v});
   }

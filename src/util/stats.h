@@ -58,7 +58,10 @@ using Series = std::vector<Sample>;
                                       SimTime bucket);
 
 /// Re-buckets a series: one output sample per bucket containing the
-/// mean/max/min/last of input samples in that bucket.
+/// mean/max/min/last/sum/count of input samples in that bucket (floor
+/// division of time by `bucket`), in one pass over `in`, which must be
+/// ordered by time. Throws std::invalid_argument when bucket <= 0 or a
+/// sample falls in an earlier bucket than the sample before it.
 enum class BucketOp { kMean, kMax, kMin, kLast, kSum, kCount };
 [[nodiscard]] Series rebucket(const Series& in, SimTime bucket, BucketOp op);
 

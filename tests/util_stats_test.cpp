@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <stdexcept>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace mscope::util {
 namespace {
@@ -111,6 +116,84 @@ TEST(Rebucket, MeanMaxCount) {
 
 TEST(Rebucket, BadBucketThrows) {
   EXPECT_THROW((void)rebucket({}, 0, BucketOp::kMean), std::invalid_argument);
+}
+
+TEST(Rebucket, UnorderedSeriesThrows) {
+  // Out of order inside one bucket is fine; an earlier bucket is not.
+  const Series same_bucket{{5, 1.0}, {2, 2.0}, {msec(1), 3.0}};
+  EXPECT_EQ(rebucket(same_bucket, msec(1), BucketOp::kSum).size(), 2u);
+  const Series earlier{{0, 1.0}, {msec(2), 2.0}, {msec(1), 3.0}};
+  EXPECT_THROW((void)rebucket(earlier, msec(1), BucketOp::kMean),
+               std::invalid_argument);
+  const Series negative{{-1, 1.0}, {-msec(1) - 1, 2.0}};
+  EXPECT_THROW((void)rebucket(negative, msec(1), BucketOp::kMax),
+               std::invalid_argument);
+}
+
+/// The map-of-vectors rebucket the one-pass version replaced: the reference
+/// for the property test below.
+Series rebucket_by_map(const Series& in, SimTime bucket, BucketOp op) {
+  std::map<SimTime, std::vector<double>> buckets;
+  for (const auto& p : in) {
+    SimTime b = p.time / bucket;
+    if (p.time < 0 && p.time % bucket != 0) --b;
+    buckets[b].push_back(p.value);
+  }
+  Series out;
+  for (const auto& [b, vals] : buckets) {
+    double v = 0.0;
+    switch (op) {
+      case BucketOp::kMean:
+        for (double x : vals) v += x;
+        v /= static_cast<double>(vals.size());
+        break;
+      case BucketOp::kMax:
+        v = *std::max_element(vals.begin(), vals.end());
+        break;
+      case BucketOp::kMin:
+        v = *std::min_element(vals.begin(), vals.end());
+        break;
+      case BucketOp::kLast: v = vals.back(); break;
+      case BucketOp::kSum:
+        for (double x : vals) v += x;
+        break;
+      case BucketOp::kCount: v = static_cast<double>(vals.size()); break;
+    }
+    out.push_back({b * bucket, v});
+  }
+  return out;
+}
+
+TEST(Rebucket, MatchesMapReferenceOnRandomSeries) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const std::uint64_t bucket = 1 + rng.next_below(50);
+    // Non-decreasing times from a negative start: gaps of 0 (equal times),
+    // inside one bucket, and past several (one-sample and empty buckets).
+    Series s;
+    SimTime t = -static_cast<SimTime>(rng.next_below(500));
+    const std::size_t n = rng.next_below(400);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t gap = rng.next_below(4);
+      if (gap > 0) {
+        t += static_cast<SimTime>(
+            rng.next_below(gap == 3 ? 4 * bucket : bucket));
+      }
+      s.push_back({t, 1000.0 * rng.next_double() - 500.0});
+    }
+    for (const BucketOp op : {BucketOp::kMean, BucketOp::kMax, BucketOp::kMin,
+                              BucketOp::kLast, BucketOp::kSum,
+                              BucketOp::kCount}) {
+      const auto width = static_cast<SimTime>(bucket);
+      const Series got = rebucket(s, width, op);
+      const Series want = rebucket_by_map(s, width, op);
+      ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].time, want[i].time) << "seed " << seed;
+        EXPECT_EQ(got[i].value, want[i].value) << "seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(SlopePerSec, LinearSeries) {
